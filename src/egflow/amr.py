@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egspace import EGDofMap, q1_values
+from .egspace import _VSCALE, EGDofMap, cell_means, q1_values
 from .mesh import AdaptBounds, QuadMesh, _parent_key
 
 __all__ = [
@@ -82,9 +82,12 @@ def mark(ind, mesh: QuadMesh, policy: MarkingPolicy) -> Marks:
     """Rank cells by indicator and emit budgeted refine/coarsen marks.
 
     Ties break by cell id, so marking is deterministic.  The refine list is
-    truncated (lowest-ranked first) until the active count after refinement,
-    with the 2:1 closure included, fits the cell budget; coarsening credit
-    is deliberately not counted, so the budget holds even when no quartet
+    cut to its longest high-indicator prefix whose refinement, with the 2:1
+    closure included, keeps the active count within the cell budget.  The
+    minimal closure grows with the prefix, so one walk over the ranked marks
+    (`QuadMesh.closure_counts`) counts every prefix's splits on copies of
+    the key dicts, and no trial mesh is built.  Coarsening credit is
+    deliberately not counted, so the budget holds even when no quartet
     turns out to be mergeable.
     """
     er = np.asarray(ind.er, dtype=float)
@@ -95,7 +98,7 @@ def mark(ind, mesh: QuadMesh, policy: MarkingPolicy) -> Marks:
         raise ValueError(f"indicator covers {er.shape} cells, mesh has {n}")
     b = policy.bounds
 
-    order = sorted(range(n), key=lambda i: (-er[i], mesh.cell_id[i]))
+    order = np.lexsort((mesh.cell_id, -er))
     k_ref = int(policy.refine_fraction * n)
     k_coa = int(policy.coarsen_fraction * n)
     refine = [mesh.cell_id[i] for i in order[:k_ref]
@@ -103,28 +106,11 @@ def mark(ind, mesh: QuadMesh, policy: MarkingPolicy) -> Marks:
     coarsen = [mesh.cell_id[i] for i in order[n - k_coa:]
                if mesh.cell_level[i] > b.r_min]
 
-    # largest high-indicator prefix whose closure fits the budget
-    def fits(k: int) -> bool:
-        if k == 0:
-            return True
-        splits = mesh.refine_closure(refine[:k])
-        return n + 3 * len(splits) <= b.cell_max
-
-    if not fits(len(refine)):
-        lo, hi = 0, len(refine)  # fits(lo) holds, fits(hi) fails
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
-        refine = refine[:lo]
+    # longest high-indicator prefix whose closure fits the budget
+    sizes = mesh.closure_counts(refine)
+    refine = refine[:int(np.count_nonzero(n + 3 * sizes <= b.cell_max))]
     return Marks(refine=tuple(refine), coarsen=tuple(coarsen),
                  generation=mesh.generation)
-
-
-def _cell_means(dm: EGDofMap, coeffs: np.ndarray) -> np.ndarray:
-    return coeffs[dm.cell_dofs[:, :4]].mean(axis=1) + coeffs[dm.cell_dofs[:, 4]]
 
 
 def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
@@ -200,7 +186,7 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
         # vertices created by splits: parent's bilinear trace, parents first
         for pk in refined:
             lev, i, j = pk
-            s = 29 - lev   # child-level key scale
+            s = _VSCALE - (lev + 1)   # child-level vertex key scale
             X = [(2 * i) << s, (2 * i + 1) << s, (2 * i + 2) << s]
             Y = [(2 * j) << s, (2 * j + 1) << s, (2 * j + 2) << s]
             vidx = new_dm.vertex_index
@@ -220,7 +206,7 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
         cg = new_dm.distribute(cg)
 
         # constants enforce exact per-region means of the old function
-        old_means = _cell_means(dofmap, old)
+        old_means = cell_means(dofmap, old)
         target = np.empty(n_new)
         same = tag == SAME
         target[same] = old_means[src[same]]

@@ -41,6 +41,7 @@ __all__ = [
     "QuadratureRule",
     "build_dofmap",
     "cell_field_values",
+    "cell_means",
     "dof_count",
     "eval_grad",
     "eval_point",
@@ -244,6 +245,12 @@ class EGDofMap:
 
     def restrict(self, x_full: np.ndarray) -> np.ndarray:
         return x_full[self.free_dofs]
+
+
+def cell_means(dofmap: EGDofMap, coeffs: np.ndarray) -> np.ndarray:
+    """Exact cell means: corner average of the CG part plus the constant."""
+    cd = dofmap.cell_dofs
+    return coeffs[cd[:, :4]].mean(axis=1) + coeffs[cd[:, 4]]
 
 
 def build_dofmap(mesh: QuadMesh, k: int = 1) -> EGDofMap:
@@ -487,8 +494,7 @@ class AssemblyContext:
 
     def cell_means(self, coeffs: np.ndarray) -> np.ndarray:
         """Exact cell means: corner average of the CG part plus the constant."""
-        dm = self.dofmap
-        return coeffs[dm.cell_dofs[:, :4]].mean(axis=1) + coeffs[dm.cell_dofs[:, 4]]
+        return cell_means(self.dofmap, coeffs)
 
     def cell_values(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_cells, 9) values at the volume quadrature points."""

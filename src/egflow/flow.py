@@ -25,6 +25,7 @@ from .egspace import (
     cell_field_values,
     face_field_values,
     fix_gauge,
+    gauss_face,
     q1_grads,
 )
 from .linalg import BlockPartition, GmresResult, SolverError, block_diag_precondition, gmres, scatter_csr
@@ -120,8 +121,7 @@ class FaceFlux:
 
     @property
     def mean_un(self) -> np.ndarray:
-        w = np.array([5.0, 8.0, 5.0]) / 18.0
-        return self.face_un @ w
+        return self.face_un @ gauss_face().weights
 
 
 def bdf_coefficients(m: int, dt: float) -> tuple[float, float, float]:

@@ -48,6 +48,8 @@ DIR_NORMAL = {
     SOUTH: np.array([0.0, -1.0]),
 }
 BOUNDARY_NAME = {EAST: "right", NORTH: "top", WEST: "left", SOUTH: "bottom"}
+_DIRS = (EAST, NORTH, WEST, SOUTH)  # == range(4): face slot order per cell
+_STEP = np.array([DIR_STEP[d] for d in _DIRS], dtype=np.int64)
 
 # face kinds
 CONFORMING, HANGING_LOW, HANGING_HIGH, BOUNDARY = 0, 1, 2, 3
@@ -126,6 +128,74 @@ def _child_keys(key):
     ]
 
 
+def _key_coder(nx: int, ny: int, top: int):
+    """Map cell keys (level <= top, i, j) to integers ascending in key order.
+
+    Level L occupies the range offset[L] + [0, (nx << L) * (ny << L)); codes
+    fall back to Python integers where they would overflow int64.
+    """
+    off = [0]
+    for lev in range(top + 1):
+        off.append(off[-1] + (nx << lev) * (ny << lev))
+    dt = np.int64 if off[-1] < 2**62 else object
+    off = np.array(off[:-1], dtype=dt)
+
+    def code(lev, i, j):
+        row = ny << lev.astype(dt, copy=False)
+        return off[lev] + i.astype(dt, copy=False) * row + j
+    return code
+
+
+def _find(sorted_codes, q):
+    """(hit, position) of each query code in an ascending code array."""
+    at = np.minimum(np.searchsorted(sorted_codes, q), sorted_codes.size - 1)
+    return sorted_codes[at] == q, at
+
+
+class _ClosureWalk:
+    """2:1 balanced refinement run on copies of a mesh's key dicts.
+
+    split(key) first splits every coarser cell that would otherwise end up
+    two levels above a face neighbor of key's children, then key itself;
+    `splits` lists the split parents in order.  Every split is forced, so
+    the set split for a group of marks is their minimal 2:1 closure, which
+    does not depend on the order the marks are split in.
+    """
+
+    def __init__(self, mesh: "QuadMesh"):
+        self.mesh = mesh
+        self.active = dict(mesh._active)
+        self.refined = dict(mesh._refined)
+        self.next_id = mesh._next_id
+        self.splits = []
+
+    def split(self, key):
+        active, refined = self.active, self.refined
+        if key not in active:
+            return  # already refined through closure
+        lev, i, j = key
+        if lev >= self.mesh.level_cap:
+            raise MeshError(f"refinement beyond level cap {self.mesh.level_cap}")
+        # 2:1 closure: every face neighbor must reach this cell's level first
+        for d in (WEST, EAST, SOUTH, NORTH):
+            di, dj = DIR_STEP[d]
+            nk = (lev, i + di, j + dj)
+            if not self.mesh._in_range(nk):
+                continue
+            while nk not in active and nk not in refined:
+                cov = _parent_key(nk)
+                while cov not in active and cov not in refined:
+                    cov = _parent_key(cov)
+                if cov in refined:
+                    break
+                self.split(cov)
+        refined[key] = active.pop(key)
+        for ck in _child_keys(key):
+            active[ck] = self.next_id
+            self.next_id += 1
+        self.splits.append(key)
+
+
 class QuadMesh:
     """Forest of quadtrees over a rectangle; instances are immutable.
 
@@ -182,62 +252,52 @@ class QuadMesh:
         n = len(keys)
         self.n_active = n
         self.cell_id = np.array([self._active[k] for k in keys], dtype=np.int64)
-        self.cell_level = np.array([k[0] for k in keys], dtype=np.int32)
-        hx = np.empty(n)
-        hy = np.empty(n)
-        cx0 = np.empty(n)
-        cy0 = np.empty(n)
-        for idx, k in enumerate(keys):
-            b = self._bbox(k)
-            cx0[idx], cy0[idx] = b[0], b[1]
-            hx[idx], hy[idx] = b[2] - b[0], b[3] - b[1]
-        self.cell_x0, self.cell_y0, self.cell_hx, self.cell_hy = cx0, cy0, hx, hy
-        self.cell_area = hx * hy
+        lev, ci, cj = np.array(keys, dtype=np.int64).T
+        self.cell_level = lev.astype(np.int32)
 
-        owner, neigh, fdir, fkind = [], [], [], []
-        for idx, k in enumerate(keys):
-            lev, i, j = k
-            for d in (EAST, NORTH, WEST, SOUTH):
-                di, dj = DIR_STEP[d]
-                nk = (lev, i + di, j + dj)
-                if not self._in_range(nk):
-                    owner.append(idx)
-                    neigh.append(-1)
-                    fdir.append(d)
-                    fkind.append(BOUNDARY)
-                    continue
-                if nk in self._active:
-                    if d in (EAST, NORTH):  # create each conforming face once
-                        owner.append(idx)
-                        neigh.append(self.cell_index[nk])
-                        fdir.append(d)
-                        fkind.append(CONFORMING)
-                elif nk in self._refined:
-                    pass  # finer neighbors own the sub-faces
-                else:
-                    pk = _parent_key(nk)
-                    if pk not in self._active:
-                        raise MeshError("internal error: mesh violates 2:1 balance")
-                    sub = (j & 1) if d in (EAST, WEST) else (i & 1)
-                    owner.append(idx)
-                    neigh.append(self.cell_index[pk])
-                    fdir.append(d)
-                    fkind.append(HANGING_LOW if sub == 0 else HANGING_HIGH)
+        x0, y0, x1, y1 = self.domain
+        sx = (x1 - x0) / (self.nx << lev)
+        sy = (y1 - y0) / (self.ny << lev)
+        self.cell_x0 = x0 + ci * sx
+        self.cell_y0 = y0 + cj * sy
+        self.cell_hx = (x0 + (ci + 1) * sx) - self.cell_x0
+        self.cell_hy = (y0 + (cj + 1) * sy) - self.cell_y0
+        self.cell_area = self.cell_hx * self.cell_hy
 
-        self.face_owner = np.array(owner, dtype=np.int64)
-        self.face_neighbor = np.array(neigh, dtype=np.int64)
-        self.face_dir = np.array(fdir, dtype=np.int8)
-        self.face_kind = np.array(fkind, dtype=np.int8)
-        self.n_faces = len(owner)
+        # one candidate face per (cell, direction), row-major in (idx, E/N/W/S)
+        nl = lev[:, None]
+        ni = ci[:, None] + _STEP[:, 0]
+        nj = cj[:, None] + _STEP[:, 1]
+        inside = (ni >= 0) & (nj >= 0) & (ni < (self.nx << nl)) & (nj < (self.ny << nl))
+        code = _key_coder(self.nx, self.ny, int(lev.max()))
+        act = code(lev, ci, cj)  # ascending, because keys are sorted
+        q = code(nl, ni, nj)
+        same, same_at = _find(act, q)
+        same &= inside
+        par, par_at = _find(act, code(np.maximum(nl - 1, 0), ni >> 1, nj >> 1))
+        hang = inside & ~same & par & (nl > 0)
+        # anything else must be covered by finer cells, which own the sub-faces
+        gap = inside & ~same & ~hang
+        if gap.any():
+            ref = np.array(sorted(self._refined), dtype=np.int64).reshape(-1, 3)
+            if ref.size == 0 or not _find(code(*ref.T), q[gap])[0].all():
+                raise MeshError("internal error: mesh violates 2:1 balance")
+
+        # conforming faces are created once, by the west/south cell
+        keep = ~inside | (same & np.isin(_DIRS, (EAST, NORTH))) | hang
+        sub = np.where(_STEP[:, 0] != 0, cj[:, None], ci[:, None]) & 1
+        kind = np.where(~inside, BOUNDARY,
+                        np.where(same, CONFORMING, HANGING_LOW + sub))
+        neighbor = np.where(same, same_at, np.where(hang, par_at, -1))
+        faces = np.flatnonzero(keep)
+        self.face_owner = faces // 4
+        self.face_neighbor = neighbor.ravel()[faces].astype(np.int64)
+        self.face_dir = (faces % 4).astype(np.int8)
+        self.face_kind = kind.ravel()[faces].astype(np.int8)
+        self.n_faces = faces.size
         ew = np.isin(self.face_dir, (EAST, WEST))
-        self.face_h = np.where(ew, hy[self.face_owner], hx[self.face_owner])
-
-        # per-cell signed face adjacency: +1 where the cell is the owner
-        self.cell_faces: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for f in range(self.n_faces):
-            self.cell_faces[self.face_owner[f]].append((f, +1))
-            if self.face_neighbor[f] >= 0:
-                self.cell_faces[self.face_neighbor[f]].append((f, -1))
+        self.face_h = np.where(ew, self.cell_hy[self.face_owner],
+                               self.cell_hx[self.face_owner])
 
     # ------------------------------------------------------------------
     # queries
@@ -312,9 +372,6 @@ class QuadMesh:
     # ------------------------------------------------------------------
     # adaptation
 
-    def _clone_state(self):
-        return dict(self._active), dict(self._refined)
-
     def refine(self, cell_ids) -> "QuadMesh":
         """Split the given active cells (plus 2:1 closure); returns a new mesh."""
         mesh, _ = self.adapt(cell_ids, ())
@@ -325,10 +382,28 @@ class QuadMesh:
         mesh, _ = self.adapt((), cell_ids)
         return mesh
 
+    def _walk(self, cell_ids) -> _ClosureWalk:
+        walk = _ClosureWalk(self)
+        for k in sorted(self.key_of_id(c) for c in set(cell_ids)):
+            walk.split(k)
+        return walk
+
     def refine_closure(self, cell_ids) -> set:
         """Keys of every cell a refine(cell_ids) call would split (incl. closure)."""
-        mesh, report = self.adapt(cell_ids, ())
-        return set(report.refined)
+        return set(self._walk(cell_ids).splits)
+
+    def closure_counts(self, cell_ids) -> np.ndarray:
+        """Closure size of every prefix of `cell_ids`, without building a mesh.
+
+        Entry k is len(refine_closure(cell_ids[:k + 1])): the closure grows
+        with the prefix, so one walk over the ids in order counts them all.
+        """
+        walk = _ClosureWalk(self)
+        counts = np.empty(len(cell_ids), dtype=np.int64)
+        for n, cid in enumerate(cell_ids):
+            walk.split(self.key_of_id(cid))
+            counts[n] = len(walk.splits)
+        return counts
 
     def adapt(self, refine_ids, coarsen_ids) -> tuple["QuadMesh", AdaptReport]:
         """Apply refinement (with 2:1 closure) and then feasible coarsening.
@@ -339,47 +414,14 @@ class QuadMesh:
         anything else is dropped silently.  Returns (new_mesh, report); the
         receiver is returned unchanged when nothing happens.
         """
-        refine_keys = sorted(self.key_of_id(c) for c in set(refine_ids))
+        walk = self._walk(refine_ids)
         coarsen_keys = []
         for c in set(coarsen_ids):
             k = self._key_by_id.get(c)
             if k is not None:
                 coarsen_keys.append(k)
-
-        active, refined = self._clone_state()
-        next_id = self._next_id
-        report = AdaptReport()
-
-        def split(key):
-            nonlocal next_id
-            if key not in active:
-                return  # already refined through closure
-            lev = key[0]
-            if lev >= self.level_cap:
-                raise MeshError(f"refinement beyond level cap {self.level_cap}")
-            # 2:1 closure: every face neighbor must reach this cell's level first
-            _, i, j = key
-            for d in (WEST, EAST, SOUTH, NORTH):
-                di, dj = DIR_STEP[d]
-                nk = (lev, i + di, j + dj)
-                if not self._in_range(nk):
-                    continue
-                while nk not in active and nk not in refined:
-                    cov = _parent_key(nk)
-                    while cov not in active and cov not in refined:
-                        cov = _parent_key(cov)
-                    if cov in refined:
-                        break
-                    split(cov)
-            cid = active.pop(key)
-            refined[key] = cid
-            for ck in _child_keys(key):
-                active[ck] = next_id
-                next_id += 1
-            report.refined.append(key)
-
-        for k in refine_keys:
-            split(k)
+        active, refined = walk.active, walk.refined
+        report = AdaptReport(refined=walk.splits)
 
         # group coarsening marks into full sibling quartets
         by_parent: dict = {}
@@ -415,7 +457,7 @@ class QuadMesh:
 
         if report.unchanged:
             return self, report
-        state = (active, refined, next_id, self.generation + 1)
+        state = (active, refined, walk.next_id, self.generation + 1)
         mesh = QuadMesh(self.domain, self.nx, self.ny, self.level_cap, _state=state)
         return mesh, report
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egspace import AssemblyContext
+from .egspace import AssemblyContext, gauss_cell
 from .flow import FaceFlux, bdf_coefficients
 
 __all__ = [
@@ -164,9 +164,8 @@ def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
 def entropy_normalization(config: EntropyConfig, ctx: AssemblyContext, C_star) -> float:
     """Sup-norm over the domain of E(C*) minus its domain mean."""
     E = entropy_eval(config, ctx.cell_values(C_star))[0]
-    w = np.array([5.0, 8.0, 5.0]) / 18.0
-    wq = np.outer(w, w).ravel()
-    mean = float((E @ wq * ctx.mesh.cell_area).sum() / ctx.mesh.total_area)
+    mesh = ctx.mesh
+    mean = float((E @ gauss_cell().weights * mesh.cell_area).sum() / mesh.total_area)
     return float(np.abs(E - mean).max())
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from egflow.amr import FieldState, MarkingPolicy, Marks, adapt_and_transfer, mark
 from egflow.egspace import AssemblyContext, EGDofMap, eval_point, interpolate
-from egflow.mesh import AdaptBounds, build_uniform
+from egflow.mesh import AdaptBounds, QuadMesh, build_uniform
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -76,6 +76,53 @@ def test_budget_truncation_matches_brute_force():
             if mesh.n_active + 3 * extra <= cell_max:
                 best = tuple(eligible[:k])
         assert got.refine == best
+
+
+def _multilevel_mesh():
+    # levels 0..3 with nested refinement, so refining a fine cell drags
+    # closure splits across several coarser neighbors
+    mesh = build_uniform(UNIT, 4, 4)
+    for x, y in ((0.3, 0.3), (0.3, 0.3), (0.3, 0.3), (0.7, 0.55)):
+        mesh = mesh.refine([mesh.locate(x, y)])
+    return mesh
+
+
+def test_budget_pass_matches_brute_force_on_cascading_closures():
+    mesh = _multilevel_mesh()
+    assert mesh.cell_level.max() == 3
+    rng = np.random.default_rng(5)
+    n = mesh.n_active
+    er = rng.random(n) + 2.0 * mesh.cell_level   # fine cells rank first
+    order = sorted(range(n), key=lambda i: (-er[i], mesh.cell_id[i]))
+    eligible = [mesh.cell_id[i] for i in order[: int(0.4 * n)]
+                if mesh.cell_level[i] < 4]
+    sizes = [len(mesh.refine_closure(eligible[:k])) for k in range(len(eligible) + 1)]
+    # closures cascade: some single mark splits more than its own cell
+    assert max(np.diff(sizes)) > 1
+    kept = set()
+    for cell_max in (n, n + 3 * sizes[1], n + 3 * sizes[3] + 2,
+                     n + 3 * sizes[len(sizes) // 2],
+                     n + 3 * sizes[-1] - 1, n + 3 * sizes[-1]):
+        pol = _policy(r_max=4, cell_max=cell_max, refine=0.4, coarsen=0.0)
+        got = mark(_Ind(er, mesh.generation), mesh, pol)
+        best = max(k for k in range(len(eligible) + 1)
+                   if n + 3 * sizes[k] <= cell_max)
+        assert got.refine == tuple(eligible[:best])
+        kept.add(best)
+    assert len(kept) == 6 and 0 in kept and len(eligible) in kept
+
+
+def test_mark_builds_no_mesh(monkeypatch):
+    mesh = _multilevel_mesh()
+    built = []
+    finalize = QuadMesh._finalize
+    monkeypatch.setattr(QuadMesh, "_finalize",
+                        lambda self: built.append(1) or finalize(self))
+    er = np.random.default_rng(9).random(mesh.n_active)
+    marks = mark(_Ind(er, mesh.generation), mesh,
+                 _policy(r_max=4, cell_max=mesh.n_active + 20, refine=0.5))
+    assert marks.refine
+    assert len(built) == 0
 
 
 def test_stale_indicator_and_marks_rejected():

@@ -1,5 +1,6 @@
 """Scenario configs, diagnostics, file output, and the CLI entry point."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -20,8 +21,9 @@ from egflow.driver import (
     write_csv,
     write_vtk,
 )
+from egflow.amr import mark
 from egflow.egspace import AssemblyContext, EGDofMap, interpolate
-from egflow.mesh import build_uniform
+from egflow.mesh import AdaptBounds, build_uniform
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -218,6 +220,28 @@ def test_run_is_deterministic(tmp_path):
     csv2 = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
     assert csv1 == csv2
     assert csv1.splitlines()[0].decode() == CSV_HEADER
+
+
+def test_budget_bound_run_is_deterministic(tmp_path):
+    # r_max=3 against a 60-cell budget: mark truncates from step 3 on
+    cfg = make_config("perm_block", nx=4, ny=4, dt=0.02, t_end=0.1,
+                      r_max=3, cell_max=60)
+    free = dataclasses.replace(cfg.marking,
+                               bounds=AdaptBounds(r_max=3, cell_max=10**9))
+    cut = []
+
+    def hook(state):
+        bound = mark(state["indicator"], state["mesh"], cfg.marking)
+        unbound = mark(state["indicator"], state["mesh"], free)
+        cut.append(len(unbound.refine) - len(bound.refine))
+
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    run(cfg, outdir=out1, step_hook=hook)
+    run(cfg, outdir=out2)
+    assert max(cut) > 0
+    csv1 = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
+    csv2 = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
+    assert csv1 == csv2
 
 
 def test_cli_happy_path(tmp_path, capsys):

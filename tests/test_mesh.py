@@ -154,3 +154,97 @@ def test_face_partition_of_boundary():
     for side in ("left", "right", "bottom", "top"):
         tot = sum(f.h_e for f in mesh.faces() if f.boundary == side)
         assert tot == pytest.approx(1.0)
+
+
+def test_refine_closure_matches_adapt_and_keeps_receiver():
+    mesh = build_uniform(UNIT, 4, 4)
+    for _ in range(3):
+        mesh = mesh.refine([mesh.locate(0.3, 0.3)])
+    rng = np.random.default_rng(4)
+    before = (dict(mesh._active), dict(mesh._refined), mesh.face_owner.copy())
+    for _ in range(10):
+        ids = rng.choice(mesh.cell_id, size=rng.integers(1, 6), replace=False)
+        _, report = mesh.adapt(ids, ())
+        assert mesh.refine_closure(ids) == set(report.refined)
+        counts = mesh.closure_counts(list(ids))
+        assert counts[-1] == len(report.refined)
+        assert np.all(np.diff(counts) >= 0)
+    assert mesh._active == before[0] and mesh._refined == before[1]
+    assert np.array_equal(mesh.face_owner, before[2])
+
+
+# Reference face rule, one cell at a time in ascending key order, directions
+# E, N, W, S: a side on the domain boundary is a BOUNDARY face; a same-level
+# active neighbor gives a CONFORMING face, created only toward E and N; a
+# refined same-level neighbor gives nothing (its children own the sub-faces);
+# otherwise the neighbor's parent is active and the cell owns a hanging
+# sub-face, LOW or HIGH by the parity of its coordinate along the face.
+# face_h is the owner's side length along the face.
+_STEP = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
+
+
+def _reference_faces(mesh):
+    index = {k: n for n, k in enumerate(mesh.cell_keys)}
+    rows = []
+    for n, (lev, i, j) in enumerate(mesh.cell_keys):
+        x0, y0, x1, y1 = mesh.cell(mesh.cell_id[n]).bbox
+        for d, (di, dj) in _STEP.items():
+            h = y1 - y0 if di else x1 - x0
+            ni, nj = i + di, j + dj
+            if not (0 <= ni < mesh.nx << lev and 0 <= nj < mesh.ny << lev):
+                rows.append((n, -1, d, BOUNDARY, h))
+            elif (lev, ni, nj) in index:
+                if d in (0, 1):
+                    rows.append((n, index[(lev, ni, nj)], d, CONFORMING, h))
+            elif (lev - 1, ni >> 1, nj >> 1) in index:
+                sub = (j if di else i) & 1
+                rows.append((n, index[(lev - 1, ni >> 1, nj >> 1)], d,
+                             HANGING_HIGH if sub else HANGING_LOW, h))
+    return rows
+
+
+def _face_rows(mesh):
+    return list(zip(mesh.face_owner.tolist(), mesh.face_neighbor.tolist(),
+                    mesh.face_dir.tolist(), mesh.face_kind.tolist(),
+                    mesh.face_h.tolist()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_face_table_matches_reference_rule(seed):
+    rng = np.random.default_rng(seed)
+    nx, ny = (int(v) for v in rng.integers(1, 5, 2))
+    mesh = build_uniform((0.0, -0.3, 1.7, 0.9), nx, ny)
+    # one interior refinement puts hanging faces on all four sides of a patch
+    mesh = mesh.refine([mesh.locate(0.85, 0.3)])
+    for _ in range(4):
+        ok = mesh.cell_id[mesh.cell_level < 4]
+        mesh, _ = mesh.adapt(rng.choice(ok, size=min(3, ok.size), replace=False),
+                             rng.choice(mesh.cell_id, size=mesh.n_active // 3,
+                                        replace=False))
+    assert _face_rows(mesh) == _reference_faces(mesh)
+    for n in range(mesh.n_active):
+        x0, y0, x1, y1 = mesh.cell(mesh.cell_id[n]).bbox
+        assert (mesh.cell_x0[n], mesh.cell_y0[n]) == (x0, y0)
+        assert (mesh.cell_hx[n], mesh.cell_hy[n]) == (x1 - x0, y1 - y0)
+    assert mesh.balanced()
+
+
+def test_hanging_faces_on_all_four_sides():
+    mesh = build_uniform(UNIT, 3, 3)
+    mesh = mesh.refine([mesh.locate(0.5, 0.5)])
+    hang = np.isin(mesh.face_kind, (HANGING_LOW, HANGING_HIGH))
+    assert set(mesh.face_dir[hang].tolist()) == {0, 1, 2, 3}
+    assert _face_rows(mesh) == _reference_faces(mesh)
+
+
+def test_face_table_at_level_cap():
+    # key codes of 3x3 roots at level 30 exceed int64, so the face lookup
+    # runs on Python integers
+    mesh = build_uniform(UNIT, 3, 3)
+    for _ in range(30):
+        mesh = mesh.refine([mesh.locate(0.3, 0.3)])
+    assert mesh.cell_level.max() == 30 and mesh.balanced()
+    assert _face_rows(mesh) == _reference_faces(mesh)
+    with pytest.raises(MeshError):
+        mesh.refine([mesh.locate(0.3, 0.3)])
