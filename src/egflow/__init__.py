@@ -8,11 +8,11 @@ adaptation.
 
 from .mesh import (AdaptBounds, AdaptReport, MeshError, QuadMesh,
                    build_uniform)
-from .egspace import (AssemblyContext, EGDofMap, QuadratureRule, build_dofmap,
-                      dof_count, eval_grad, eval_point, face_jump_avg,
+from .egspace import (AssemblyContext, CSRPattern, EGDofMap, QuadratureRule,
+                      build_dofmap, dof_count, eval_grad, eval_point,
                       gauss_cell, gauss_face, interpolate)
 from .linalg import (BlockILU, BlockPartition, GmresResult, SolverError,
-                     block_diag_precondition, gmres, scatter_csr)
+                     block_diag_precondition, gmres)
 from .physics import (DispersionParams, PermeabilityField, ViscosityModel,
                       dispersion_tensor, draw_centers, mix_viscosity,
                       mobility, peclet, random_permeability,

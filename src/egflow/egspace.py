@@ -16,7 +16,7 @@ appears here with cellwise-constant coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +37,7 @@ from .mesh import (
 
 __all__ = [
     "AssemblyContext",
+    "CSRPattern",
     "EGDofMap",
     "QuadratureRule",
     "build_dofmap",
@@ -46,7 +47,6 @@ __all__ = [
     "eval_grad",
     "eval_point",
     "face_field_values",
-    "face_jump_avg",
     "fix_gauge",
     "gauss_cell",
     "gauss_face",
@@ -337,7 +337,7 @@ def eval_grad(mesh: QuadMesh, dm: EGDofMap, coeffs: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# assembly context: cell groups and face classes with precomputed traces
+# reference tables: the unit cell and the unit face, computed once
 
 
 def _face_ref_coords(d: int, g: np.ndarray) -> np.ndarray:
@@ -369,9 +369,195 @@ def _neighbor_ref_coords(d: int, kind: int, g: np.ndarray) -> np.ndarray:
     return np.stack([gc, one], 1)
 
 
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _side(a: np.ndarray, side: int) -> np.ndarray:
+    """Embed a (3, 5, ...) trace table as the owner (0) or neighbor (1) half
+    of the 10-dof interior-face layout."""
+    out = np.zeros((a.shape[0], 10) + a.shape[2:])
+    out[:, 5 * side:5 * side + 5] = a
+    return out
+
+
+def _transpose(t: np.ndarray, k: int) -> np.ndarray:
+    return t.reshape(k, k).T.ravel()
+
+
+_DIRS = (EAST, NORTH, WEST, SOUTH)
+_INTERIOR_KINDS = (CONFORMING, HANGING_LOW, HANGING_HIGH)
+
+_CELL_PTS = _frozen(gauss_cell().points)                        # (9, 2)
+_CELL_W = _frozen(gauss_cell().weights)
+_CELL_N = _frozen(q1_values(*_CELL_PTS.T))                      # (9, 5)
+_CELL_DN = _frozen(q1_grads(*_CELL_PTS.T))                      # (9, 5, 2)
+_FACE_PTS = {d: _frozen(_face_ref_coords(d, _G3)) for d in _DIRS}
+_FACE_N = {d: _frozen(q1_values(*p.T)) for d, p in _FACE_PTS.items()}
+_FACE_DN = {d: _frozen(q1_grads(*p.T)) for d, p in _FACE_PTS.items()}
+_NB_PTS = {(d, k): _neighbor_ref_coords(d, k, _G3)
+           for d in _DIRS for k in _INTERIOR_KINDS}
+_NB_N = {dk: _frozen(q1_values(*p.T)) for dk, p in _NB_PTS.items()}
+_NB_DN = {dk: _frozen(q1_grads(*p.T)) for dk, p in _NB_PTS.items()}
+
+# unit-cell integrals; a level's tables scale them by hx, hy
+_REF_MASS = _frozen(np.einsum("q,qa,qb->ab", _CELL_W, _CELL_N, _CELL_N).ravel())
+_REF_DIFF = _frozen(np.einsum("q,qad,qbe->deab", _CELL_W, _CELL_DN,
+                              _CELL_DN).reshape(2, 2, 25))
+_REF_ADV = _frozen(np.einsum("q,qad,qb->qdab", _CELL_W, _CELL_DN,
+                             _CELL_N).reshape(9, 2, 25))
+_REF_SINK = _frozen(np.einsum("q,qa,qb->qab", _CELL_W, _CELL_N,
+                              _CELL_N).reshape(9, 25))
+_REF_WN = _frozen(_CELL_W[:, None] * _CELL_N)
+
+
+def _interior_reference(d: int, kind: int):
+    """Unit-face integrals of an interior face: jump x jump, the upwind pair
+    jump x N_own / jump x N_nb per quadrature point, and jump x grad N per
+    side and gradient component."""
+    jump = _side(_FACE_N[d], 0) - _side(_NB_N[d, kind], 1)
+    jj = np.einsum("q,qa,qb->ab", _W3, jump, jump).ravel()
+    up = np.stack([np.einsum("q,qa,qb->qab", _W3, jump, _side(N, s)).reshape(3, 100)
+                   for s, N in enumerate((_FACE_N[d], _NB_N[d, kind]))])
+    flux = np.stack([np.einsum("q,qa,qbe->eab", _W3, jump, _side(dN, s)).reshape(2, 100)
+                     for s, dN in enumerate((_FACE_DN[d], _NB_DN[d, kind]))])
+    return _frozen(jj), _frozen(up), _frozen(flux)
+
+
+def _boundary_reference(d: int):
+    """Unit-face integrals of a boundary face: N x N per quadrature point,
+    N x grad N per gradient component, and the weighted traces w N, w grad N."""
+    N, dN = _FACE_N[d], _FACE_DN[d]
+    nn = np.einsum("q,qa,qb->qab", _W3, N, N).reshape(3, 25)
+    ndn = np.einsum("q,qa,qbe->eab", _W3, N, dN).reshape(2, 25)
+    return (_frozen(nn), _frozen(ndn), _frozen(_W3[:, None] * N),
+            _frozen(_W3[:, None, None] * dN))
+
+
+_INTERIOR_REF = {(d, k): _interior_reference(d, k)
+                 for d in _DIRS for k in _INTERIOR_KINDS}
+_BOUNDARY_REF = {d: _boundary_reference(d) for d in _DIRS}
+
+
+# ----------------------------------------------------------------------
+# sparsity pattern
+
+
+def _index_type(shape) -> type:
+    """int32 while every row * n_cols + col key fits, else int64."""
+    return np.int32 if shape[0] * shape[1] < 2**31 else np.int64
+
+
+def _unique_inverse(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(key, return_inverse=True) for keys in [0, bound).
+
+    When each key and its position fit one int64 together, sorting the packed
+    values replaces the slower argsort.
+    """
+    bits = max(int(key.size - 1).bit_length(), 1)
+    if bound > (2**63 - 1) >> bits:
+        return np.unique(key, return_inverse=True)
+    packed = key.astype(np.int64)
+    packed <<= bits
+    packed |= np.arange(key.size)
+    packed.sort()
+    srt = packed >> bits
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    rank = first.astype(np.intp)
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    packed &= (1 << bits) - 1
+    inverse = np.empty(key.size, dtype=np.intp)
+    inverse[packed] = rank
+    return srt[first].astype(key.dtype), inverse
+
+
+@dataclass(frozen=True)
+class CSRPattern:
+    """Canonical CSR sparsity of a list of (row, col) triplets.
+
+    `slot[k]` is the position of triplet k in `indices`; `matrix(vals)` adds
+    every value into its triplet's slot, so duplicate triplets are summed in
+    triplet order.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def from_triplets(cls, rows, cols, shape) -> "CSRPattern":
+        n_rows, n_cols = shape
+        itype = _index_type(shape)
+        key = np.multiply(rows, n_cols, dtype=itype).ravel()
+        key += np.ravel(cols)
+        uniq, slot = _unique_inverse(key, n_rows * n_cols)
+        row = uniq // n_cols
+        indptr = np.zeros(n_rows + 1, dtype=itype)
+        np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
+        return cls(shape=(n_rows, n_cols), indptr=indptr,
+                   indices=uniq - row * n_cols, slot=slot)
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
+        data = np.bincount(self.slot, weights=vals, minlength=self.nnz)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+def _assembly_pattern(n: int, cells, interior, boundary) -> tuple[CSRPattern, np.ndarray]:
+    """Pattern over every local block in assembly order, and the rhs rows.
+
+    Blocks: 5x5 per cell, 10x10 per interior face, 5x5 per boundary face.
+    Only the cell blocks and the owner/neighbor cross blocks of interior
+    faces are sorted; the other face blocks repeat slots of cell blocks.
+    """
+    cd = np.concatenate([g.dofs for g in cells])
+    cd_key = cd.astype(_index_type((n, n)))
+    pos = np.empty(len(cd), dtype=np.intp)
+    pos[np.concatenate([g.idx for g in cells])] = np.arange(len(cd))
+    own = np.concatenate([g.own for g in interior] + [np.empty(0, np.intp)])
+    nb = np.concatenate([g.nb for g in interior] + [np.empty(0, np.intp)])
+    bown = np.concatenate([g.own for g in boundary] + [np.empty(0, np.intp)])
+    fo, fn = cd_key[pos[own]], cd_key[pos[nb]]
+    nc, nf = len(cd), len(own)
+
+    rows = np.concatenate([np.broadcast_to(r[:, :, None], (len(r), 5, 5))
+                           for r in (cd_key, fo, fn)])
+    cols = np.concatenate([np.broadcast_to(c[:, None, :], (len(c), 5, 5))
+                           for c in (cd_key, fn, fo)])
+    base = CSRPattern.from_triplets(rows, cols, (n, n))
+    cell = base.slot[:25 * nc].reshape(nc, 5, 5)
+    cross = base.slot[25 * nc:].reshape(2, nf, 5, 5)
+    face = np.empty((nf, 2, 5, 2, 5), dtype=base.slot.dtype)  # [f, side, a, side, b]
+    face[:, 0, :, 0] = cell[pos[own]]
+    face[:, 1, :, 1] = cell[pos[nb]]
+    face[:, 0, :, 1] = cross[0]
+    face[:, 1, :, 0] = cross[1]
+    slot = np.concatenate([cell.ravel(), face.ravel(), cell[pos[bown]].ravel()])
+    rhs_rows = np.concatenate([cd.ravel(), cd[pos[bown]].ravel()])
+    return replace(base, slot=slot), rhs_rows
+
+
+# ----------------------------------------------------------------------
+# assembly context: cell groups and face classes with precomputed tables
+
+
 @dataclass
 class CellGroup:
-    """All active cells of one refinement level (identical geometry)."""
+    """All active cells of one refinement level (identical geometry).
+
+    table rows, each a flattened 5x5 local matrix: 0 mass, 1 stiffness,
+    2:20 advection per (quadrature point, velocity component), 20:24
+    diffusion per (d, e) tensor entry, 24:33 mass per quadrature point.
+    """
 
     level: int
     idx: np.ndarray
@@ -383,11 +569,22 @@ class CellGroup:
     wq: np.ndarray       # (9,) physical weights (sum = cell area)
     qx: np.ndarray       # (m, 9)
     qy: np.ndarray
+    table: np.ndarray    # (33, 25)
+    wN: np.ndarray       # (9, 5) rhs weights wq * N
 
 
 @dataclass
 class FaceGroup:
-    """Faces sharing direction, kind and owner level (identical trace maps)."""
+    """Faces sharing direction, kind and owner level (identical trace maps).
+
+    Interior table rows, each a flattened 10x10 local matrix over
+    [owner dofs | neighbor dofs]: 0 jump x jump, 1/2 jump x (grad N . n) of
+    the owner/neighbor side, 3/4 their transposes, 5:8 / 8:11 upwind
+    jump x N_own / jump x N_nb per quadrature point, 11:13 / 13:15
+    jump x grad N per gradient component of the owner/neighbor side.
+    Boundary table rows, each a flattened 5x5: 0 N x N, 1 N x (grad N . n),
+    2 its transpose, 3:6 N x N per quadrature point.
+    """
 
     dir: int
     kind: int
@@ -406,89 +603,130 @@ class FaceGroup:
     boundary: str | None
     qx: np.ndarray       # (m, 3)
     qy: np.ndarray
+    table: np.ndarray    # (15, 100) interior, (6, 25) boundary
+    wN: np.ndarray | None = None     # (3, 5) boundary rhs weights wq * N
+    wdN: np.ndarray | None = None    # (3, 5) boundary rhs weights wq * grad N . n
 
 
 class AssemblyContext:
-    """Mesh + dofmap + precomputed basis tables shared by all assemblers."""
+    """Mesh + dofmap + precomputed tables and sparsity shared by all assemblers.
+
+    Tables: every cell group (one level) and face group (one direction, face
+    kind and owner level) holds its local matrices as rows of `table`, built
+    once from unit-cell/unit-face integrals scaled by hx, hy and h_e (row
+    layouts in CellGroup and FaceGroup).  An assembler writes each local block
+    as one matmul of per-cell or per-face coefficients against `table`.
+
+    Pattern: `pattern` maps every local-block entry, in assembly order (cell
+    groups, then `interior_groups`, then `boundary_groups`), onto a CSR data
+    slot; boundary blocks fall inside their owner's cell block, and faces that
+    contribute nothing (Neumann, inflow) still pass zeros, so the pattern does
+    not depend on the data.  `rhs_rows` does the same for the right-hand side
+    pieces of cells and boundary faces.  Pressure and transport share both.
+    """
 
     def __init__(self, mesh: QuadMesh, dofmap: EGDofMap | None = None):
         self.mesh = mesh
         self.dofmap = dofmap if dofmap is not None else EGDofMap(mesh)
         dm = self.dofmap
 
-        rule = gauss_cell()
-        Nc = q1_values(rule.points[:, 0], rule.points[:, 1])
-        dNc = q1_grads(rule.points[:, 0], rule.points[:, 1])
-
         self.cell_groups: list[CellGroup] = []
         for lev in np.unique(mesh.cell_level):
             idx = np.nonzero(mesh.cell_level == lev)[0]
             hx = float(mesh.cell_hx[idx[0]])
             hy = float(mesh.cell_hy[idx[0]])
-            dN = dNc.copy()
-            dN[:, :, 0] /= hx
-            dN[:, :, 1] /= hy
-            qx = mesh.cell_x0[idx, None] + rule.points[None, :, 0] * hx
-            qy = mesh.cell_y0[idx, None] + rule.points[None, :, 1] * hy
+            area, inv = hx * hy, np.array([1.0 / hx, 1.0 / hy])
+            diff = area * np.outer(inv, inv)[:, :, None] * _REF_DIFF
+            table = np.vstack([area * _REF_MASS, diff[0, 0] + diff[1, 1],
+                               (area * inv[:, None] * _REF_ADV).reshape(18, 25),
+                               diff.reshape(4, 25), area * _REF_SINK])
             self.cell_groups.append(CellGroup(
                 level=int(lev), idx=idx, dofs=dm.cell_dofs[idx], hx=hx, hy=hy,
-                N=Nc, dN=dN, wq=rule.weights * hx * hy, qx=qx, qy=qy,
+                N=_CELL_N, dN=_CELL_DN / np.array([hx, hy]),
+                wq=_CELL_W * hx * hy,
+                qx=mesh.cell_x0[idx, None] + _CELL_PTS[None, :, 0] * hx,
+                qy=mesh.cell_y0[idx, None] + _CELL_PTS[None, :, 1] * hy,
+                table=table, wN=area * _REF_WN,
             ))
 
-        g = _G3
-        self.face_groups: list[FaceGroup] = []
-        self._face_slot = np.full((mesh.n_faces, 2), -1, dtype=np.int64)
-        classes: dict = {}
-        for f in range(mesh.n_faces):
-            key = (int(mesh.face_dir[f]), int(mesh.face_kind[f]),
-                   int(mesh.cell_level[mesh.face_owner[f]]))
-            classes.setdefault(key, []).append(f)
-        for key in sorted(classes):
-            d, kind, lev = key
-            faces = np.array(classes[key], dtype=np.int64)
+        # face classes in (direction, kind, owner level) order
+        own_level = mesh.cell_level[mesh.face_owner].astype(np.int64)
+        n_lev = int(own_level.max(initial=0)) + 1
+        code = (mesh.face_dir.astype(np.int64) * 4 + mesh.face_kind) * n_lev + own_level
+        order = np.argsort(code, kind="stable")
+        codes, starts = np.unique(code[order], return_index=True)
+        ends = np.append(starts[1:], order.size)
+        self.interior_groups: list[FaceGroup] = []
+        self.boundary_groups: list[FaceGroup] = []
+        for c, s, e in zip(codes.tolist(), starts, ends):
+            d, kind, lev = c // (4 * n_lev), (c // n_lev) % 4, c % n_lev
+            faces = order[s:e]
             own = mesh.face_owner[faces]
             hx, hy = mesh._cell_size(lev)
             h_e = hy if d in (EAST, WEST) else hx
-            oref = _face_ref_coords(d, g)
-            N_o = q1_values(oref[:, 0], oref[:, 1])
-            dN_o = q1_grads(oref[:, 0], oref[:, 1])
-            dN_o[:, :, 0] /= hx
-            dN_o[:, :, 1] /= hy
-            qx = mesh.cell_x0[own][:, None] + oref[None, :, 0] * hx
-            qy = mesh.cell_y0[own][:, None] + oref[None, :, 1] * hy
+            inv = np.array([1.0 / hx, 1.0 / hy])
+            normal = DIR_NORMAL[d].copy()
+            common = dict(
+                dir=d, kind=kind, level=lev, idx=faces, own=own,
+                N_o=_FACE_N[d], dN_o=_FACE_DN[d] / np.array([hx, hy]),
+                wq=_W3 * h_e, h_e=h_e, normal=normal,
+                qx=mesh.cell_x0[own][:, None] + _FACE_PTS[d][None, :, 0] * hx,
+                qy=mesh.cell_y0[own][:, None] + _FACE_PTS[d][None, :, 1] * hy,
+            )
             if kind == BOUNDARY:
-                grp = FaceGroup(
-                    dir=d, kind=kind, level=lev, idx=faces, own=own, nb=None,
-                    dofs=dm.cell_dofs[own], N_o=N_o, dN_o=dN_o,
-                    N_n=None, dN_n=None, wq=_W3 * h_e, h_e=h_e,
-                    normal=DIR_NORMAL[d].copy(), boundary=BOUNDARY_NAME[d],
-                    qx=qx, qy=qy,
-                )
+                nn, ndn, wN, wdN = _BOUNDARY_REF[d]
+                ndn = h_e * ((normal * inv) @ ndn)
+                table = np.vstack([h_e * nn.sum(axis=0), ndn,
+                                   _transpose(ndn, 5), h_e * nn])
+                self.boundary_groups.append(FaceGroup(
+                    nb=None, dofs=dm.cell_dofs[own], N_n=None, dN_n=None,
+                    boundary=BOUNDARY_NAME[d], table=table, wN=h_e * wN,
+                    wdN=h_e * (wdN @ (normal * inv)), **common,
+                ))
             else:
                 nb = mesh.face_neighbor[faces]
-                nref = _neighbor_ref_coords(d, kind, g)
-                N_n = q1_values(nref[:, 0], nref[:, 1])
-                dN_n = q1_grads(nref[:, 0], nref[:, 1])
                 scale = 1.0 if kind == CONFORMING else 2.0
-                dN_n[:, :, 0] /= hx * scale
-                dN_n[:, :, 1] /= hy * scale
-                grp = FaceGroup(
-                    dir=d, kind=kind, level=lev, idx=faces, own=own, nb=nb,
-                    dofs=np.hstack([dm.cell_dofs[own], dm.cell_dofs[nb]]),
-                    N_o=N_o, dN_o=dN_o, N_n=N_n, dN_n=dN_n,
-                    wq=_W3 * h_e, h_e=h_e, normal=DIR_NORMAL[d].copy(),
-                    boundary=None, qx=qx, qy=qy,
-                )
-            slot = len(self.face_groups)
-            self.face_groups.append(grp)
-            self._face_slot[faces, 0] = slot
-            self._face_slot[faces, 1] = np.arange(faces.size)
+                jj, up, flux = _INTERIOR_REF[d, kind]
+                f_o = h_e * inv[:, None] * flux[0]
+                f_n = (h_e / scale) * inv[:, None] * flux[1]
+                g_o, g_n = normal @ f_o, normal @ f_n
+                table = np.vstack([h_e * jj, g_o, g_n, _transpose(g_o, 10),
+                                   _transpose(g_n, 10), h_e * up.reshape(6, 100),
+                                   f_o, f_n])
+                self.interior_groups.append(FaceGroup(
+                    nb=nb, dofs=np.hstack([dm.cell_dofs[own], dm.cell_dofs[nb]]),
+                    N_n=_NB_N[d, kind],
+                    dN_n=_NB_DN[d, kind] / np.array([hx * scale, hy * scale]),
+                    boundary=None, table=table, **common,
+                ))
+        self.face_groups = self.interior_groups + self.boundary_groups
+
+        self.pattern, self.rhs_rows = _assembly_pattern(
+            dm.n_dofs, self.cell_groups, self.interior_groups, self.boundary_groups)
+        # integral of every basis function: the constant column of the mass tables
+        self.basis_integrals = np.bincount(
+            np.concatenate([g.dofs.ravel() for g in self.cell_groups]),
+            weights=np.concatenate([
+                np.broadcast_to(g.table[0].reshape(5, 5)[:, 4], g.dofs.shape).ravel()
+                for g in self.cell_groups]),
+            minlength=dm.n_dofs)
 
         self.cell_hmax = np.maximum(mesh.cell_hx, mesh.cell_hy)
         self.cell_center = np.stack(
             [mesh.cell_x0 + 0.5 * mesh.cell_hx, mesh.cell_y0 + 0.5 * mesh.cell_hy],
             axis=1,
         )
+
+    def assemble(self, blocks, rhs) -> tuple[sp.csr_matrix, np.ndarray]:
+        """(A, b) from local blocks and rhs pieces listed in assembly order.
+
+        blocks: one (m, 25) or (m, 100) array per cell, interior and boundary
+        group; rhs: one (m, 5) array per cell group, then per boundary group.
+        """
+        A = self.pattern.matrix(np.concatenate([v.ravel() for v in blocks]))
+        b = np.bincount(self.rhs_rows, weights=np.concatenate([v.ravel() for v in rhs]),
+                        minlength=self.dofmap.n_dofs)
+        return A, b
 
     # -- whole-field evaluations -------------------------------------------
 
@@ -559,23 +797,3 @@ def face_field_values(grp: FaceGroup, data) -> np.ndarray:
     if callable(data):
         return np.asarray(data(grp.qx, grp.qy), dtype=float)
     return np.full(grp.qx.shape, float(data))
-
-
-def face_jump_avg(ctx: AssemblyContext, coeffs: np.ndarray, face_index: int,
-                  delta: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Jump and weighted average of a scalar EG field on one face.
-
-    Jump is the vector-valued  v_own * n_own + v_nb * n_nb  at the three face
-    quadrature points, shape (3, 2); the average is  delta * v_own +
-    (1 - delta) * v_nb, shape (3,).  On boundary faces the jump is v * n and
-    the average is the trace itself.
-    """
-    slot, pos = ctx._face_slot[face_index]
-    g = ctx.face_groups[slot]
-    vo = g.N_o @ coeffs[g.dofs[pos, :5]]
-    if g.nb is None:
-        jump = vo[:, None] * g.normal[None, :]
-        return jump, vo
-    vn = g.N_n @ coeffs[g.dofs[pos, 5:]]
-    jump = (vo - vn)[:, None] * g.normal[None, :]
-    return jump, delta * vo + (1.0 - delta) * vn

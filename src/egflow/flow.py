@@ -28,7 +28,7 @@ from .egspace import (
     gauss_face,
     q1_grads,
 )
-from .linalg import BlockPartition, GmresResult, SolverError, block_diag_precondition, gmres, scatter_csr
+from .linalg import BlockPartition, GmresResult, SolverError, block_diag_precondition, gmres
 
 __all__ = [
     "FaceFlux",
@@ -190,21 +190,9 @@ def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
         raise ValueError("constant-mode deflation needs a compressible mass term")
     dm = ctx.dofmap
     z = np.zeros(dm.n_dofs)
-    w = np.zeros(dm.n_dofs)
-    for g in ctx.cell_groups:
-        z[g.dofs[:, :4]] = 1.0
-        wloc = np.einsum("q,qa->a", g.wq, g.N)
-        np.add.at(w, g.dofs.ravel(),
-                  np.broadcast_to(wloc, g.dofs.shape).ravel())
-    w *= mass_coef * a0
+    z[:dm.n_cg] = 1.0
+    w = (mass_coef * a0) * ctx.basis_integrals
     return z, w
-
-
-def _boundary_lookup(bc: FlowBC, grp) -> tuple[bool, object]:
-    side = grp.boundary
-    if bc.is_dirichlet(side):
-        return True, bc.dirichlet[side]
-    return False, bc.neumann[side]
 
 
 def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
@@ -215,9 +203,11 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     kappa_cells: (n_cells,) mobility kappa = K/mu evaluated per cell.
     Returns (A, b) with A CSR over all dofs; hanging-node reduction is left
     to the solve step so that constant test rows keep their exact per-cell
-    balance.
+    balance.  Each local block is per-cell or per-face coefficients times the
+    context's tables (layouts in egspace.CellGroup / FaceGroup); theta enters
+    as the coefficient of the transposed consistency rows.
     """
-    mesh, dm = ctx.mesh, ctx.dofmap
+    mesh = ctx.mesh
     m_eff = params.bdf_order if m is None else m
     a0, a1, a2 = bdf_coefficients(m_eff, dt)
     rho0, alpha, theta = params.rho0, params.alpha, params.theta
@@ -227,78 +217,51 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
             f"kappa must be per-cell, expected ({mesh.n_active},), got {kappa_cells.shape}"
         )
 
-    n = dm.n_dofs
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
     mass_coef = rho0 * params.phi * params.c_F
-
     if mass_coef != 0.0 and P_n is None:
         raise ValueError("compressible mass term needs the previous pressure state")
 
     q_qp = cell_field_values(ctx, q_field)
+    blocks, rhs = [], []
 
     for g in ctx.cell_groups:
-        mloc = np.einsum("q,qa,qb->ab", g.wq, g.N, g.N)
-        kloc = np.einsum("q,qad,qbd->ab", g.wq, g.dN, g.dN)
-        contrib = (mass_coef * a0) * mloc[None, :, :] \
-            + rho0 * kappa_cells[g.idx][:, None, None] * kloc[None, :, :]
-        rows.append(np.broadcast_to(g.dofs[:, :, None], contrib.shape).ravel())
-        cols.append(np.broadcast_to(g.dofs[:, None, :], contrib.shape).ravel())
-        vals.append(contrib.ravel())
-
-        rhs = np.einsum("q,qa,mq->ma", g.wq, g.N, q_qp[g.idx])
+        coef = np.empty((g.idx.size, 2))
+        coef[:, 0] = mass_coef * a0
+        coef[:, 1] = rho0 * kappa_cells[g.idx]
+        blocks.append(coef @ g.table[:2])          # mass, stiffness
+        r = q_qp[g.idx] @ g.wN
         if mass_coef != 0.0:
             hist = -a1 * P_n[g.dofs]
             if m_eff == 2:
                 hist -= a2 * P_nm1[g.dofs]
-            rhs += mass_coef * np.einsum("ab,mb->ma", mloc, hist)
-        np.add.at(b, g.dofs.ravel(), rhs.ravel())
+            r += mass_coef * (hist @ g.table[0].reshape(5, 5))
+        rhs.append(r)
 
-    for g in ctx.face_groups:
-        nrm = g.normal
-        if g.nb is not None:
-            ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
-            beta, kap_e = weights(ko, kn, nrm)
-            jump = np.hstack([g.N_o, -g.N_n])                        # (3, 10)
-            go = np.einsum("qbd,d->qb", g.dN_o, nrm)
-            gn = np.einsum("qbd,d->qb", g.dN_n, nrm)
-            grad_avg = (beta * ko)[:, None, None] * np.pad(go, ((0, 0), (0, 5)))[None] \
-                + ((1.0 - beta) * kn)[:, None, None] * np.pad(gn, ((0, 0), (5, 0)))[None]
-            contrib = -rho0 * np.einsum("q,qa,mqb->mab", g.wq, jump, grad_avg)
+    for g in ctx.interior_groups:
+        ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
+        beta, kap_e = weights(ko, kn, g.normal)
+        c_o, c_n = rho0 * beta * ko, rho0 * (1.0 - beta) * kn
+        pen = (alpha / g.h_e) * rho0 * kap_e
+        # -(jump, avg grad) + theta (avg grad, jump) + penalty (jump, jump)
+        coef = np.column_stack([pen, -c_o, -c_n, theta * c_o, theta * c_n])
+        blocks.append(coef @ g.table[:5])
+
+    for g in ctx.boundary_groups:
+        if bc.is_dirichlet(g.boundary):
+            gD = face_field_values(g, bc.dirichlet[g.boundary])
+            ko = rho0 * kappa_cells[g.own]
+            pen = (alpha / g.h_e) * ko
+            blocks.append(np.column_stack([pen, -ko, theta * ko]) @ g.table[:3])
+            r = pen[:, None] * (gD @ g.wN)
             if theta != 0.0:
-                contrib += theta * rho0 * np.einsum("q,mqa,qb->mab", g.wq, grad_avg, jump)
-            pen = (alpha / g.h_e) * rho0 * kap_e
-            contrib += pen[:, None, None] * np.einsum("q,qa,qb->ab", g.wq, jump, jump)[None]
-            dofs = g.dofs
-        elif bc.is_dirichlet(g.boundary):
-            data = bc.dirichlet[g.boundary]
-            gD = face_field_values(g, data)                          # (m, 3)
-            ko = kappa_cells[g.own]
-            go = np.einsum("qbd,d->qb", g.dN_o, nrm)                 # (3, 5)
-            kgo = ko[:, None, None] * go[None]                       # (m, 3, 5)
-            contrib = -rho0 * np.einsum("q,qa,mqb->mab", g.wq, g.N_o, kgo)
-            if theta != 0.0:
-                contrib += theta * rho0 * np.einsum("q,mqa,qb->mab", g.wq, kgo, g.N_o)
-            pen = (alpha / g.h_e) * rho0 * ko
-            contrib += pen[:, None, None] * np.einsum("q,qa,qb->ab", g.wq, g.N_o, g.N_o)[None]
-            rhs = pen[:, None] * np.einsum("q,qa,mq->ma", g.wq, g.N_o, gD)
-            if theta != 0.0:
-                rhs += theta * rho0 * np.einsum("q,mqa,mq->ma", g.wq, kgo, gD)
-            np.add.at(b, g.dofs.ravel(), rhs.ravel())
-            dofs = g.dofs
+                r += theta * ko[:, None] * (gD @ g.wdN)
         else:
-            data = bc.neumann[g.boundary]
-            gN = face_field_values(g, data)
-            rhs = -np.einsum("q,qa,mq->ma", g.wq, g.N_o, gN)
-            np.add.at(b, g.dofs.ravel(), rhs.ravel())
-            continue
-        rows.append(np.broadcast_to(dofs[:, :, None], contrib.shape).ravel())
-        cols.append(np.broadcast_to(dofs[:, None, :], contrib.shape).ravel())
-        vals.append(contrib.ravel())
+            # Neumann faces add no matrix entries; zeros keep the pattern fixed
+            blocks.append(np.zeros((g.idx.size, 25)))
+            r = -(face_field_values(g, bc.neumann[g.boundary]) @ g.wN)
+        rhs.append(r)
 
-    A = scatter_csr(np.concatenate(rows), np.concatenate(cols),
-                    np.concatenate(vals), (n, n))
-    return A, b
+    return ctx.assemble(blocks, rhs)
 
 
 def reduced_partition(dm) -> BlockPartition:

@@ -1,4 +1,4 @@
-"""Sparse linear algebra: scatter assembly, restarted GMRES, block preconditioner.
+"""Sparse linear algebra: restarted GMRES and a block preconditioner.
 
 System matrices are scipy CSR.  The Krylov solver is a restarted GMRES with
 modified Gram-Schmidt and Givens rotations, right-preconditioned so the
@@ -22,20 +22,11 @@ __all__ = [
     "SolverError",
     "block_diag_precondition",
     "gmres",
-    "scatter_csr",
 ]
 
 
 class SolverError(Exception):
     """Linear solver breakdown, non-convergence, or singular preconditioner."""
-
-
-def scatter_csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """Assemble COO triplets (duplicates summed) into canonical CSR."""
-    A = sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
 
 
 @dataclass(frozen=True)

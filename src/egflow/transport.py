@@ -21,7 +21,7 @@ import numpy as np
 
 from .egspace import AssemblyContext, cell_field_values, face_field_values
 from .flow import FaceFlux, bdf_coefficients, solve_reduced
-from .linalg import GmresResult, scatter_csr
+from .linalg import GmresResult
 
 __all__ = [
     "SourceField",
@@ -43,7 +43,6 @@ class TransportParams:
     alpha_c: float = 2.0      # jump penalty
     alpha_s: float = 1.0      # stabilization-viscosity jump penalty
     bdf_order: int = 2
-    theta: float = 0.0        # the nonsymmetric variant is the only one used
 
     def __post_init__(self):
         if not (0.0 < self.phi <= 1.0):
@@ -54,8 +53,6 @@ class TransportParams:
             raise ValueError(f"stab penalty must be nonnegative, got {self.alpha_s}")
         if self.bdf_order not in (1, 2):
             raise ValueError(f"time stepping order must be 1 or 2, got {self.bdf_order}")
-        if self.theta != 0.0:
-            raise ValueError("only the theta = 0 transport form is implemented")
         if self.rho0 <= 0.0:
             raise ValueError(f"reference density must be positive, got {self.rho0}")
 
@@ -112,7 +109,7 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
     to disable).  flux supplies both the face normal fluxes and the volume
     quadrature velocities.  Returns (A, b).
     """
-    mesh, dm = ctx.mesh, ctx.dofmap
+    mesh = ctx.mesh
     m_eff = params.bdf_order if m is None else m
     a0, a1, a2 = bdf_coefficients(m_eff, dt)
     rho0, phi = params.rho0, params.phi
@@ -136,98 +133,58 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
 
     q_qp = cell_field_values(ctx, sources.q)
     qp_pos, qp_neg = source_split(q_qp)
-
-    n = dm.n_dofs
-    rows, cols, vals = [], [], []
-    b = np.zeros(n)
+    blocks, rhs = [], []
 
     for g in ctx.cell_groups:
-        mloc = np.einsum("q,qa,qb->ab", g.wq, g.N, g.N)
-        contrib = (mass_coef * a0) * np.broadcast_to(
-            mloc, (g.idx.size, 5, 5)
-        ).copy()
-        # volume advection  -(rho0 U C, grad v)
-        U = flux.cell_velocity[g.idx]
-        contrib -= rho0 * np.einsum("q,qad,mqd,qb->mab", g.wq, g.dN, U, g.N)
-        if D_cells is not None:
-            contrib += mass_coef * np.einsum(
-                "q,qad,mde,qbe->mab", g.wq, g.dN, D_cells[g.idx], g.dN
-            )
+        nm = g.idx.size
+        coef = np.zeros((nm, 33))
+        coef[:, 0] = mass_coef * a0
         if mu_cells is not None:
-            kloc = np.einsum("q,qad,qbd->ab", g.wq, g.dN, g.dN)
-            contrib += mu_cells[g.idx][:, None, None] * kloc[None]
+            coef[:, 1] = mu_cells[g.idx]
+        # volume advection  -(rho0 U C, grad v)
+        coef[:, 2:20] = -rho0 * flux.cell_velocity[g.idx].reshape(nm, 18)
+        if D_cells is not None:
+            coef[:, 20:24] = mass_coef * D_cells[g.idx].reshape(nm, 4)
         # sink at resident concentration, folded into the matrix
-        contrib -= np.einsum("q,qa,qb,mq->mab", g.wq, g.N, g.N, qp_neg[g.idx])
-        rows.append(np.broadcast_to(g.dofs[:, :, None], contrib.shape).ravel())
-        cols.append(np.broadcast_to(g.dofs[:, None, :], contrib.shape).ravel())
-        vals.append(contrib.ravel())
+        coef[:, 24:] = -qp_neg[g.idx]
+        blocks.append(coef @ g.table)
 
         hist = -a1 * C_n[g.dofs]
         if m_eff == 2:
             hist -= a2 * C_nm1[g.dofs]
-        rhs = mass_coef * np.einsum("ab,mb->ma", mloc, hist)
-        rhs += np.einsum("q,qa,mq->ma", g.wq, g.N, sources.c_q * qp_pos[g.idx])
-        np.add.at(b, g.dofs.ravel(), rhs.ravel())
+        rhs.append(mass_coef * (hist @ g.table[0].reshape(5, 5))
+                   + (sources.c_q * qp_pos[g.idx]) @ g.wN)
+
+    for g in ctx.interior_groups:
+        un = flux.face_un[g.idx]                                # (m, 3)
+        coef = np.zeros((g.idx.size, 15))
+        coef[:, 0] = (params.alpha_c / g.h_e) * rho0
+        if mu_cells is not None:
+            mo, mn = mu_cells[g.own], mu_cells[g.nb]
+            coef[:, 0] += (params.alpha_s / g.h_e) * 0.5 * (mo + mn)
+            coef[:, 1] = -0.5 * mo
+            coef[:, 2] = -0.5 * mn
+        # upwind: U.n splits onto the owner (U.n >= 0) or neighbor trace rows
+        coef[:, 5:8] = rho0 * upwind_value(0.0, un, un)
+        coef[:, 8:11] = rho0 * upwind_value(un, 0.0, un)
+        if D_cells is not None:
+            coef[:, 11:13] = (-0.5 * mass_coef) * (g.normal @ D_cells[g.own])
+            coef[:, 13:15] = (-0.5 * mass_coef) * (g.normal @ D_cells[g.nb])
+        blocks.append(coef @ g.table)
 
     mean_un = flux.mean_un
-    for g in ctx.face_groups:
-        un = flux.face_un[g.idx]                                # (m, 3)
-        if g.nb is not None:
-            No_pad = np.pad(g.N_o, ((0, 0), (0, 5)))
-            Nn_pad = np.pad(g.N_n, ((0, 0), (5, 0)))
-            jump = No_pad - Nn_pad                              # (3, 10)
-            sel = upwind_value(Nn_pad[None], No_pad[None], un[:, :, None])
-            contrib = rho0 * np.einsum("q,mq,qa,mqb->mab", g.wq, un, jump, sel)
-            pen = (params.alpha_c / g.h_e) * rho0
-            if mu_cells is not None:
-                pen = pen + (params.alpha_s / g.h_e) * 0.5 * (
-                    mu_cells[g.own] + mu_cells[g.nb]
-                )
-            pjj = np.einsum("q,qa,qb->ab", g.wq, jump, jump)
-            contrib = contrib + np.asarray(pen)[..., None, None] * pjj[None]
-            if D_cells is not None or mu_cells is not None:
-                go = np.einsum("qbd,d->qb", g.dN_o, g.normal)
-                gn = np.einsum("qbd,d->qb", g.dN_n, g.normal)
-                go_pad = np.pad(go, ((0, 0), (0, 5)))
-                gn_pad = np.pad(gn, ((0, 0), (5, 0)))
-                G = np.zeros((g.idx.size, 3, 10))
-                if D_cells is not None:
-                    dno = np.einsum("d,mde,qbe->mqb", g.normal, D_cells[g.own], g.dN_o)
-                    dnn = np.einsum("d,mde,qbe->mqb", g.normal, D_cells[g.nb], g.dN_n)
-                    G += mass_coef * 0.5 * (
-                        np.pad(dno, ((0, 0), (0, 0), (0, 5)))
-                        + np.pad(dnn, ((0, 0), (0, 0), (5, 0)))
-                    )
-                if mu_cells is not None:
-                    G += 0.5 * (
-                        mu_cells[g.own][:, None, None] * go_pad[None]
-                        + mu_cells[g.nb][:, None, None] * gn_pad[None]
-                    )
-                contrib -= np.einsum("q,qa,mqb->mab", g.wq, jump, G)
-            dofs = g.dofs
-            rows.append(np.broadcast_to(dofs[:, :, None], contrib.shape).ravel())
-            cols.append(np.broadcast_to(dofs[:, None, :], contrib.shape).ravel())
-            vals.append(contrib.ravel())
+    for g in ctx.boundary_groups:
+        un = flux.face_un[g.idx]
+        out = (mean_un[g.idx] >= 0.0)[:, None]
+        # outflow faces take the resident trace; inflow faces add zeros here
+        blocks.append((rho0 * np.where(out, un, 0.0)) @ g.table[3:])
+        if out.all():
+            rhs.append(np.zeros((g.idx.size, 5)))
         else:
-            out = mean_un[g.idx] >= 0.0
-            if np.any(out):
-                sl = np.nonzero(out)[0]
-                contrib = rho0 * np.einsum(
-                    "q,mq,qa,qb->mab", g.wq, un[sl], g.N_o, g.N_o
-                )
-                dofs = g.dofs[sl]
-                rows.append(np.broadcast_to(dofs[:, :, None], contrib.shape).ravel())
-                cols.append(np.broadcast_to(dofs[:, None, :], contrib.shape).ravel())
-                vals.append(contrib.ravel())
-            if np.any(~out):
-                sl = np.nonzero(~out)[0]
-                cin = face_field_values(g, bc.side_value(g.boundary))[sl]
-                rhs = -rho0 * np.einsum("q,mq,mq,qa->ma", g.wq, un[sl], cin, g.N_o)
-                np.add.at(b, g.dofs[sl].ravel(), rhs.ravel())
+            cin = face_field_values(g, bc.side_value(g.boundary))
+            rhs.append(-(rho0 * np.where(out, 0.0, un * cin)) @ g.wN)
 
-    A = scatter_csr(np.concatenate(rows), np.concatenate(cols),
-                    np.concatenate(vals), (n, n))
-    return A, b
+    return ctx.assemble(blocks, rhs)
 
 
 def solve_transport(dm, A, b, x0_full=None, tol: float = 1e-10,

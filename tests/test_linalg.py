@@ -11,29 +11,7 @@ from egflow.linalg import (
     GmresResult,
     block_diag_precondition,
     gmres,
-    scatter_csr,
 )
-
-
-def test_scatter_sums_duplicates():
-    rows = np.array([0, 1, 0, 1, 0])
-    cols = np.array([0, 1, 1, 1, 0])
-    vals = np.array([4.0, 1.0, 1.0, 2.0, -1.0])
-    A = scatter_csr(rows, cols, vals, (2, 2))
-    ref = sp.coo_matrix((vals, (rows, cols)), shape=(2, 2)).toarray()
-    assert np.allclose(A.toarray(), ref)
-    assert A.has_canonical_format
-
-
-def test_scatter_insertion_order_invariant():
-    rng = np.random.default_rng(3)
-    rows = rng.integers(0, 6, 40)
-    cols = rng.integers(0, 6, 40)
-    vals = rng.standard_normal(40)
-    A = scatter_csr(rows, cols, vals, (6, 6))
-    p = rng.permutation(40)
-    B = scatter_csr(rows[p], cols[p], vals[p], (6, 6))
-    assert np.allclose(A.toarray(), B.toarray())
 
 
 def test_gmres_small_oracle():
