@@ -9,10 +9,9 @@ adaptation.
 from .mesh import (AdaptBounds, AdaptReport, MeshError, QuadMesh,
                    build_uniform)
 from .egspace import (AssemblyContext, CSRPattern, EGDofMap, QuadratureRule,
-                      build_dofmap, dof_count, eval_grad, eval_point,
-                      gauss_cell, gauss_face, interpolate)
-from .linalg import (BlockILU, BlockPartition, GmresResult, SolverError,
-                     block_diag_precondition, gmres)
+                      dof_count, eval_grad, eval_point, gauss_cell, gauss_face,
+                      interpolate)
+from .linalg import GmresResult, LaggedLU, SolverError
 from .physics import (DispersionParams, PermeabilityField, ViscosityModel,
                       dispersion_tensor, draw_centers, mix_viscosity,
                       mobility, peclet, random_permeability,
@@ -22,8 +21,7 @@ from .flow import (FaceFlux, FlowBC, FlowParams, assemble_pressure,
                    local_conservation_residual, reconstruct_flux,
                    solve_reduced, weights)
 from .transport import (SourceField, TransportBC, TransportParams,
-                        assemble_transport, solve_transport, source_split,
-                        upwind_value)
+                        assemble_transport, source_split, upwind_value)
 from .stabilization import (EntropyConfig, IndicatorField, ViscosityField,
                             entropy_eval, extrapolate_star, indicator,
                             viscosity)

@@ -20,14 +20,14 @@ from .amr import FieldState, MarkingPolicy, adapt_and_transfer, mark
 from .egspace import AssemblyContext, EGDofMap, interpolate
 from .flow import (FlowBC, FlowParams, assemble_pressure, flux_from_velocity,
                    neutral_pressure_mode, reconstruct_flux, solve_reduced)
-from .linalg import SolverError
+from .linalg import LaggedLU, SolverError
 from .mesh import AdaptBounds, build_uniform
 from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
                       draw_centers, mobility, random_permeability,
                       single_vortex_velocity)
 from .stabilization import EntropyConfig, extrapolate_star, indicator, viscosity
 from .transport import (SourceField, TransportBC, TransportParams,
-                        assemble_transport, solve_transport)
+                        assemble_transport)
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "SCENARIOS", "make_config",
@@ -108,7 +108,6 @@ _SCHEMA = {
     "transport_tol": (float, "transport solver relative tolerance"),
     "seed": (int, "RNG seed"),
     "stride": (int, "output every k-th step"),
-    "threads": (int, "assembly threads (1 = deterministic)"),
     "amr": (_as_bool, "enable adaptivity"),
     "stab": (_as_bool, "enable entropy stabilization"),
 }
@@ -126,7 +125,7 @@ _DEFAULTS = dict(
     t_period=2.0, n_centers=40, perturb=0.0,
     source_rate=100.0, inflow_speed=0.05,
     flow_tol=1e-10, transport_tol=1e-10,
-    seed=0, stride=10, threads=1, amr=True, stab=True,
+    seed=0, stride=10, amr=True, stab=True,
 )
 
 _PRESETS = {
@@ -202,7 +201,6 @@ class ScenarioConfig:
     transport_tol: float
     seed: int
     stride: int
-    threads: int
     amr: bool
     stab: bool
 
@@ -218,8 +216,6 @@ class ScenarioConfig:
             raise ValueError("nx, ny must be at least 1")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.n_steps < 1:
             raise ValueError("t_end shorter than one step")
         if self.scenario.startswith("hele_shaw") and self.viscosity.mobility_ratio < 1.0:
@@ -299,7 +295,7 @@ def build_config(flat: dict) -> ScenarioConfig:
             perturb=f["perturb"], source_rate=f["source_rate"],
             inflow_speed=f["inflow_speed"],
             flow_tol=f["flow_tol"], transport_tol=f["transport_tol"],
-            seed=f["seed"], stride=f["stride"], threads=f["threads"],
+            seed=f["seed"], stride=f["stride"],
             amr=f["amr"], stab=f["stab"],
         )
     except ValueError as exc:
@@ -607,6 +603,8 @@ def run(config: ScenarioConfig, outdir: str | None = None,
         mesh = mesh.refine(mesh.cell_id)
     dm = EGDofMap(mesh)
     ctx = AssemblyContext(mesh, dm)
+    # LU factors of the two reduced systems, owned by the mesh generation
+    factors = {"flow": LaggedLU(), "transport": LaggedLU()}
 
     C_n = prob.initial_concentration(ctx, rng)
     C_nm1 = None
@@ -640,7 +638,8 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                                                  config.dt, m)
                 P_np1, res_flow = solve_reduced(dm, A, b, x0_full=P_n,
                                                 tol=config.flow_tol,
-                                                deflate=defl)
+                                                deflate=defl,
+                                                factor=factors["flow"])
                 flux = reconstruct_flux(ctx, P_np1, kappa, prob.flow_bc,
                                         config.flow)
             else:
@@ -673,8 +672,9 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                                           prob.transport_bc, flux, D_cells,
                                           mu_cells, C_n, C_nm1,
                                           sources=sources, dt=config.dt, m=m)
-            C_np1, res_tr = solve_transport(dm, A_t, b_t, x0_full=C_n,
-                                            tol=config.transport_tol)
+            C_np1, res_tr = solve_reduced(dm, A_t, b_t, x0_full=C_n,
+                                          tol=config.transport_tol,
+                                          factor=factors["transport"])
 
             # diagnostics on the pre-adaptation mesh
             vals = ctx.cell_values(C_np1)
@@ -711,7 +711,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
             if step_hook is not None:
                 step_hook({
                     "step": step, "time": t, "m": m, "config": config,
-                    "mesh": mesh, "dofmap": dm, "ctx": ctx,
+                    "mesh": mesh, "dofmap": dm, "ctx": ctx, "factors": factors,
                     "P": P_np1, "P_n": P_n, "P_nm1": P_nm1,
                     "C": C_np1, "C_n": C_n, "C_nm1": C_nm1,
                     "flux": flux, "kappa": kappa,
@@ -727,12 +727,19 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                       FieldState("C_n", "eg", C_n),
                       FieldState("ux", "cell", flux.center_velocity[:, 0].copy()),
                       FieldState("uy", "cell", flux.center_velocity[:, 1].copy())]
+            mesh2, dm2 = mesh, dm
             if config.amr:
                 marks = mark(ind, mesh, config.marking)
                 mesh2, dm2, fields = adapt_and_transfer(mesh, dm, fields, marks)
-                if mesh2 is not mesh:
-                    mesh, dm = mesh2, dm2
-                    ctx = AssemblyContext(mesh, dm)
+            if mesh2 is mesh:
+                # keep factors from here on: this mesh is likely to live on
+                factors["flow"].keep = factors["transport"].keep = True
+            else:
+                # free the old generation before building the new one
+                factors = ctx = None
+                mesh, dm = mesh2, dm2
+                ctx = AssemblyContext(mesh, dm)
+                factors = {"flow": LaggedLU(), "transport": LaggedLU()}
             by_name = {f.name: f.data for f in fields}
             P_nm1, P_n = by_name["P_n"], by_name["P"]
             C_nm1, C_n = by_name["C_n"], by_name["C"]
@@ -758,11 +765,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="FILE", help="key=value override file")
     p.add_argument("--out", metavar="DIR", help="output directory")
     p.add_argument("--seed", type=int, help="RNG seed override")
-    p.add_argument("--threads", type=int, help="assembly threads")
     p.add_argument("--no-amr", action="store_true", help="freeze the mesh")
     p.add_argument("--no-stab", action="store_true",
                    help="disable entropy stabilization")
-    handled = {"scenario", "seed", "threads", "amr", "stab"}
+    handled = {"scenario", "seed", "amr", "stab"}
     for key, (_, hlp) in _SCHEMA.items():
         if key not in handled:
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
@@ -788,8 +794,6 @@ def main(argv=None) -> int:
                 overrides[key] = _coerce(key, val)
         if args.seed is not None:
             overrides["seed"] = args.seed
-        if args.threads is not None:
-            overrides["threads"] = args.threads
         if args.no_amr:
             overrides["amr"] = False
         if args.no_stab:

@@ -40,7 +40,6 @@ __all__ = [
     "CSRPattern",
     "EGDofMap",
     "QuadratureRule",
-    "build_dofmap",
     "cell_field_values",
     "cell_means",
     "dof_count",
@@ -251,10 +250,6 @@ def cell_means(dofmap: EGDofMap, coeffs: np.ndarray) -> np.ndarray:
     """Exact cell means: corner average of the CG part plus the constant."""
     cd = dofmap.cell_dofs
     return coeffs[cd[:, :4]].mean(axis=1) + coeffs[cd[:, 4]]
-
-
-def build_dofmap(mesh: QuadMesh, k: int = 1) -> EGDofMap:
-    return EGDofMap(mesh, k)
 
 
 def dof_count(mesh: QuadMesh, k: int = 1) -> tuple[int, int, int]:

@@ -28,7 +28,7 @@ from .egspace import (
     gauss_face,
     q1_grads,
 )
-from .linalg import BlockPartition, GmresResult, SolverError, block_diag_precondition, gmres
+from .linalg import GmresResult, LaggedLU, SolverError
 
 __all__ = [
     "FaceFlux",
@@ -41,7 +41,6 @@ __all__ = [
     "local_conservation_residual",
     "neutral_pressure_mode",
     "reconstruct_flux",
-    "reduced_partition",
     "solve_reduced",
     "weights",
 ]
@@ -264,15 +263,25 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     return ctx.assemble(blocks, rhs)
 
 
-def reduced_partition(dm) -> BlockPartition:
-    """(continuous, constant) block split of the reduced dof ordering."""
-    return BlockPartition((0, dm.n_free_cg), (dm.n_free_cg, dm.n_reduced))
-
-
-def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10, restart: int = 100,
-                  max_iter: int = 2000, raise_on_fail: bool = True,
-                  deflate=None) -> tuple[np.ndarray, GmresResult]:
+def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10, max_iter: int = 2000,
+                  deflate=None, factor: LaggedLU | None = None
+                  ) -> tuple[np.ndarray, GmresResult]:
     """Reduce a full EG system by the hanging constraints and solve it.
+
+    The solve is GMRES preconditioned by a sparse LU of the reduced matrix
+    (see linalg.LaggedLU), started from x0_full and stopped on the true
+    residual ||b - A x|| <= tol ||b|| of the pinned system below.  `factor`
+    holds the LU of this system over the current mesh generation; without it
+    every call factors afresh.  Raises SolverError on a stall or a singular
+    factor.
+
+    Gauge pin: a global constant lives both in the vertex part and in the
+    cell constants, so z = (+1 on the free vertex dofs, -1 on the cell
+    constants) represents the zero function and is an exact null vector of
+    every reduced operator, from either side (b . z = 0 as well).  A complete
+    LU of that singular matrix fails, so the solve holds the last reduced dof,
+    a cell constant, at 0: the last row and column are dropped and the start
+    is shifted along z to match.  The result is then normalized by fix_gauge.
 
     deflate, if given, is the (z, w) pair from neutral_pressure_mode; the
     constant-mode amplitude is then read off the mass-balance row and only
@@ -284,7 +293,6 @@ def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10, restart: int = 100
     """
     A_red = dm.reduce_matrix(A)
     b_red = dm.reduce_vector(b)
-    M = block_diag_precondition(A_red, reduced_partition(dm))
     x0 = None if x0_full is None else dm.restrict(x0_full)
     shift, z_red = 0.0, None
     if deflate is not None:
@@ -299,14 +307,16 @@ def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10, restart: int = 100
         if x0 is not None:
             # start from the zero-mean part of the previous state
             x0 = x0 - (float(w_red @ x0) / zw) * z_red
-    result = gmres(A_red, b_red, x0=x0, tol=tol, restart=restart,
-                   max_iter=max_iter, preconditioner=M)
-    if raise_on_fail and not result.converged:
-        raise SolverError(
-            f"linear solve stalled at residual {result.residual:.3e} "
-            f"after {result.iterations} iterations"
-        )
-    x_red = result.x if z_red is None else result.x + shift * z_red
+    # gauge pin: the last reduced dof is held at 0, the start moved along z
+    if x0 is not None:
+        z_gauge = np.ones(dm.n_reduced)
+        z_gauge[dm.n_free_cg:] = -1.0
+        x0 = (x0 + x0[-1] * z_gauge)[:-1]
+    factor = LaggedLU() if factor is None else factor
+    result = factor.solve(A_red[:-1, :-1], b_red[:-1], x0=x0, tol=tol, max_iter=max_iter)
+    x_red = np.append(result.x, 0.0)
+    if z_red is not None:
+        x_red += shift * z_red
     # the constant split is only determined up to a global shift; normalize
     return fix_gauge(dm, dm.prolong(x_red)), result
 

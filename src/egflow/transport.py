@@ -20,15 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egspace import AssemblyContext, cell_field_values, face_field_values
-from .flow import FaceFlux, bdf_coefficients, solve_reduced
-from .linalg import GmresResult
+from .flow import FaceFlux, bdf_coefficients
 
 __all__ = [
     "SourceField",
     "TransportBC",
     "TransportParams",
     "assemble_transport",
-    "solve_transport",
     "source_split",
     "upwind_value",
 ]
@@ -185,10 +183,3 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
             rhs.append(-(rho0 * np.where(out, 0.0, un * cin)) @ g.wN)
 
     return ctx.assemble(blocks, rhs)
-
-
-def solve_transport(dm, A, b, x0_full=None, tol: float = 1e-10,
-                    restart: int = 100, max_iter: int = 2000) -> tuple[np.ndarray, GmresResult]:
-    """Reduce by the hanging constraints, solve, and prolong back."""
-    return solve_reduced(dm, A, b, x0_full=x0_full, tol=tol, restart=restart,
-                         max_iter=max_iter)

@@ -23,7 +23,7 @@ from egflow.flow import (
 from egflow.mesh import AdaptBounds, build_uniform
 from egflow.driver import make_config, run, tip_profile
 from egflow.physics import mobility
-from egflow.transport import TransportBC, TransportParams, assemble_transport, solve_transport
+from egflow.transport import TransportBC, TransportParams, assemble_transport
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -187,7 +187,7 @@ def test_criterion_06_compatibility_constant_state():
         flux = reconstruct_flux(ctx, P_new, kappa, bc, fparams)
         A_t, b_t = assemble_transport(ctx, tparams, tbc, flux, None, None,
                                       C, C_prev, dt=cfg.dt, m=m)
-        C_new, _ = solve_transport(dm, A_t, b_t, x0_full=C, tol=1e-12)
+        C_new, _ = solve_reduced(dm, A_t, b_t, x0_full=C, tol=1e-12)
         P_prev, P = P, P_new
         C_prev, C = C, C_new
 

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from egflow import egspace
 from egflow.driver import make_config, run
@@ -260,6 +261,33 @@ def test_transport_matches_oracle(seed, with_D, with_mu, m):
                 sources=src, dt=0.05, m=m)
     A, b = assemble_transport(ctx, params, bc, flux, D, mu, **args)
     _close(A, b, *_oracle_transport(ctx, params, bc, flux, D, mu, **args))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_gauge_vector_is_a_null_vector(seed):
+    # z = (+1 on free vertex dofs, -1 on cell constants) is the zero function,
+    # so it is a null vector of both reduced operators from either side;
+    # solve_reduced pins the last reduced dof because of it
+    ctx, rng = _random_context(seed)
+    dm = ctx.dofmap
+    nc, n = ctx.mesh.n_active, dm.n_dofs
+    z = np.where(np.arange(dm.n_reduced) < dm.n_free_cg, 1.0, -1.0)
+    bc = FlowBC(dirichlet={s: SIDE_DATA[s] for s in ("left", "bottom")},
+                neumann={s: SIDE_DATA[s] for s in ("right", "top")})
+    systems = [
+        assemble_pressure(ctx, FlowParams(c_F=0.05), bc, np.exp(rng.standard_normal(nc)),
+                          P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
+                          dt=0.1, m=1),
+        assemble_transport(ctx, TransportParams(), TransportBC(c_in=0.7),
+                           _random_flux(ctx, rng), None, rng.random(nc),
+                           rng.standard_normal(n), m=1),
+    ]
+    for A, b in systems:
+        A_red, b_red = dm.reduce_matrix(A), dm.reduce_vector(b)
+        scale = spla.norm(A_red) * np.linalg.norm(z)
+        assert np.linalg.norm(A_red @ z) <= 1e-14 * scale
+        assert np.linalg.norm(A_red.T @ z) <= 1e-14 * scale
+        assert abs(b_red @ z) <= 1e-14 * np.linalg.norm(b_red) * np.linalg.norm(z)
 
 
 def test_neutral_mode_matches_oracle():

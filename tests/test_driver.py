@@ -1,11 +1,16 @@
 """Scenario configs, diagnostics, file output, and the CLI entry point."""
 
 import dataclasses
+import gc
 import os
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egflow.driver as driver
+from egflow import linalg
 from egflow.driver import (
     CSV_HEADER,
     ConfigError,
@@ -89,7 +94,7 @@ def test_vtk_snapshot_layout(tmp_path):
     path = str(tmp_path / "snap.vtk")
     write_vtk(mesh, dm, cell_data={"c_const": np.array([1.0 / 3.0])},
               point_data={"p": np.arange(4, dtype=float) / 7.0}, path=path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "# vtk DataFile Version 3.0"
     assert lines[1] == "egflow snapshot"
     assert lines[2] == "ASCII"
@@ -122,7 +127,7 @@ def test_csv_format_and_roundtrip(tmp_path):
            "gmres_flow": 12, "gmres_transport": 7}
     path = str(tmp_path / "diag.csv")
     write_csv([rec], path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == CSV_HEADER
     cells = lines[1].split(",")
     cols = CSV_HEADER.split(",")
@@ -133,7 +138,7 @@ def test_csv_format_and_roundtrip(tmp_path):
     assert float(cells[cols.index("mass")]) == 1.0 / 3.0
     assert float(cells[cols.index("time")]) == 0.1 + 0.2
     write_csv([rec], str(tmp_path / "diag2.csv"))
-    assert open(path, "rb").read() == open(str(tmp_path / "diag2.csv"), "rb").read()
+    assert Path(path).read_bytes() == (tmp_path / "diag2.csv").read_bytes()
 
 
 def test_config_file_parsing(tmp_path):
@@ -216,8 +221,8 @@ def test_run_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     run(cfg, outdir=out1)
     run(cfg, outdir=out2)
-    csv1 = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
-    csv2 = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
+    csv1 = Path(os.path.join(out1, "diagnostics.csv")).read_bytes()
+    csv2 = Path(os.path.join(out2, "diagnostics.csv")).read_bytes()
     assert csv1 == csv2
     assert csv1.splitlines()[0].decode() == CSV_HEADER
 
@@ -239,8 +244,8 @@ def test_budget_bound_run_is_deterministic(tmp_path):
     run(cfg, outdir=out1, step_hook=hook)
     run(cfg, outdir=out2)
     assert max(cut) > 0
-    csv1 = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
-    csv2 = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
+    csv1 = Path(os.path.join(out1, "diagnostics.csv")).read_bytes()
+    csv2 = Path(os.path.join(out2, "diagnostics.csv")).read_bytes()
     assert csv1 == csv2
 
 
@@ -267,6 +272,44 @@ def test_cli_solver_failure_exits_3(capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_cli_singular_system_exits_3(monkeypatch, capsys):
+    assemble = driver.assemble_pressure
+
+    def singular(*args, **kwargs):
+        A, b = assemble(*args, **kwargs)
+        return 0.0 * A, b
+
+    monkeypatch.setattr(driver, "assemble_pressure", singular)
+    assert main(["--scenario", "manufactured"]) == 3
+    assert "singular" in capsys.readouterr().err
+
+
+def test_factor_dies_with_its_generation(monkeypatch):
+    # factors are kept once a mesh survives an adapt, and freed with it
+    factor = linalg._factor
+
+    class Tracked:                      # SuperLU objects take no weak references
+        def __init__(self, A):
+            self.solve = factor(A).solve
+
+    monkeypatch.setattr(linalg, "_factor", Tracked)
+    kept = []
+
+    def hook(state):
+        gen = state["mesh"].generation
+        assert all(ref() is None for g, ref in kept if g != gen)
+        kept.extend((gen, weakref.ref(f.lu))
+                    for f in state["factors"].values() if f.lu is not None)
+
+    cfg = make_config("perm_block", nx=4, ny=4, dt=0.05, t_end=0.5, r_max=1)
+    gc.disable()
+    try:
+        run(cfg, step_hook=hook)
+    finally:
+        gc.enable()
+    assert len({g for g, _ in kept}) >= 2
+
+
 def test_config_validation_rules():
     with pytest.raises(ConfigError):
         make_config("manufactured", t_end="0.01")   # shorter than one step
@@ -274,8 +317,8 @@ def test_config_validation_rules():
         make_config("hele_shaw_rect", ratio="0.5")  # thin fluid displacing thick
     with pytest.raises(ConfigError):
         make_config("manufactured", nx="0")
-    cfg = make_config("manufactured", threads=4)    # accepted, runs sequentially
-    assert cfg.threads == 4
+    with pytest.raises(ConfigError, match="threads"):
+        make_config("manufactured", threads=4)      # no such knob
 
 
 def test_radial_preset_short_run():

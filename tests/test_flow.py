@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from egflow.egspace import AssemblyContext, EGDofMap, interpolate
-from egflow.linalg import SolverError
+import egflow.driver as driver
+from egflow import linalg
+from egflow.egspace import AssemblyContext, EGDofMap, fix_gauge, interpolate
+from egflow.linalg import LaggedLU, SolverError
 from egflow.flow import (
     FlowBC,
     FlowParams,
@@ -16,7 +19,6 @@ from egflow.flow import (
     local_conservation_residual,
     neutral_pressure_mode,
     reconstruct_flux,
-    reduced_partition,
     solve_reduced,
     weights,
 )
@@ -167,6 +169,19 @@ def test_gauge_independent_of_initial_guess():
     assert np.allclose(P1, P2, atol=1e-9)
 
 
+def test_start_at_the_solution_takes_no_iteration():
+    # the previous state arrives in fix_gauge's gauge; shifted along the null
+    # vector onto the pinned gauge it still solves the system
+    ctx = _context(4, 4, refine=(5,))
+    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW,
+                             np.linspace(1.0, 2.0, ctx.mesh.n_active))
+    P, _ = solve_reduced(ctx.dofmap, A, b, tol=1e-13)
+    assert abs(P[-1]) > 1e-6                   # not already in the pinned gauge
+    P2, rep = solve_reduced(ctx.dofmap, A, b, x0_full=P, tol=1e-10)
+    assert rep.iterations == 0
+    assert np.allclose(P2, P, atol=1e-12)
+
+
 def test_solver_failure_raises():
     ctx = _context(3, 3)
     kappa = np.ones(ctx.mesh.n_active)
@@ -176,10 +191,68 @@ def test_solver_failure_raises():
 
 
 def test_reduced_partition_shapes():
-    ctx = _context(2, 2, refine=(0,))
-    part = reduced_partition(ctx.dofmap)
-    assert part.n == ctx.dofmap.n_reduced
-    assert part.cg_range[1] == part.const_range[0]
+    # the reduced layout is [free vertex dofs | cell constants], so the last
+    # reduced dof, which the gauge pin holds at 0, is a cell constant
+    dm = _context(2, 2, refine=(0,)).dofmap
+    assert dm.n_reduced == dm.n_dofs - len(dm.constraints)
+    assert np.all(dm.free_dofs[:dm.n_free_cg] < dm.n_cg)
+    assert np.all(dm.free_dofs[dm.n_free_cg:] >= dm.n_cg)
+    assert dm.free_dofs[-1] == dm.n_dofs - 1
+
+
+def _fixture_systems(monkeypatch):
+    """(dofmap, A, b) of every solve in the first two steps of criterion 07's run."""
+    systems = []
+    solve = driver.solve_reduced
+
+    def capture(dm, A, b, **kwargs):
+        systems.append((dm, A, b))
+        return solve(dm, A, b, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_reduced", capture)
+    driver.run(driver.make_config("perm_block", dt=0.02, t_end=0.04, r_max=1))
+    return systems
+
+
+def test_gauge_pin_makes_the_factor_regular(monkeypatch):
+    systems = _fixture_systems(monkeypatch)
+    dm, A, _ = systems[2]                       # first pressure solve on a hanging mesh
+    assert dm.n_reduced == 343
+    A_red = dm.reduce_matrix(A).tocsc()
+    with pytest.raises(RuntimeError, match="singular"):
+        spla.splu(A_red)
+    spla.splu(A_red[:-1, :-1])
+    for dm, A, _ in systems:
+        linalg._factor(dm.reduce_matrix(A)[:-1, :-1])
+
+
+def test_solve_matches_dense_least_squares(monkeypatch):
+    for dm, A, b in _fixture_systems(monkeypatch):
+        A_red = dm.reduce_matrix(A).toarray()
+        x = np.linalg.lstsq(A_red, dm.reduce_vector(b), rcond=None)[0]
+        ref = fix_gauge(dm, dm.prolong(x))
+        P, _ = solve_reduced(dm, A, b, tol=1e-13)
+        assert np.abs(P - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_lagged_factor_reused_within_generation(monkeypatch):
+    calls = []
+    factor = linalg._factor
+    monkeypatch.setattr(linalg, "_factor", lambda A: calls.append(1) or factor(A))
+    ctx = _context(4, 4, refine=(5,))
+    kappa = np.linspace(1.0, 3.0, ctx.mesh.n_active)
+    lu = LaggedLU(keep=True)
+    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    P1, _ = solve_reduced(ctx.dofmap, A, b, factor=lu)
+    kappa[::2] *= 1.01                          # mobility drift of one step
+    A2, b2 = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    P2, rep = solve_reduced(ctx.dofmap, A2, b2, x0_full=P1, factor=lu)
+    assert len(calls) == 1
+    assert rep.iterations > 0
+    dm = ctx.dofmap
+    A_red, b_red = dm.reduce_matrix(A2), dm.reduce_vector(b2)
+    assert np.linalg.norm(b_red - A_red @ dm.restrict(P2)) <= 1e-10 * np.linalg.norm(b_red)
+    assert rep.residual <= 1e-10 * np.linalg.norm(b_red)
 
 
 def test_compressible_needs_history():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from egflow.egspace import AssemblyContext, EGDofMap, interpolate
-from egflow.flow import FlowParams, flux_from_velocity, local_conservation_residual
+from egflow.flow import FlowParams, flux_from_velocity, local_conservation_residual, solve_reduced
 from egflow.mesh import build_uniform
 from egflow.transport import (
     SourceField,
     TransportBC,
     TransportParams,
     assemble_transport,
-    solve_transport,
     source_split,
     upwind_value,
 )
@@ -74,7 +73,7 @@ def test_constant_state_is_fixed_point():
     params = TransportParams()
     A, b = assemble_transport(ctx, params, TransportBC(c_in=0.4), flux,
                               None, None, C0, C_nm1=C0, dt=0.05, m=2)
-    C1, rep = solve_transport(dm, A, b, tol=1e-13)
+    C1, rep = solve_reduced(dm, A, b, tol=1e-13)
     assert rep.converged
     assert np.abs(ctx.cell_values(C1) - 0.4).max() < 1e-10
 
@@ -93,7 +92,7 @@ def test_global_mass_balance_pure_advection():
         A, b = assemble_transport(ctx, params, TransportBC(), flux,
                                   None, None, C, C_nm1=Cp, dt=0.02,
                                   m=1 if k == 0 else 2)
-        Cn, _ = solve_transport(dm, A, b, tol=1e-13)
+        Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
         Cp, C = C, Cn
     assert ctx.total_integral(C) == pytest.approx(m0, abs=1e-10)
 
@@ -109,7 +108,7 @@ def test_inflow_outflow_budget():
     dt = 0.01
     A, b = assemble_transport(ctx, params, TransportBC(c_in=1.0), flux,
                               None, None, C, C_nm1=C, dt=dt, m=2)
-    C1, _ = solve_transport(dm, A, b, tol=1e-13)
+    C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # steady constant state: in = out, so the mass stays put
     assert ctx.total_integral(C1) == pytest.approx(ctx.total_integral(C), abs=1e-11)
 
@@ -129,7 +128,7 @@ def test_diffusion_decays_smooth_mode():
         A, b = assemble_transport(ctx, params, TransportBC(), flux,
                                   D, None, C, C_nm1=Cp, dt=0.05,
                                   m=1 if k == 0 else 2)
-        Cn, _ = solve_transport(dm, A, b, tol=1e-13)
+        Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
         Cp, C = C, Cn
     assert ctx.total_integral(C) == pytest.approx(0.0, abs=1e-10)
     amp = np.abs(ctx.cell_means(C)).max()
@@ -153,7 +152,7 @@ def test_injection_source_fills_domain():
     params = TransportParams()
     A, b = assemble_transport(ctx, params, TransportBC(), flux, None, None,
                               C, C_nm1=C, dt=0.5, m=1, sources=src)
-    C1, _ = solve_transport(dm, A, b, tol=1e-13)
+    C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # phi dc/dt = q^+ c_q with c(0) = 0: one backward-Euler step lands on
     # c = dt q c_q / phi exactly since the rhs does not involve c
     assert np.abs(ctx.cell_means(C1) - 0.5).max() < 1e-10
