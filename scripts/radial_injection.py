@@ -29,11 +29,11 @@ def main():
     trace = []
 
     def hook(state):
-        ctx = state["ctx"]
-        means = ctx.cell_means(state["C"])
-        invaded = float(ctx.mesh.cell_area[means >= args.threshold].sum())
+        dm = state["dofmap"]
+        means = dm.cell_means(state["C"])
+        invaded = float(dm.mesh.cell_area[means >= args.threshold].sum())
         trace.append((state["step"], state["time"], invaded,
-                      state["record"]["mass"], ctx.mesh.n_active))
+                      state["record"]["mass"], dm.mesh.n_active))
 
     run(cfg, outdir=args.out, step_hook=hook)
 

@@ -8,8 +8,12 @@ sibling quartet is marked and the merge keeps the mesh balanced.
 Transfer keeps every transported quantity's cell means exact.  Continuous
 dofs copy where the vertex survives; vertices created by a split take the
 parent's bilinear trace (edge midpoints average the edge endpoints, centers
-average the four corners).  After re-imposing the hanging constraints, each
-new cell's constant is set so the cell mean matches the old function's mean
+average the four corners).  The old-to-new vertex map and these stencils
+are found once per adapt from the dof maps' integer vertex lattices, level
+by level with parents first, and every field then applies them as gathers.
+After re-imposing the hanging constraints (a hanging vertex is the average
+of its coarse edge's endpoints, which 2:1 balance keeps free), each new
+cell's constant is set so the cell mean matches the old function's mean
 over that region: unchanged cells keep their mean, children of a split
 inherit the parent function's quadrant means, and a merged parent takes the
 equal-area average of its children's means.  Total integrals of transferred
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egspace import _VSCALE, EGDofMap, cell_means, q1_values
+from .egspace import EGDofMap, q1_values
 from .mesh import AdaptBounds, QuadMesh, _parent_key
 
 __all__ = [
@@ -164,6 +168,7 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
             anchor_ref[idx, 0] = (key[1] - (a[1] << d) + 0.5) / (1 << d)
             anchor_ref[idx, 1] = (key[2] - (a[2] << d) + 0.5) / (1 << d)
 
+    kept, kept_from, stencils = _vertex_transfer(dofmap, new_dm, refined)
     new_fields = []
     for f in fields:
         if f.kind == "cell":
@@ -177,36 +182,16 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
 
         old = f.data
         cg = np.zeros(new_dm.n_dofs)
-        filled = np.zeros(new_dm.n_cg, dtype=bool)
-        for vi, vk in enumerate(new_dm.vertex_keys):
-            oi = dofmap.vertex_index.get(vk)
-            if oi is not None:
-                cg[vi] = old[oi]
-                filled[vi] = True
-        # vertices created by splits: parent's bilinear trace, parents first
-        for pk in refined:
-            lev, i, j = pk
-            s = _VSCALE - (lev + 1)   # child-level vertex key scale
-            X = [(2 * i) << s, (2 * i + 1) << s, (2 * i + 2) << s]
-            Y = [(2 * j) << s, (2 * j + 1) << s, (2 * j + 2) << s]
-            vidx = new_dm.vertex_index
-            v00, v10 = cg[vidx[(X[0], Y[0])]], cg[vidx[(X[2], Y[0])]]
-            v01, v11 = cg[vidx[(X[0], Y[2])]], cg[vidx[(X[2], Y[2])]]
-            for (kx, ky), val in (
-                ((X[1], Y[0]), 0.5 * (v00 + v10)),
-                ((X[0], Y[1]), 0.5 * (v00 + v01)),
-                ((X[2], Y[1]), 0.5 * (v10 + v11)),
-                ((X[1], Y[2]), 0.5 * (v01 + v11)),
-                ((X[1], Y[1]), 0.25 * (v00 + v10 + v01 + v11)),
-            ):
-                vi = vidx[(kx, ky)]
-                if not filled[vi]:
-                    cg[vi] = val
-                    filled[vi] = True
+        cg[kept] = old[kept_from]
+        for edge, ends, center, corners in stencils:
+            v = cg[ends]
+            cg[edge] = 0.5 * (v[:, 0] + v[:, 1])
+            v = cg[corners]
+            cg[center] = 0.25 * (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3])
         cg = new_dm.distribute(cg)
 
         # constants enforce exact per-region means of the old function
-        old_means = cell_means(dofmap, old)
+        old_means = dofmap.cell_means(old)
         target = np.empty(n_new)
         same = tag == SAME
         target[same] = old_means[src[same]]
@@ -222,3 +207,31 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
         new_fields.append(FieldState(f.name, "eg", cg))
 
     return new_mesh, new_dm, new_fields
+
+
+def _vertex_transfer(old_dm: EGDofMap, new_dm: EGDofMap, refined):
+    """(kept, kept_from, stencils): new vertices `kept` copy old vertices
+    `kept_from`; the others are edge midpoints and centers of split parents.
+    One (edge, ends, center, corners) tuple per parent level, coarsest
+    first, since a level reads only its parents' corners.  An edge shared by
+    two parents appears once.
+    """
+    source = old_dm.find_vertices(new_dm.lattice_level, *new_dm.vertex_ij.T)
+    filled = source >= 0
+    keys = np.array(refined, dtype=np.int64).reshape(-1, 3)
+    # the 3 x 3 child-level lattice points of a parent, row by row from SW
+    a, b = np.tile(np.arange(3), 3), np.repeat(np.arange(3), 3)
+    stencils = []
+    for lev in np.unique(keys[:, 0]).tolist():
+        _, i, j = keys[keys[:, 0] == lev].T
+        v = new_dm.find_vertices(lev + 1, 2 * i[:, None] + a, 2 * j[:, None] + b)
+        edge = v[:, [1, 3, 5, 7]].ravel()
+        ends = v[:, [0, 2, 0, 6, 2, 8, 6, 8]].reshape(-1, 2)
+        edge, first = np.unique(edge, return_index=True)
+        new = ~filled[edge]
+        edge, ends = edge[new], ends[first[new]]
+        center, corners = v[:, 4], v[:, [0, 2, 6, 8]]
+        filled[edge] = filled[center] = True
+        stencils.append((edge, ends, center, corners))
+    kept = np.flatnonzero(source >= 0)
+    return kept, source[kept], stencils

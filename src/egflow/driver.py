@@ -471,27 +471,26 @@ def _drop_positions(xL, xR, CL, CR, threshold):
     return np.where(CL < threshold, xL, out)
 
 
-def finger_diagnostics(ctx: AssemblyContext, C, axis: str = "x",
-                       thresholds=(0.5, 0.1, 0.9)) -> FingerDiagnostics:
+_TIP_LEVEL, _LEAD_LEVEL, _TRAIL_LEVEL = 0.5, 0.1, 0.9   # finger_diagnostics
+
+
+def finger_diagnostics(ctx: AssemblyContext, C) -> FingerDiagnostics:
     """Front-tracking summary for displacement along +x.
 
     x_tip: rightmost point with C >= 0.5 (0 when the front is absent);
     x_lead: rightmost with C >= 0.1; x_trail: rightmost x such that C >= 0.9
     everywhere to its left; mixing_length = x_lead - x_trail.
     """
-    if axis != "x":
-        raise ValueError("only displacement along +x is tracked")
-    th_tip, th_lead, th_trail = thresholds
     tip = lead = -np.inf
     trail = np.inf
     for _, xL, xR, CL, CR in _edge_values(ctx, C):
-        f = _front_positions(xL, xR, CL, CR, th_tip)
+        f = _front_positions(xL, xR, CL, CR, _TIP_LEVEL)
         if not np.all(np.isnan(f)):
             tip = max(tip, np.nanmax(f))
-        f = _front_positions(xL, xR, CL, CR, th_lead)
+        f = _front_positions(xL, xR, CL, CR, _LEAD_LEVEL)
         if not np.all(np.isnan(f)):
             lead = max(lead, np.nanmax(f))
-        d = _drop_positions(xL, xR, CL, CR, th_trail)
+        d = _drop_positions(xL, xR, CL, CR, _TRAIL_LEVEL)
         if not np.all(np.isnan(d)):
             trail = min(trail, np.nanmin(d))
     tip = 0.0 if tip == -np.inf else float(tip)
@@ -624,7 +623,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
             q_qp = prob.source_q(ctx)
             if prob.uses_pressure:
                 c_guess = np.clip(
-                    ctx.cell_means(extrapolate_star(config.entropy, C_n, C_nm1)),
+                    dm.cell_means(extrapolate_star(config.entropy, C_n, C_nm1)),
                     0.0, 1.0)
                 kappa = mobility(K_cells, config.viscosity, c_guess)
                 A, b = assemble_pressure(ctx, config.flow, prob.flow_bc, kappa,
@@ -685,7 +684,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                 "step": step, "time": t,
                 "cells": mesh.n_active, "dofs": dm.n_dofs,
                 "mass": config.transport.phi * config.transport.rho0
-                        * ctx.total_integral(C_np1),
+                        * dm.total_integral(C_np1),
                 "cmin": float(vals.min()), "cmax": float(vals.max()),
                 "xtip": fd.x_tip, "tip_velocity": tip_v,
                 "mixing_length": fd.mixing_length,

@@ -2,11 +2,15 @@
 
 The discrete space couples a continuous bilinear (Q1) nodal space with one
 piecewise-constant enrichment dof per active cell.  Coefficient vectors are
-laid out as [vertex dofs | cell constants].  On meshes with hanging nodes
-the vertex dof at an edge midpoint is constrained to the average of the edge
-endpoints, so the continuous part stays conforming; constrained dofs are
-kept in the full vector (always consistent with their masters) and a sparse
-prolongation maps the reduced, solvable unknowns to the full layout.
+laid out as [vertex dofs | cell constants].  Vertices are numbered by
+integer codes of their coordinates on the lattice of the finest level
+present, all in one np.unique.  On meshes with hanging nodes the vertex dof
+at the midpoint of a coarse cell's edge is constrained to the average of
+the edge's two endpoints, so the continuous part stays conforming; 2:1
+balance guarantees those endpoints are never hanging themselves, so there
+are no constraint chains.  Constrained dofs are kept in the full vector
+(always consistent with their masters) and a sparse prolongation maps the
+reduced, solvable unknowns to the full layout.
 
 Reference cell is [0,1]^2 with corner ordering SW, SE, NW, NE; shape
 function index 4 is the cell constant.  Quadrature: 3x3 Gauss per cell and
@@ -32,7 +36,9 @@ from .mesh import (
     NORTH,
     SOUTH,
     WEST,
+    MeshError,
     QuadMesh,
+    _find,
 )
 
 __all__ = [
@@ -41,7 +47,6 @@ __all__ = [
     "EGDofMap",
     "QuadratureRule",
     "cell_field_values",
-    "cell_means",
     "dof_count",
     "eval_grad",
     "eval_point",
@@ -53,8 +58,6 @@ __all__ = [
     "q1_grads",
     "q1_values",
 ]
-
-_VSCALE = 30  # vertex keys live on the integer lattice at level 30
 
 # 3-point Gauss on [0,1]
 _G3 = 0.5 + 0.5 * np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -116,116 +119,114 @@ def q1_grads(xi, eta) -> np.ndarray:
 
 
 class EGDofMap:
-    """Vertex + cell-constant dof layout with hanging-node constraints."""
+    """Vertex + cell-constant dof layout with hanging-node constraints.
 
-    def __init__(self, mesh: QuadMesh, k: int = 1):
-        if k != 1:
-            raise ValueError("only the bilinear enriched space (k=1) is implemented")
+    Vertices are numbered in ascending (x, y) order of `vertex_ij`, their
+    coordinates on the lattice of `lattice_level`, the finest level present.
+    Hanging vertex `constrained[k]` is the average of `masters[k]`.  A
+    master that were hanging too would lie inside an edge of a cell two
+    levels coarser than the cells across the edge, so balance rules out
+    chains; the constructor checks it.
+    """
+
+    def __init__(self, mesh: QuadMesh):
         self.mesh = mesh
-        self.k = k
+        lev, ci, cj = np.array(mesh.cell_keys, dtype=np.int64).reshape(-1, 3).T
+        top = self.lattice_level = int(lev.max())
+        # codes X * row + Y ascend in (X, Y); Python integers past int64
+        self._row = (mesh.ny << top) + 1
+        bound = ((mesh.nx << top) + 1) * self._row
+        self._code_type = np.int64 if bound < 2**63 else object
 
-        keys = set()
-        for lev, i, j in mesh.cell_keys:
-            s = _VSCALE - lev
-            for di in (0, 1):
-                for dj in (0, 1):
-                    keys.add(((i + di) << s, (j + dj) << s))
-        self.vertex_keys = sorted(keys)
-        self.vertex_index = {kk: n for n, kk in enumerate(self.vertex_keys)}
-        self.n_cg = len(self.vertex_keys)
+        s = top - lev
+        X = ((ci[:, None] + (0, 1, 0, 1)) << s[:, None]).ravel()  # SW, SE, NW, NE
+        Y = ((cj[:, None] + (0, 0, 1, 1)) << s[:, None]).ravel()
+        self._codes, inverse = _unique_inverse(self._code(X, Y), bound)
+        self.n_cg = self._codes.size
         self.n_const = mesh.n_active
         self.n_dofs = self.n_cg + self.n_const
 
+        vij = np.empty((self.n_cg, 2), dtype=np.int64)
+        vij[inverse, 0], vij[inverse, 1] = X, Y
+        self.vertex_ij = vij
         x0, y0, x1, y1 = mesh.domain
-        sx = (x1 - x0) / (mesh.nx * (1 << _VSCALE))
-        sy = (y1 - y0) / (mesh.ny * (1 << _VSCALE))
-        vk = np.array(self.vertex_keys, dtype=float).reshape(-1, 2)
-        self.vertex_pos = np.stack([x0 + vk[:, 0] * sx, y0 + vk[:, 1] * sy], axis=1)
+        sx = (x1 - x0) / (mesh.nx << top)
+        sy = (y1 - y0) / (mesh.ny << top)
+        self.vertex_pos = np.stack([x0 + vij[:, 0] * sx, y0 + vij[:, 1] * sy], axis=1)
 
         cd = np.empty((mesh.n_active, 5), dtype=np.int64)
-        for idx, (lev, i, j) in enumerate(mesh.cell_keys):
-            s = _VSCALE - lev
-            cd[idx, 0] = self.vertex_index[(i << s, j << s)]
-            cd[idx, 1] = self.vertex_index[((i + 1) << s, j << s)]
-            cd[idx, 2] = self.vertex_index[(i << s, (j + 1) << s)]
-            cd[idx, 3] = self.vertex_index[((i + 1) << s, (j + 1) << s)]
-            cd[idx, 4] = self.n_cg + idx
+        cd[:, :4] = inverse.reshape(-1, 4)
+        cd[:, 4] = self.n_cg + np.arange(mesh.n_active)
         self.cell_dofs = cd
 
-        self.constraints = self._build_constraints()
-        slaves = np.array(sorted(self.constraints), dtype=np.int64)
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[slaves] = False
-        self.free_dofs = np.nonzero(mask)[0]
+        # each hanging vertex once, from the low sub-face of its coarse edge
+        f = np.flatnonzero(mesh.face_kind == HANGING_LOW)
+        o, d = mesh.face_owner[f], mesh.face_dir[f]
+        ew = (d == EAST) | (d == WEST)
+        cross = np.where(ew, ci[o] + (d == EAST), cj[o] + (d == NORTH))
+        along = np.where(ew, cj[o], ci[o]) & ~1
+
+        def edge_point(k):
+            a = along + k
+            return self._index(np.where(ew, cross, a) << s[o],
+                               np.where(ew, a, cross) << s[o])
+
+        lo, mid, hi = edge_point(0), edge_point(1), edge_point(2)
+        order = np.argsort(mid)
+        self.constrained = mid[order]
+        self.masters = np.stack([lo[order], hi[order]], axis=1)
+
+        free = np.ones(self.n_dofs, dtype=bool)
+        free[self.constrained] = False
+        if not free[self.masters].all():
+            raise MeshError("a hanging vertex's master is itself constrained: "
+                            "the face table breaks 2:1 balance")
+        self.free_dofs = np.flatnonzero(free)
         self.n_reduced = self.free_dofs.size
-        self.n_free_cg = int((self.free_dofs < self.n_cg).sum())
+        self.n_free_cg = self.n_cg - self.constrained.size
         full_to_reduced = np.full(self.n_dofs, -1, dtype=np.int64)
         full_to_reduced[self.free_dofs] = np.arange(self.n_reduced)
         self.full_to_reduced = full_to_reduced
 
-        rows, cols, vals = [], [], []
-        for d in self.free_dofs:
-            rows.append(d)
-            cols.append(full_to_reduced[d])
-            vals.append(1.0)
-        for s, combo in self.constraints.items():
-            for m, w in combo:
-                rows.append(s)
-                cols.append(full_to_reduced[m])
-                vals.append(w)
-        self.P = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_dofs, self.n_reduced)
-        )
+        # P: identity rows on free dofs, 1/2 on each master's column
+        c, m = self.constrained, self.masters
+        rows = np.concatenate([self.free_dofs, c, c])
+        cols = full_to_reduced[np.concatenate([self.free_dofs, m[:, 0], m[:, 1]])]
+        vals = np.repeat([1.0, 0.5], [self.n_reduced, 2 * c.size])
+        self.P = sp.csr_matrix((vals, (rows, cols)), shape=(self.n_dofs, self.n_reduced))
 
-    def _build_constraints(self) -> dict:
-        mesh = self.mesh
-        raw: dict[int, list[tuple[int, float]]] = {}
-        for f in range(mesh.n_faces):
-            kind = mesh.face_kind[f]
-            if kind not in (HANGING_LOW, HANGING_HIGH):
-                continue
-            lev, i, j = mesh.cell_keys[mesh.face_owner[f]]
-            d = int(mesh.face_dir[f])
-            s = _VSCALE - lev
-            if d in (EAST, WEST):
-                cross = i + 1 if d == EAST else i
-                mid = (cross << s, (2 * (j >> 1) + 1) << s)
-                lo = (cross << s, (2 * (j >> 1)) << s)
-                hi = (cross << s, (2 * (j >> 1) + 2) << s)
-            else:
-                cross = j + 1 if d == NORTH else j
-                mid = ((2 * (i >> 1) + 1) << s, cross << s)
-                lo = ((2 * (i >> 1)) << s, cross << s)
-                hi = ((2 * (i >> 1) + 2) << s, cross << s)
-            sl = self.vertex_index[mid]
-            raw[sl] = [(self.vertex_index[lo], 0.5), (self.vertex_index[hi], 0.5)]
+    def _code(self, X, Y):
+        return X.astype(self._code_type) * self._row + Y
 
-        # resolve chains: a master that is itself constrained gets substituted
-        for _ in range(64):
-            changed = False
-            for sl, combo in raw.items():
-                if not any(m in raw for m, _ in combo):
-                    continue
-                acc: dict[int, float] = {}
-                for m, w in combo:
-                    if m in raw:
-                        changed = True
-                        for mm, ww in raw[m]:
-                            acc[mm] = acc.get(mm, 0.0) + w * ww
-                    else:
-                        acc[m] = acc.get(m, 0.0) + w
-                raw[sl] = sorted(acc.items())
-            if not changed:
-                return raw
-        raise RuntimeError("hanging-node constraint chains did not resolve")
+    def _index(self, X, Y) -> np.ndarray:
+        """Indices of vertices given by their coordinates on the lattice."""
+        return np.searchsorted(self._codes, self._code(X, Y))
+
+    def find_vertices(self, level: int, i, j) -> np.ndarray:
+        """Index of the vertex at each point (i, j) of the level-`level`
+        lattice; -1 where no vertex sits."""
+        i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+        s = self.lattice_level - level
+        if s >= 0:
+            X, Y, on = i << s, j << s, True
+        else:
+            X, Y, on = i >> -s, j >> -s, ((i | j) & ((1 << -s) - 1)) == 0
+        hit, at = _find(self._codes, self._code(X, Y))
+        return np.where(on & hit, at, -1)
 
     # -- counting / layout ------------------------------------------------
 
     def dof_count(self) -> tuple[int, int, int]:
         return self.n_cg, self.n_const, self.n_dofs
 
-    def const_dof(self, cell_idx) -> np.ndarray:
-        return self.n_cg + np.asarray(cell_idx)
+    def cell_means(self, coeffs: np.ndarray) -> np.ndarray:
+        """Exact cell means: corner average of the CG part plus the constant."""
+        cd = self.cell_dofs
+        return coeffs[cd[:, :4]].mean(axis=1) + coeffs[cd[:, 4]]
+
+    def total_integral(self, coeffs: np.ndarray) -> float:
+        """Exact integral of the EG function over the domain."""
+        return float((self.cell_means(coeffs) * self.mesh.cell_area).sum())
 
     # -- constraint handling ----------------------------------------------
 
@@ -246,15 +247,9 @@ class EGDofMap:
         return x_full[self.free_dofs]
 
 
-def cell_means(dofmap: EGDofMap, coeffs: np.ndarray) -> np.ndarray:
-    """Exact cell means: corner average of the CG part plus the constant."""
-    cd = dofmap.cell_dofs
-    return coeffs[cd[:, :4]].mean(axis=1) + coeffs[cd[:, 4]]
-
-
-def dof_count(mesh: QuadMesh, k: int = 1) -> tuple[int, int, int]:
+def dof_count(mesh: QuadMesh) -> tuple[int, int, int]:
     """(continuous dofs, constant dofs, total) of the enriched space."""
-    return EGDofMap(mesh, k).dof_count()
+    return EGDofMap(mesh).dof_count()
 
 
 # ----------------------------------------------------------------------
@@ -725,10 +720,6 @@ class AssemblyContext:
 
     # -- whole-field evaluations -------------------------------------------
 
-    def cell_means(self, coeffs: np.ndarray) -> np.ndarray:
-        """Exact cell means: corner average of the CG part plus the constant."""
-        return cell_means(self.dofmap, coeffs)
-
     def cell_values(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_cells, 9) values at the volume quadrature points."""
         out = np.empty((self.mesh.n_active, 9))
@@ -742,27 +733,6 @@ class AssemblyContext:
         for g in self.cell_groups:
             out[g.idx] = np.einsum("qbd,mb->mqd", g.dN, coeffs[g.dofs])
         return out
-
-    def face_traces(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Owner and neighbor traces at the face quadrature points.
-
-        Returns (own, nb), each (n_faces, 3); on boundary faces the neighbor
-        trace repeats the owner trace.
-        """
-        own = np.empty((self.mesh.n_faces, 3))
-        nb = np.empty((self.mesh.n_faces, 3))
-        for g in self.face_groups:
-            vo = np.einsum("qb,mb->mq", g.N_o, coeffs[g.dofs[:, :5]])
-            own[g.idx] = vo
-            if g.nb is None:
-                nb[g.idx] = vo
-            else:
-                nb[g.idx] = np.einsum("qb,mb->mq", g.N_n, coeffs[g.dofs[:, 5:]])
-        return own, nb
-
-    def total_integral(self, coeffs: np.ndarray) -> float:
-        """Exact integral of the EG function over the domain."""
-        return float((self.cell_means(coeffs) * self.mesh.cell_area).sum())
 
 
 def cell_field_values(ctx: AssemblyContext, field) -> np.ndarray:

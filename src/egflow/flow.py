@@ -263,7 +263,7 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     return ctx.assemble(blocks, rhs)
 
 
-def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10, max_iter: int = 2000,
+def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10,
                   deflate=None, factor: LaggedLU | None = None
                   ) -> tuple[np.ndarray, GmresResult]:
     """Reduce a full EG system by the hanging constraints and solve it.
@@ -313,7 +313,7 @@ def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10, max_iter: int = 20
         z_gauge[dm.n_free_cg:] = -1.0
         x0 = (x0 + x0[-1] * z_gauge)[:-1]
     factor = LaggedLU() if factor is None else factor
-    result = factor.solve(A_red[:-1, :-1], b_red[:-1], x0=x0, tol=tol, max_iter=max_iter)
+    result = factor.solve(A_red[:-1, :-1], b_red[:-1], x0=x0, tol=tol)
     x_red = np.append(result.x, 0.0)
     if z_red is not None:
         x_red += shift * z_red
@@ -403,7 +403,7 @@ def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_field,
     if mass_coef != 0.0:
         m_eff = params.bdf_order if m is None else m
         dPdt = bdf_apply(m_eff, dt, P_np1, P_n, P_nm1)
-        res += mass_coef * ctx.cell_means(dPdt) * mesh.cell_area
+        res += mass_coef * ctx.dofmap.cell_means(dPdt) * mesh.cell_area
 
     q_qp = cell_field_values(ctx, q_field)
     for g in ctx.cell_groups:

@@ -2,12 +2,13 @@
 
 A reduced system is factored completely by SuperLU (minimum-degree order on
 the pattern of A^T + A, symmetric mode with a relaxed diagonal pivot
-threshold) and solved by scipy's restarted GMRES with that factor as the
-preconditioner.  `LaggedLU` holds one system's factor over one mesh
-generation: later solves on the same mesh reuse it while it keeps the Krylov
-iteration count under `REFACTOR_ITERS`, which is how a factor of a matrix
-that drifts slowly from step to step stays a good preconditioner (Saad,
-*Iterative Methods for Sparse Linear Systems*, 2nd ed., ch. 9-10).
+threshold) and solved by scipy's GMRES with that factor as the
+preconditioner, for at most `RESTART` iterations, restarts included.
+`LaggedLU` holds one system's factor over one mesh generation: later solves
+on the same mesh reuse it while it keeps the Krylov iteration count under
+`REFACTOR_ITERS`, which is how a factor of a matrix that drifts slowly from
+step to step stays a good preconditioner (Saad, *Iterative Methods for
+Sparse Linear Systems*, 2nd ed., ch. 9-10).
 Convergence is always judged on the true residual ||b - A x||_2 <= tol ||b||_2.
 
 The factor comes from SuperLU's incomplete-LU driver (`spilu`) with a zero
@@ -28,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, spilu
 
 __all__ = ["GmresResult", "LaggedLU", "SolverError"]
 
-RESTART = 20          # GMRES restart length
+RESTART = 20          # GMRES restart length and iteration cap of a solve
 REFACTOR_ITERS = 10   # refactor once a solve on a lagged factor takes more
 FILL = 4              # initial room for the factor, in multiples of nnz(A)
 
@@ -59,18 +60,23 @@ def _factor(A):
         raise SolverError(f"singular reduced system: {exc}") from exc
 
 
-def _gmres(A, b, x0, lu, tol: float, max_iter: int) -> GmresResult:
-    """LU-preconditioned GMRES; `converged` tests the true residual."""
+def _gmres(A, b, x0, lu, tol: float) -> GmresResult:
+    """LU-preconditioned GMRES; `converged` tests the true residual.
+
+    A fresh complete LU converges in one or two iterations, so running past
+    RESTART iterations only delays a failure, and a lagged factor that
+    misses tol is replaced.  A restart within that budget still happens when
+    the preconditioned residual passes and the true one does not.
+    """
     count = [0]
 
     def tick(_):
         count[0] += 1
 
-    restart = min(RESTART, max_iter)
-    x, _ = gmres(A, b, x0=x0, rtol=tol, atol=0.0, restart=restart,
-                 maxiter=-(-max_iter // restart),
+    # callback_type "legacy" makes maxiter count iterations, not cycles
+    x, _ = gmres(A, b, x0=x0, rtol=tol, atol=0.0, restart=RESTART, maxiter=RESTART,
                  M=LinearOperator(A.shape, lu.solve, dtype=float),
-                 callback=tick, callback_type="pr_norm")
+                 callback=tick, callback_type="legacy")
     r = float(np.linalg.norm(b - A @ x))
     return GmresResult(x, count[0], r, r <= tol * np.linalg.norm(b))
 
@@ -94,15 +100,14 @@ class LaggedLU:
         self.lu = None               # free the old factor before the new one
         self.lu = _factor(A)
 
-    def solve(self, A, b, x0=None, tol: float = 1e-10,
-              max_iter: int = 2000) -> GmresResult:
+    def solve(self, A, b, x0=None, tol: float = 1e-10) -> GmresResult:
         lagged = self.lu is not None and self.iterations <= REFACTOR_ITERS
         if not lagged:
             self._refactor(A)
-        out = _gmres(A, b, x0, self.lu, tol, max_iter)
+        out = _gmres(A, b, x0, self.lu, tol)
         if lagged and not out.converged:
             self._refactor(A)
-            out = _gmres(A, b, x0, self.lu, tol, max_iter)
+            out = _gmres(A, b, x0, self.lu, tol)
         self.iterations = out.iterations
         if not self.keep:
             self.lu = None

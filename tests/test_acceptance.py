@@ -180,7 +180,7 @@ def test_criterion_06_compatibility_constant_state():
     P_prev = None
     for step in range(20):
         m = 1 if C_prev is None else 2
-        kappa = mobility(K, cfg.viscosity, np.clip(ctx.cell_means(C), 0, 1))
+        kappa = mobility(K, cfg.viscosity, np.clip(dm.cell_means(C), 0, 1))
         A, b = assemble_pressure(ctx, fparams, bc, kappa, P_n=P, P_nm1=P_prev,
                                  dt=cfg.dt, m=m)
         P_new, _ = solve_reduced(dm, A, b, x0_full=P, tol=1e-12)
@@ -241,7 +241,7 @@ def test_criterion_08_selection_map_near_contour(block_runs):
     assert lin.size > 0
 
     # contour cells: both sides of any interior face whose means straddle 0.5
-    means = ctx.cell_means(C)
+    means = ctx.dofmap.cell_means(C)
     interior = mesh.face_neighbor >= 0
     own = mesh.face_owner[interior]
     nb = mesh.face_neighbor[interior]
@@ -286,13 +286,13 @@ def test_criterion_09_amr_invariants():
 
     worst_drift = 0.0
     for _ in range(1000):
-        total0 = AssemblyContext(mesh, dm).total_integral(C)
+        total0 = dm.total_integral(C)
         marks = mark(_Ind(rng.random(mesh.n_active), mesh.generation),
                      mesh, policy)
         mesh, dm, fields = adapt_and_transfer(
             mesh, dm, [FieldState("c", "eg", C)], marks)
         C = fields[0].data
-        total1 = AssemblyContext(mesh, dm).total_integral(C)
+        total1 = dm.total_integral(C)
         drift = abs(total1 - total0) / max(1.0, abs(total0))
         worst_drift = max(worst_drift, drift)
         assert mesh.balanced()

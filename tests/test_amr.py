@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from egflow.amr import FieldState, MarkingPolicy, Marks, adapt_and_transfer, mark
-from egflow.egspace import AssemblyContext, EGDofMap, eval_point, interpolate
-from egflow.mesh import AdaptBounds, QuadMesh, build_uniform
+from egflow.egspace import EGDofMap, eval_point, interpolate, q1_values
+from egflow.mesh import AdaptBounds, QuadMesh, _parent_key, build_uniform
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -180,11 +180,11 @@ def test_transfer_preserves_integral_on_refine():
     dm = EGDofMap(mesh)
     rng = np.random.default_rng(19)
     C = dm.distribute(rng.standard_normal(dm.n_dofs))
-    total0 = AssemblyContext(mesh, dm).total_integral(C)
+    total0 = dm.total_integral(C)
     marks = Marks(refine=tuple(mesh.cell_id[[2, 7, 11]]), coarsen=(),
                   generation=mesh.generation)
     mesh2, dm2, fields = adapt_and_transfer(mesh, dm, [FieldState("c", "eg", C)], marks)
-    total1 = AssemblyContext(mesh2, dm2).total_integral(fields[0].data)
+    total1 = dm2.total_integral(fields[0].data)
     assert total1 == pytest.approx(total0, abs=1e-12)
     assert mesh2.balanced()
 
@@ -194,13 +194,13 @@ def test_transfer_preserves_integral_on_coarsen():
     dm = EGDofMap(mesh)
     rng = np.random.default_rng(23)
     C = dm.distribute(rng.standard_normal(dm.n_dofs))
-    total0 = AssemblyContext(mesh, dm).total_integral(C)
+    total0 = dm.total_integral(C)
     kids = tuple(mesh.cell_id[mesh.cell_level == 1])
     assert len(kids) == 4
     marks = Marks(refine=(), coarsen=kids, generation=mesh.generation)
     mesh2, dm2, fields = adapt_and_transfer(mesh, dm, [FieldState("c", "eg", C)], marks)
     assert mesh2.n_active == 4
-    total1 = AssemblyContext(mesh2, dm2).total_integral(fields[0].data)
+    total1 = dm2.total_integral(fields[0].data)
     assert total1 == pytest.approx(total0, abs=1e-12)
 
 
@@ -240,7 +240,7 @@ def test_random_adapt_preserves_integral(seed):
     dm = EGDofMap(mesh)
     C = dm.distribute(rng.standard_normal(dm.n_dofs))
     for _ in range(3):
-        total = AssemblyContext(mesh, dm).total_integral(C)
+        total = dm.total_integral(C)
         er = rng.random(mesh.n_active)
         pol = _policy(r_max=3, cell_max=200, refine=0.3, coarsen=0.2)
         marks = mark(_Ind(er, mesh.generation), mesh, pol)
@@ -249,5 +249,141 @@ def test_random_adapt_preserves_integral(seed):
         C = fields[0].data
         assert mesh.balanced()
         assert mesh.n_active <= 200
-        assert AssemblyContext(mesh, dm).total_integral(C) == pytest.approx(
+        assert dm.total_integral(C) == pytest.approx(
             total, abs=1e-11)
+
+
+# ----------------------------------------------------------------------
+# the transfer against a dict-based oracle: vertices keyed by (X, Y) tuples
+# on the level-30 lattice, filled field by field and parent by parent
+
+def _vertex_index(mesh):
+    keys = set()
+    for lev, i, j in mesh.cell_keys:
+        s = 30 - lev
+        for di in (0, 1):
+            for dj in (0, 1):
+                keys.add(((i + di) << s, (j + dj) << s))
+    return {k: n for n, k in enumerate(sorted(keys))}
+
+
+def _dict_transfer(mesh, dofmap, fields, marks):
+    new_mesh, report = mesh.adapt(marks.refine, marks.coarsen)
+    if report.unchanged:
+        return list(fields)
+    new_dm = EGDofMap(new_mesh)
+    old_index, new_index = _vertex_index(mesh), _vertex_index(new_mesh)
+    refined = sorted(report.refined)
+    coarsened = set(report.coarsened)
+
+    SAME, CHILD, MERGED = 0, 1, 2
+    n_new = new_mesh.n_active
+    tag = np.empty(n_new, dtype=np.int8)
+    src = np.empty(n_new, dtype=np.int64)
+    anchor_ref = np.zeros((n_new, 2))
+    merged_children = {}
+    for idx, key in enumerate(new_mesh.cell_keys):
+        if key in coarsened:
+            tag[idx] = MERGED
+            kids = [(key[0] + 1, 2 * key[1] + di, 2 * key[2] + dj)
+                    for di in (0, 1) for dj in (0, 1)]
+            merged_children[idx] = [mesh.cell_index[k] for k in kids]
+        elif key in mesh.cell_index:
+            tag[idx] = SAME
+            src[idx] = mesh.cell_index[key]
+        else:
+            tag[idx] = CHILD
+            a = _parent_key(key)
+            while a not in mesh.cell_index:
+                a = _parent_key(a)
+            src[idx] = mesh.cell_index[a]
+            d = key[0] - a[0]
+            anchor_ref[idx, 0] = (key[1] - (a[1] << d) + 0.5) / (1 << d)
+            anchor_ref[idx, 1] = (key[2] - (a[2] << d) + 0.5) / (1 << d)
+
+    out_fields = []
+    for f in fields:
+        if f.kind == "cell":
+            out = np.empty((n_new,) + f.data.shape[1:], dtype=f.data.dtype)
+            same_or_child = tag != MERGED
+            out[same_or_child] = f.data[src[same_or_child]]
+            for idx, kids in merged_children.items():
+                out[idx] = f.data[kids].mean(axis=0)
+            out_fields.append(FieldState(f.name, "cell", out))
+            continue
+
+        old = f.data
+        cg = np.zeros(new_dm.n_dofs)
+        filled = np.zeros(new_dm.n_cg, dtype=bool)
+        for vk, vi in new_index.items():
+            oi = old_index.get(vk)
+            if oi is not None:
+                cg[vi] = old[oi]
+                filled[vi] = True
+        for lev, i, j in refined:
+            s = 30 - (lev + 1)
+            X = [(2 * i) << s, (2 * i + 1) << s, (2 * i + 2) << s]
+            Y = [(2 * j) << s, (2 * j + 1) << s, (2 * j + 2) << s]
+            v00, v10 = cg[new_index[(X[0], Y[0])]], cg[new_index[(X[2], Y[0])]]
+            v01, v11 = cg[new_index[(X[0], Y[2])]], cg[new_index[(X[2], Y[2])]]
+            for (kx, ky), val in (
+                ((X[1], Y[0]), 0.5 * (v00 + v10)),
+                ((X[0], Y[1]), 0.5 * (v00 + v01)),
+                ((X[2], Y[1]), 0.5 * (v10 + v11)),
+                ((X[1], Y[2]), 0.5 * (v01 + v11)),
+                ((X[1], Y[1]), 0.25 * (v00 + v10 + v01 + v11)),
+            ):
+                vi = new_index[(kx, ky)]
+                if not filled[vi]:
+                    cg[vi] = val
+                    filled[vi] = True
+        cg = new_dm.distribute(cg)
+
+        cd = dofmap.cell_dofs
+        old_means = old[cd[:, :4]].mean(axis=1) + old[cd[:, 4]]
+        target = np.empty(n_new)
+        same = tag == SAME
+        target[same] = old_means[src[same]]
+        child = tag == CHILD
+        if np.any(child):
+            N = q1_values(anchor_ref[child, 0], anchor_ref[child, 1])[:, :4]
+            corners = old[cd[src[child], :4]]
+            target[child] = (N * corners).sum(axis=1) + old[cd[src[child], 4]]
+        for idx, kids in merged_children.items():
+            target[idx] = old_means[kids].mean()
+        cg[new_dm.n_cg:] = target - cg[new_dm.cell_dofs[:, :4]].mean(axis=1)
+        out_fields.append(FieldState(f.name, "eg", cg))
+    return out_fields
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_transfer_matches_dict_oracle(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    mesh = build_uniform((-0.3, 0.1, 1.4, 0.77), nx, ny)
+    mesh = mesh.refine(mesh.cell_id)
+    dm = EGDofMap(mesh)
+    fields = [FieldState("C", "eg", dm.distribute(rng.standard_normal(dm.n_dofs))),
+              FieldState("P", "eg", rng.standard_normal(dm.n_dofs)),
+              FieldState("u", "cell", rng.standard_normal((mesh.n_active, 2)))]
+    pol = _policy(r_max=4, cell_max=300, refine=0.3, coarsen=0.3)
+    changed = 0
+    for k in range(6):
+        pick = rng.random(mesh.n_active)
+        if k % 2:
+            marks = mark(_Ind(pick, mesh.generation), mesh, pol)
+        else:   # unranked marks: many more full quartets merge
+            marks = Marks(refine=tuple(mesh.cell_id[(pick < 0.1) & (mesh.cell_level < 4)]),
+                          coarsen=tuple(mesh.cell_id[pick > 0.3]),
+                          generation=mesh.generation)
+        # P off its constraints: hanging vertices that a split frees keep
+        # their own old value
+        fields[1] = FieldState("P", "eg", fields[1].data + rng.random(dm.n_dofs))
+        expect = _dict_transfer(mesh, dm, fields, marks)
+        mesh2, dm, fields = adapt_and_transfer(mesh, dm, fields, marks)
+        changed += mesh2 is not mesh
+        mesh = mesh2
+        for got, want in zip(fields, expect):
+            assert got.name == want.name and got.data.shape == want.data.shape
+            assert np.array_equal(got.data, want.data)
+    assert changed > 0

@@ -42,11 +42,12 @@ def test_gmres_nonconvergence_flag():
     Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.geomspace(1e-6, 1.0, 40)) @ Q.T)
     b = rng.standard_normal(40)
-    out = linalg._gmres(A, b, None, linalg._factor(A), tol=1e-30, max_iter=3)
+    out = linalg._gmres(A, b, None, linalg._factor(A), tol=1e-30)
     assert not out.converged
     assert out.residual == pytest.approx(np.linalg.norm(b - A @ out.x))
+    assert out.iterations <= linalg.RESTART        # the cap counts restarts too
     with pytest.raises(SolverError, match="stalled"):
-        LaggedLU().solve(A, b, tol=1e-30, max_iter=3)
+        LaggedLU().solve(A, b, tol=1e-30)
 
 
 def test_fresh_factor_converges_at_once():
@@ -108,7 +109,8 @@ def test_failed_lagged_solve_refactors(monkeypatch):
     A, A2, b = _perturbed_pair(60, 13, 20.0)
     lu = LaggedLU(keep=True)
     lu.solve(A, b)
-    out = lu.solve(A2, b, max_iter=2)         # the stale factor stalls: retry
+    monkeypatch.setattr(linalg, "RESTART", 2)
+    out = lu.solve(A2, b)                     # the stale factor stalls: retry
     assert len(calls) == 2
     assert np.linalg.norm(b - A2 @ out.x) <= 1e-10 * np.linalg.norm(b)
 

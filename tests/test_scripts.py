@@ -1,0 +1,31 @@
+"""Every study script in scripts/ runs to completion at its shortest horizon."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPTS = os.path.join(ROOT, "scripts")
+
+# the flags that give each script its shortest run
+SHORTEST = {
+    "block_stabilization.py": ["--t-end", "0.02"],
+    "convergence_vortex.py": ["--levels", "1", "--dt0", "2.0"],
+    "fingering_sweep.py": ["--ratios", "1", "--t-end", "0.04"],
+    "radial_injection.py": ["--t-end", "1e-4"],
+}
+
+
+def test_every_script_is_listed():
+    assert sorted(SHORTEST) == sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py"))
+
+
+@pytest.mark.parametrize("script", sorted(SHORTEST))
+def test_script_runs(script):
+    path = [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *SHORTEST[script]],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -86,7 +86,7 @@ def test_global_mass_balance_pure_advection():
     rng = np.random.default_rng(12)
     C = dm.distribute(rng.random(dm.n_dofs))
     params = TransportParams()
-    m0 = ctx.total_integral(C)
+    m0 = dm.total_integral(C)
     Cp = C
     for k in range(5):
         A, b = assemble_transport(ctx, params, TransportBC(), flux,
@@ -94,7 +94,7 @@ def test_global_mass_balance_pure_advection():
                                   m=1 if k == 0 else 2)
         Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
         Cp, C = C, Cn
-    assert ctx.total_integral(C) == pytest.approx(m0, abs=1e-10)
+    assert dm.total_integral(C) == pytest.approx(m0, abs=1e-10)
 
 
 def test_inflow_outflow_budget():
@@ -110,7 +110,7 @@ def test_inflow_outflow_budget():
                               None, None, C, C_nm1=C, dt=dt, m=2)
     C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # steady constant state: in = out, so the mass stays put
-    assert ctx.total_integral(C1) == pytest.approx(ctx.total_integral(C), abs=1e-11)
+    assert dm.total_integral(C1) == pytest.approx(dm.total_integral(C), abs=1e-11)
 
 
 def test_diffusion_decays_smooth_mode():
@@ -122,7 +122,7 @@ def test_diffusion_decays_smooth_mode():
     C = interpolate(lambda x, y: np.cos(np.pi * x), ctx.mesh, dm)
     D = np.broadcast_to(1e-2 * np.eye(2), (ctx.mesh.n_active, 2, 2)).copy()
     params = TransportParams()
-    amp0 = np.abs(ctx.cell_means(C)).max()
+    amp0 = np.abs(dm.cell_means(C)).max()
     Cp = C
     for k in range(10):
         A, b = assemble_transport(ctx, params, TransportBC(), flux,
@@ -130,14 +130,14 @@ def test_diffusion_decays_smooth_mode():
                                   m=1 if k == 0 else 2)
         Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
         Cp, C = C, Cn
-    assert ctx.total_integral(C) == pytest.approx(0.0, abs=1e-10)
-    amp = np.abs(ctx.cell_means(C)).max()
+    assert dm.total_integral(C) == pytest.approx(0.0, abs=1e-10)
+    amp = np.abs(dm.cell_means(C)).max()
     decay = np.exp(-1e-2 * np.pi**2 * 0.5)
     assert amp < amp0
     assert amp == pytest.approx(amp0 * decay, rel=0.05)
     # the profile stays ordered left to right
     order = np.argsort(ctx.cell_center[:, 0], kind="stable")
-    cols = ctx.cell_means(C)[order].reshape(6, 6).mean(axis=1)
+    cols = dm.cell_means(C)[order].reshape(6, 6).mean(axis=1)
     assert np.all(np.diff(cols) < 0.0)
 
 
@@ -155,7 +155,7 @@ def test_injection_source_fills_domain():
     C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # phi dc/dt = q^+ c_q with c(0) = 0: one backward-Euler step lands on
     # c = dt q c_q / phi exactly since the rhs does not involve c
-    assert np.abs(ctx.cell_means(C1) - 0.5).max() < 1e-10
+    assert np.abs(dm.cell_means(C1) - 0.5).max() < 1e-10
 
 
 def test_mu_cells_shape_validation():
