@@ -8,7 +8,7 @@ adaptation.
 
 from .mesh import (AdaptBounds, AdaptReport, MeshError, QuadMesh,
                    build_uniform)
-from .egspace import (AssemblyContext, CSRPattern, EGDofMap, QuadratureRule,
+from .egspace import (AssemblyContext, AssemblyPlan, EGDofMap, QuadratureRule,
                       dof_count, eval_grad, eval_point, gauss_cell, gauss_face,
                       interpolate)
 from .linalg import GmresResult, LaggedLU, SolverError

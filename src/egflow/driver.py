@@ -20,7 +20,7 @@ from .amr import FieldState, MarkingPolicy, adapt_and_transfer, mark
 from .egspace import AssemblyContext, EGDofMap, interpolate
 from .flow import (FlowBC, FlowParams, assemble_pressure, flux_from_velocity,
                    neutral_pressure_mode, reconstruct_flux, solve_reduced)
-from .linalg import LaggedLU, SolverError
+from .linalg import SolverError, generation_factors
 from .mesh import AdaptBounds, build_uniform
 from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
                       draw_centers, mobility, random_permeability,
@@ -602,8 +602,9 @@ def run(config: ScenarioConfig, outdir: str | None = None,
         mesh = mesh.refine(mesh.cell_id)
     dm = EGDofMap(mesh)
     ctx = AssemblyContext(mesh, dm)
-    # LU factors of the two reduced systems, owned by the mesh generation
-    factors = {"flow": LaggedLU(), "transport": LaggedLU()}
+    # LU factors of the two reduced systems and their shared column order,
+    # owned by the mesh generation
+    factors = generation_factors("flow", "transport")
 
     C_n = prob.initial_concentration(ctx, rng)
     C_nm1 = None
@@ -639,6 +640,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                                                 tol=config.flow_tol,
                                                 deflate=defl,
                                                 factor=factors["flow"])
+                del A, b                # a solved system is not kept into the adapt
                 flux = reconstruct_flux(ctx, P_np1, kappa, prob.flow_bc,
                                         config.flow)
             else:
@@ -674,6 +676,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
             C_np1, res_tr = solve_reduced(dm, A_t, b_t, x0_full=C_n,
                                           tol=config.transport_tol,
                                           factor=factors["transport"])
+            del A_t, b_t
 
             # diagnostics on the pre-adaptation mesh
             vals = ctx.cell_values(C_np1)
@@ -738,7 +741,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                 factors = ctx = None
                 mesh, dm = mesh2, dm2
                 ctx = AssemblyContext(mesh, dm)
-                factors = {"flow": LaggedLU(), "transport": LaggedLU()}
+                factors = generation_factors("flow", "transport")
             by_name = {f.name: f.data for f in fields}
             P_nm1, P_n = by_name["P_n"], by_name["P"]
             C_nm1, C_n = by_name["C_n"], by_name["C"]

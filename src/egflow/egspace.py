@@ -20,7 +20,7 @@ appears here with cellwise-constant coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +43,7 @@ from .mesh import (
 
 __all__ = [
     "AssemblyContext",
-    "CSRPattern",
+    "AssemblyPlan",
     "EGDofMap",
     "QuadratureRule",
     "cell_field_values",
@@ -233,12 +233,6 @@ class EGDofMap:
     def distribute(self, x: np.ndarray) -> np.ndarray:
         """Overwrite constrained entries from their masters; returns a copy."""
         return self.P @ x[self.free_dofs]
-
-    def reduce_vector(self, b: np.ndarray) -> np.ndarray:
-        return self.P.T @ b
-
-    def reduce_matrix(self, A):
-        return (self.P.T @ A @ self.P).tocsr()
 
     def prolong(self, x_red: np.ndarray) -> np.ndarray:
         return self.P @ x_red
@@ -457,83 +451,196 @@ def _unique_inverse(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     np.not_equal(srt[1:], srt[:-1], out=first[1:])
+    uniq = srt[first].astype(key.dtype)
+    del srt
     rank = first.astype(np.intp)
     np.cumsum(rank, out=rank)
     rank -= 1
     packed &= (1 << bits) - 1
     inverse = np.empty(key.size, dtype=np.intp)
     inverse[packed] = rank
-    return srt[first].astype(key.dtype), inverse
+    return uniq, inverse
 
 
 @dataclass(frozen=True)
-class CSRPattern:
-    """Canonical CSR sparsity of a list of (row, col) triplets.
+class Scatter:
+    """Sums values listed in assembly order into `size` reduced entries.
 
-    `slot[k]` is the position of triplet k in `indices`; `matrix(vals)` adds
-    every value into its triplet's slot, so duplicate triplets are summed in
-    triplet order.
+    Value k adds into bin `slot[k]`.  A bin below `size` is a reduced entry.
+    A bin from `size` on collects one full-layout entry that touches a
+    hanging vertex; pair p then adds bin `src[p]` times `w[p]` into reduced
+    entry `dst[p]`, over the entry's masters (deal.II's
+    distribute_local_to_global).  The last bin takes what the reduced,
+    pinned system drops: the pinned dof's row and column, and the entries
+    that are zero by construction.
+    """
+
+    size: int
+    bins: int
+    slot: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
+
+    def __call__(self, vals: np.ndarray) -> np.ndarray:
+        acc = np.bincount(self.slot, weights=vals, minlength=self.bins)
+        out = acc[:self.size]
+        out += np.bincount(self.dst, weights=acc[self.src] * self.w, minlength=self.size)
+        return out
+
+
+def _frozen_index(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
+class AssemblyPlan:
+    """Where local values land in the reduced, pinned system of a mesh.
+
+    Reduced numbering drops the hanging vertices (`EGDofMap.full_to_reduced`)
+    and then the last reduced dof, the cell constant that the gauge pin
+    holds at 0.  `indptr`/`indices` are the CSR pattern of the reduced,
+    pinned matrix, shared read-only by every matrix assembled on the plan;
+    `matrix` and `rhs` sum local block entries and rhs pieces into it.
     """
 
     shape: tuple[int, int]
     indptr: np.ndarray
     indices: np.ndarray
-    slot: np.ndarray
-
-    @classmethod
-    def from_triplets(cls, rows, cols, shape) -> "CSRPattern":
-        n_rows, n_cols = shape
-        itype = _index_type(shape)
-        key = np.multiply(rows, n_cols, dtype=itype).ravel()
-        key += np.ravel(cols)
-        uniq, slot = _unique_inverse(key, n_rows * n_cols)
-        row = uniq // n_cols
-        indptr = np.zeros(n_rows + 1, dtype=itype)
-        np.cumsum(np.bincount(row, minlength=n_rows), out=indptr[1:])
-        return cls(shape=(n_rows, n_cols), indptr=indptr,
-                   indices=uniq - row * n_cols, slot=slot)
-
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
-    def matrix(self, vals: np.ndarray) -> sp.csr_matrix:
-        data = np.bincount(self.slot, weights=vals, minlength=self.nnz)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+    matrix: Scatter
+    rhs: Scatter
 
 
-def _assembly_pattern(n: int, cells, interior, boundary) -> tuple[CSRPattern, np.ndarray]:
-    """Pattern over every local block in assembly order, and the rhs rows.
+def _expand(P, rows, cols):
+    """Reduced pairs of full-layout entries (rows, cols) through the CSR
+    matrix P, whose rows hold one entry per free dof, two per hanging one
+    and none for the pinned one: entry i expands to every pair of its row's
+    and its column's stencils.  Returns the entry of each pair, its reduced
+    row and column, and its weight."""
+    n_st = np.diff(P.indptr)
+    i, j = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    e, k = np.nonzero((i < n_st[rows][:, None]) & (j < n_st[cols][:, None]))
+    ri = P.indptr[rows[e]] + i[k]
+    ci = P.indptr[cols[e]] + j[k]
+    return e, P.indices[ri], P.indices[ci], P.data[ri] * P.data[ci]
+
+
+def _union_slots(ascending: np.ndarray, more: np.ndarray,
+                 bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted union of an ascending array of unique keys and more keys in
+    [0, bound), and the position in it of the keys of each of the two.
+
+    A stable sort of the two ascending runs is a merge."""
+    more, inverse = _unique_inverse(more, bound)
+    keys = np.concatenate([ascending, more])
+    order = np.argsort(keys, kind="stable")
+    srt = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    slot = np.empty(keys.size, dtype=np.intp)
+    slot[order] = np.cumsum(new) - 1
+    return srt[new], slot[:ascending.size], slot[ascending.size:][inverse]
+
+
+def _reduced_entries(dm: EGDofMap, full: np.ndarray):
+    """The reduced, pinned pattern of the ascending full-layout entries
+    `full` (keys row * n_dofs + col), as CSR (indptr, indices), and the
+    Scatter that sums values given per full entry into it.
+
+    An entry between two free dofs maps 1:1 onto its reduced entry, and the
+    reduced numbering keeps the order of the free dofs, so only the master
+    pairs of entries that touch a hanging vertex are merged in.  Each of
+    those gets a bin of its own, distributed onto its master pairs; entries
+    of the pinned dof are dropped.
+    """
+    frow, fcol = np.divmod(full, dm.n_dofs)
+    Pp = dm.P[:, :-1]          # each dof's reduced stencil, without the pinned dof
+    n = Pp.shape[1]
+    n_st = np.diff(Pp.indptr)
+    red_of = dm.full_to_reduced
+    cnt = n_st[frow] * n_st[fcol]
+    one = np.flatnonzero(cnt == 1)
+    hang = np.flatnonzero(cnt > 1)
+    e, hr, hc, w = _expand(Pp, frow[hang], fcol[hang])
+    keys, one_slot, pair_slot = _union_slots(red_of[frow[one]] * n + red_of[fcol[one]],
+                                             hr.astype(np.int64) * n + hc, n * n)
+    size, dropped = keys.size, keys.size + hang.size
+    bin_of = np.full(full.size, dropped, dtype=np.intp)
+    bin_of[one] = one_slot
+    bin_of[hang] = np.arange(size, dropped)
+    itype = _index_type((n, n))
+    row = keys // n
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return (indptr, (keys - row * n).astype(itype),
+            Scatter(size=size, bins=dropped + 1, slot=bin_of, src=size + e,
+                    dst=pair_slot, w=w))
+
+
+def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
+    """Reduced, pinned plan over every local block in assembly order.
 
     Blocks: 5x5 per cell, 10x10 per interior face, 5x5 per boundary face.
     Only the cell blocks and the owner/neighbor cross blocks of interior
-    faces are sorted; the other face blocks repeat slots of cell blocks.
+    faces are sorted, in the full layout; the other face blocks repeat bins
+    of cell blocks.  Cross entries whose table column is zero in every row
+    are zero by construction and left out.  The sorted entries then map onto
+    the reduced, pinned system (see _reduced_entries).
     """
+    n_full = dm.n_dofs
     cd = np.concatenate([g.dofs for g in cells])
-    cd_key = cd.astype(_index_type((n, n)))
+    cd_key = cd.astype(_index_type((n_full, n_full)))
     pos = np.empty(len(cd), dtype=np.intp)
     pos[np.concatenate([g.idx for g in cells])] = np.arange(len(cd))
-    own = np.concatenate([g.own for g in interior] + [np.empty(0, np.intp)])
-    nb = np.concatenate([g.nb for g in interior] + [np.empty(0, np.intp)])
-    bown = np.concatenate([g.own for g in boundary] + [np.empty(0, np.intp)])
-    fo, fn = cd_key[pos[own]], cd_key[pos[nb]]
-    nc, nf = len(cd), len(own)
+    so = pos[np.concatenate([g.own for g in interior] + [np.empty(0, np.intp)])]
+    sn = pos[np.concatenate([g.nb for g in interior] + [np.empty(0, np.intp)])]
+    sb = pos[np.concatenate([g.own for g in boundary] + [np.empty(0, np.intp)])]
+    fo, fn = cd_key[so], cd_key[sn]
+    nc, nf = len(cd), len(so)
+    live = np.concatenate([np.broadcast_to(g.table.any(axis=0).reshape(2, 5, 2, 5),
+                                           (g.idx.size, 2, 5, 2, 5)) for g in interior]
+                          + [np.empty((0, 2, 5, 2, 5), dtype=bool)])
+    x_on, x_no = live[:, 0, :, 1], live[:, 1, :, 0]
+    key = np.concatenate([(cd_key[:, :, None] * n_full + cd_key[:, None, :]).ravel(),
+                          (fo[:, :, None] * n_full + fn[:, None, :])[x_on],
+                          (fn[:, :, None] * n_full + fo[:, None, :])[x_no]])
+    full, primary = _unique_inverse(key, n_full * n_full)
+    del key
+    indptr, indices, by_full = _reduced_entries(dm, full)
+    primary = by_full.slot[primary]
+    dropped = by_full.bins - 1
 
-    rows = np.concatenate([np.broadcast_to(r[:, :, None], (len(r), 5, 5))
-                           for r in (cd_key, fo, fn)])
-    cols = np.concatenate([np.broadcast_to(c[:, None, :], (len(c), 5, 5))
-                           for c in (cd_key, fn, fo)])
-    base = CSRPattern.from_triplets(rows, cols, (n, n))
-    cell = base.slot[:25 * nc].reshape(nc, 5, 5)
-    cross = base.slot[25 * nc:].reshape(2, nf, 5, 5)
-    face = np.empty((nf, 2, 5, 2, 5), dtype=base.slot.dtype)  # [f, side, a, side, b]
-    face[:, 0, :, 0] = cell[pos[own]]
-    face[:, 1, :, 1] = cell[pos[nb]]
-    face[:, 0, :, 1] = cross[0]
-    face[:, 1, :, 0] = cross[1]
-    slot = np.concatenate([cell.ravel(), face.ravel(), cell[pos[bown]].ravel()])
-    rhs_rows = np.concatenate([cd.ravel(), cd[pos[bown]].ravel()])
-    return replace(base, slot=slot), rhs_rows
+    slot = np.empty(25 * nc + 100 * nf + 25 * len(sb), dtype=np.intp)
+    cell = slot[:25 * nc].reshape(nc, 5, 5)
+    cell[...] = primary[:25 * nc].reshape(nc, 5, 5)
+    face = slot[25 * nc:25 * nc + 100 * nf].reshape(nf, 2, 5, 2, 5)  # [f, side, a, side, b]
+    face[:, 0, :, 0] = cell[so]
+    face[:, 1, :, 1] = cell[sn]
+    for x, mask, start in ((face[:, 0, :, 1], x_on, 25 * nc),
+                           (face[:, 1, :, 0], x_no, primary.size - np.count_nonzero(x_no))):
+        cross = np.full(mask.shape, dropped, dtype=np.intp)
+        cross[mask] = primary[start:start + np.count_nonzero(mask)]
+        x[...] = cross
+    del primary, cross
+    slot[25 * nc + 100 * nf:].reshape(-1, 5, 5)[...] = cell[sb]
+    matrix = Scatter(size=by_full.size, bins=by_full.bins, slot=slot,
+                     src=by_full.src, dst=by_full.dst, w=by_full.w)
+
+    # rhs rows: free dofs map 1:1, hanging ones onto their two masters
+    n = indptr.size - 1
+    red_of = dm.full_to_reduced
+    hung = dm.constrained
+    row_bin = np.full(n_full, n + hung.size, dtype=np.intp)      # dropped
+    free = (red_of >= 0) & (red_of < n)
+    row_bin[free] = red_of[free]
+    row_bin[hung] = np.arange(n, n + hung.size)
+    rhs = Scatter(size=n, bins=n + hung.size + 1,
+                  slot=row_bin[np.concatenate([cd.ravel(), cd[sb].ravel()])],
+                  src=np.repeat(row_bin[hung], 2), dst=red_of[dm.masters].ravel(),
+                  w=np.full(2 * hung.size, 0.5))
+    return AssemblyPlan(shape=(n, n), indptr=_frozen_index(indptr),
+                        indices=_frozen_index(indices), matrix=matrix, rhs=rhs)
 
 
 # ----------------------------------------------------------------------
@@ -607,12 +714,12 @@ class AssemblyContext:
     layouts in CellGroup and FaceGroup).  An assembler writes each local block
     as one matmul of per-cell or per-face coefficients against `table`.
 
-    Pattern: `pattern` maps every local-block entry, in assembly order (cell
-    groups, then `interior_groups`, then `boundary_groups`), onto a CSR data
-    slot; boundary blocks fall inside their owner's cell block, and faces that
-    contribute nothing (Neumann, inflow) still pass zeros, so the pattern does
-    not depend on the data.  `rhs_rows` does the same for the right-hand side
-    pieces of cells and boundary faces.  Pressure and transport share both.
+    Plan: `plan` maps every local-block entry, in assembly order (cell
+    groups, then `interior_groups`, then `boundary_groups`), into the reduced,
+    pinned system that the solver factors (see AssemblyPlan), and does the
+    same for the right-hand side pieces of cells and boundary faces.  Faces
+    that contribute nothing (Neumann, inflow) still pass zeros, so the
+    pattern does not depend on the data.  Pressure and transport share it.
     """
 
     def __init__(self, mesh: QuadMesh, dofmap: EGDofMap | None = None):
@@ -691,8 +798,8 @@ class AssemblyContext:
                 ))
         self.face_groups = self.interior_groups + self.boundary_groups
 
-        self.pattern, self.rhs_rows = _assembly_pattern(
-            dm.n_dofs, self.cell_groups, self.interior_groups, self.boundary_groups)
+        self.plan = _assembly_pattern(
+            dm, self.cell_groups, self.interior_groups, self.boundary_groups)
         # integral of every basis function: the constant column of the mass tables
         self.basis_integrals = np.bincount(
             np.concatenate([g.dofs.ravel() for g in self.cell_groups]),
@@ -707,16 +814,28 @@ class AssemblyContext:
             axis=1,
         )
 
-    def assemble(self, blocks, rhs) -> tuple[sp.csr_matrix, np.ndarray]:
-        """(A, b) from local blocks and rhs pieces listed in assembly order.
+    def block_buffer(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """An uninitialized array for every local-block entry in assembly
+        order, and its (m, 25) or (m, 100) view per cell, interior and
+        boundary group, for an assembler to write its blocks into."""
+        vals = np.empty(self.plan.matrix.slot.size)
+        views, start = [], 0
+        for g in self.cell_groups + self.face_groups:
+            m, k = g.idx.size, g.table.shape[1]
+            views.append(vals[start:start + m * k].reshape(m, k))
+            start += m * k
+        return vals, views
 
-        blocks: one (m, 25) or (m, 100) array per cell, interior and boundary
-        group; rhs: one (m, 5) array per cell group, then per boundary group.
+    def assemble(self, vals, rhs) -> tuple[sp.csr_matrix, np.ndarray]:
+        """Reduced, pinned (A, b) from the filled block buffer and the rhs
+        pieces: P^T A P and P^T b of the full-layout system without the last
+        row and column (see AssemblyPlan).
+
+        rhs: one (m, 5) array per cell group, then per boundary group.
         """
-        A = self.pattern.matrix(np.concatenate([v.ravel() for v in blocks]))
-        b = np.bincount(self.rhs_rows, weights=np.concatenate([v.ravel() for v in rhs]),
-                        minlength=self.dofmap.n_dofs)
-        return A, b
+        plan = self.plan
+        A = sp.csr_matrix((plan.matrix(vals), plan.indices, plan.indptr), shape=plan.shape)
+        return A, plan.rhs(np.concatenate([v.ravel() for v in rhs]))
 
     # -- whole-field evaluations -------------------------------------------
 

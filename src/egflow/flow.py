@@ -197,14 +197,15 @@ def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
 def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
                       kappa_cells, P_n=None, P_nm1=None, q_field=0.0,
                       dt: float = 1.0, m: int | None = None):
-    """Assemble the pressure system in the full (unreduced) EG dof layout.
+    """Assemble the reduced, pinned pressure system (see AssemblyContext.assemble).
 
     kappa_cells: (n_cells,) mobility kappa = K/mu evaluated per cell.
-    Returns (A, b) with A CSR over all dofs; hanging-node reduction is left
-    to the solve step so that constant test rows keep their exact per-cell
-    balance.  Each local block is per-cell or per-face coefficients times the
-    context's tables (layouts in egspace.CellGroup / FaceGroup); theta enters
-    as the coefficient of the transposed consistency rows.
+    Returns (A, b) with A CSR over the reduced dofs but the pinned one.
+    Cell constants are never constrained, so their test rows keep their
+    exact per-cell balance.  Each local block is per-cell or per-face
+    coefficients times the context's tables (layouts in egspace.CellGroup /
+    FaceGroup); theta enters as the coefficient of the transposed
+    consistency rows.
     """
     mesh = ctx.mesh
     m_eff = params.bdf_order if m is None else m
@@ -221,13 +222,14 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
         raise ValueError("compressible mass term needs the previous pressure state")
 
     q_qp = cell_field_values(ctx, q_field)
-    blocks, rhs = [], []
+    vals, views = ctx.block_buffer()
+    blocks, rhs = iter(views), []
 
     for g in ctx.cell_groups:
         coef = np.empty((g.idx.size, 2))
         coef[:, 0] = mass_coef * a0
         coef[:, 1] = rho0 * kappa_cells[g.idx]
-        blocks.append(coef @ g.table[:2])          # mass, stiffness
+        np.matmul(coef, g.table[:2], out=next(blocks))     # mass, stiffness
         r = q_qp[g.idx] @ g.wN
         if mass_coef != 0.0:
             hist = -a1 * P_n[g.dofs]
@@ -243,45 +245,47 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
         pen = (alpha / g.h_e) * rho0 * kap_e
         # -(jump, avg grad) + theta (avg grad, jump) + penalty (jump, jump)
         coef = np.column_stack([pen, -c_o, -c_n, theta * c_o, theta * c_n])
-        blocks.append(coef @ g.table[:5])
+        np.matmul(coef, g.table[:5], out=next(blocks))
 
     for g in ctx.boundary_groups:
         if bc.is_dirichlet(g.boundary):
             gD = face_field_values(g, bc.dirichlet[g.boundary])
             ko = rho0 * kappa_cells[g.own]
             pen = (alpha / g.h_e) * ko
-            blocks.append(np.column_stack([pen, -ko, theta * ko]) @ g.table[:3])
+            np.matmul(np.column_stack([pen, -ko, theta * ko]), g.table[:3],
+                      out=next(blocks))
             r = pen[:, None] * (gD @ g.wN)
             if theta != 0.0:
                 r += theta * ko[:, None] * (gD @ g.wdN)
         else:
             # Neumann faces add no matrix entries; zeros keep the pattern fixed
-            blocks.append(np.zeros((g.idx.size, 25)))
+            next(blocks)[...] = 0.0
             r = -(face_field_values(g, bc.neumann[g.boundary]) @ g.wN)
         rhs.append(r)
 
-    return ctx.assemble(blocks, rhs)
+    return ctx.assemble(vals, rhs)
 
 
 def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10,
                   deflate=None, factor: LaggedLU | None = None
                   ) -> tuple[np.ndarray, GmresResult]:
-    """Reduce a full EG system by the hanging constraints and solve it.
+    """Solve a reduced, pinned EG system and prolong it to the full layout.
 
-    The solve is GMRES preconditioned by a sparse LU of the reduced matrix
-    (see linalg.LaggedLU), started from x0_full and stopped on the true
-    residual ||b - A x|| <= tol ||b|| of the pinned system below.  `factor`
-    holds the LU of this system over the current mesh generation; without it
-    every call factors afresh.  Raises SolverError on a stall or a singular
-    factor.
+    (A, b) come from an assembler on the dofmap's context (see
+    AssemblyContext.assemble).  The solve is GMRES preconditioned by a
+    sparse LU of A (see linalg.LaggedLU), started from x0_full and stopped
+    on the true residual ||b - A x|| <= tol ||b||.  `factor` holds the LU of
+    this system over the current mesh generation; without it every call
+    factors afresh.  Raises SolverError on a stall or a singular factor.
 
     Gauge pin: a global constant lives both in the vertex part and in the
     cell constants, so z = (+1 on the free vertex dofs, -1 on the cell
     constants) represents the zero function and is an exact null vector of
     every reduced operator, from either side (b . z = 0 as well).  A complete
-    LU of that singular matrix fails, so the solve holds the last reduced dof,
-    a cell constant, at 0: the last row and column are dropped and the start
-    is shifted along z to match.  The result is then normalized by fix_gauge.
+    LU of that singular matrix fails, so the assembled system holds the last
+    reduced dof, a cell constant, at 0: its row and column are left out, and
+    the start is shifted along z to match.  The result is then normalized by
+    fix_gauge.
 
     deflate, if given, is the (z, w) pair from neutral_pressure_mode; the
     constant-mode amplitude is then read off the mass-balance row and only
@@ -291,19 +295,18 @@ def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10,
 
     Returns the prolonged full-layout solution and the solver report.
     """
-    A_red = dm.reduce_matrix(A)
-    b_red = dm.reduce_vector(b)
     x0 = None if x0_full is None else dm.restrict(x0_full)
     shift, z_red = 0.0, None
     if deflate is not None:
         z_full, w_full = deflate
         z_red = dm.restrict(z_full)
-        w_red = dm.reduce_vector(w_full)
+        w_red = dm.P.T @ w_full
         zw = float(z_red @ w_red)
         if zw <= 0.0:
             raise SolverError("constant-mode deflation needs a positive mass weight")
-        shift = float(z_red @ b_red) / zw
-        b_red = b_red - shift * w_red
+        # z is 0 on the cell constants, so the pinned row adds nothing to z . b
+        shift = float(z_red[:-1] @ b) / zw
+        b = b - shift * w_red[:-1]
         if x0 is not None:
             # start from the zero-mean part of the previous state
             x0 = x0 - (float(w_red @ x0) / zw) * z_red
@@ -313,7 +316,7 @@ def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10,
         z_gauge[dm.n_free_cg:] = -1.0
         x0 = (x0 + x0[-1] * z_gauge)[:-1]
     factor = LaggedLU() if factor is None else factor
-    result = factor.solve(A_red[:-1, :-1], b_red[:-1], x0=x0, tol=tol)
+    result = factor.solve(A, b, x0=x0, tol=tol)
     x_red = np.append(result.x, 0.0)
     if z_red is not None:
         x_red += shift * z_red

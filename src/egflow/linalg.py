@@ -1,8 +1,8 @@
 """Sparse linear algebra: a sparse LU reused as the preconditioner of GMRES.
 
-A reduced system is factored completely by SuperLU (minimum-degree order on
-the pattern of A^T + A, symmetric mode with a relaxed diagonal pivot
-threshold) and solved by scipy's GMRES with that factor as the
+A reduced system is factored completely by SuperLU's supernodal LU (`splu`;
+Li, *ACM TOMS* 31 (2005) 302) in symmetric mode with a relaxed diagonal
+pivot threshold, and solved by scipy's GMRES with that factor as the
 preconditioner, for at most `RESTART` iterations, restarts included.
 `LaggedLU` holds one system's factor over one mesh generation: later solves
 on the same mesh reuse it while it keeps the Krylov iteration count under
@@ -11,13 +11,13 @@ step to step stays a good preconditioner (Saad, *Iterative Methods for
 Sparse Linear Systems*, 2nd ed., ch. 9-10).
 Convergence is always judged on the true residual ||b - A x||_2 <= tol ||b||_2.
 
-The factor comes from SuperLU's incomplete-LU driver (`spilu`) with a zero
-drop tolerance and only the basic drop rule, which drops nothing: it is the
-complete LU.  `splu` reserves 30 nnz(A) entries for L and for U up front;
-freeing such blocks on every mesh change raises glibc's dynamic mmap
-threshold, after which freed factor memory stays in the heap (on Linux,
-15-20 % more peak RSS for a 5k-dof run that refactors every step).
-`spilu` starts from FILL nnz(A) and grows on demand.
+The fill-reducing order is computed once per mesh generation: the first
+factor on a `ColumnOrder` runs SuperLU's minimum-degree order on the pattern
+of A^T + A and records it, and every later factor sharing that `ColumnOrder`
+(the generation's other system, lagged refactors) is handed A[q][:, q] with
+the natural order (Davis, *Direct Methods for Sparse Linear Systems*, SIAM
+2006, ch. 7).  A factor never sees explicit zeros, which would count as
+fill-producing entries.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres, spilu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-__all__ = ["GmresResult", "LaggedLU", "SolverError"]
+__all__ = ["ColumnOrder", "GmresResult", "LaggedLU", "SolverError",
+           "generation_factors"]
 
 RESTART = 20          # GMRES restart length and iteration cap of a solve
 REFACTOR_ITERS = 10   # refactor once a solve on a lagged factor takes more
-FILL = 4              # initial room for the factor, in multiples of nnz(A)
 
 
 class SolverError(Exception):
@@ -51,13 +51,56 @@ class GmresResult:
         return iter((self.x, self.iterations, self.residual))
 
 
-def _factor(A):
+class ColumnOrder:
+    """The fill-reducing order shared by the factors of one mesh generation.
+
+    `q` is None until the first factor records it; a matrix A is then
+    factored as A[q][:, q] with `qinv` = argsort(q) mapping back.
+    """
+
+    def __init__(self):
+        self.q = None
+        self.qinv = None
+
+
+class _LU:
+    """SuperLU factor of A[q][:, q] (of A while q is None), solving with A."""
+
+    def __init__(self, superlu, q):
+        self.superlu = superlu
+        self.q = q
+
+    def solve(self, b):
+        if self.q is None:
+            return self.superlu.solve(b)
+        x = np.empty_like(b)
+        x[self.q] = self.superlu.solve(b[self.q])
+        return x
+
+
+def _factor(A, order: ColumnOrder) -> _LU:
+    """Complete LU of a CSR matrix A, in `order` or recording it.
+
+    The factor's input is the one copy made: A, permuted when the order is
+    known, in CSC and without explicit zeros.
+    """
+    q = order.q
+    if q is None:
+        B = A.tocsc()
+    else:
+        B = A[q]                               # row i of A[q][:, q] is row q[i] of A,
+        B.indices = order.qinv[B.indices]      # its columns relabeled by qinv
+        B = B.tocsc()                          # which also sorts them
+    B.eliminate_zeros()
     try:
-        return spilu(A.tocsc(), drop_tol=0.0, fill_factor=FILL,
-                     permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                     options={"SymmetricMode": True, "ILU_DropRule": "basic"})
+        lu = splu(B, permc_spec="MMD_AT_PLUS_A" if q is None else "NATURAL",
+                  diag_pivot_thresh=0.1, options={"SymmetricMode": True})
     except RuntimeError as exc:      # SuperLU signals singularity this way
         raise SolverError(f"singular reduced system: {exc}") from exc
+    if q is None:
+        order.q = np.argsort(lu.perm_c).astype(A.indices.dtype)
+        order.qinv = np.argsort(order.q).astype(A.indices.dtype)
+    return _LU(lu, q)
 
 
 def _gmres(A, b, x0, lu, tol: float) -> GmresResult:
@@ -88,17 +131,19 @@ class LaggedLU:
     than REFACTOR_ITERS iterations; a lagged solve that fails is retried once
     on a fresh factor.  The factor is dropped after every solve until `keep`
     is set, which the driver does once the mesh has survived an adapt
-    unchanged, so a mesh that lives for one step holds no factor.
+    unchanged, so a mesh that lives for one step holds no factor.  Every
+    factor uses `order`, which generation_factors shares between systems.
     """
 
     def __init__(self, keep: bool = False):
         self.keep = keep
         self.lu = None
         self.iterations = 0
+        self.order = ColumnOrder()
 
     def _refactor(self, A) -> None:
         self.lu = None               # free the old factor before the new one
-        self.lu = _factor(A)
+        self.lu = _factor(A, self.order)
 
     def solve(self, A, b, x0=None, tol: float = 1e-10) -> GmresResult:
         lagged = self.lu is not None and self.iterations <= REFACTOR_ITERS
@@ -117,3 +162,12 @@ class LaggedLU:
                 f"after {out.iterations} iterations"
             )
         return out
+
+
+def generation_factors(*systems: str) -> dict[str, LaggedLU]:
+    """A LaggedLU per named system of one mesh generation, sharing one order."""
+    order = ColumnOrder()
+    factors = {name: LaggedLU() for name in systems}
+    for lu in factors.values():
+        lu.order = order
+    return factors

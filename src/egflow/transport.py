@@ -100,7 +100,8 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
                        bc: TransportBC, flux: FaceFlux, D_cells, mu_cells,
                        C_n, C_nm1=None, sources: SourceField = SourceField(),
                        dt: float = 1.0, m: int | None = None):
-    """Assemble the concentration system in the full EG dof layout.
+    """Assemble the reduced, pinned concentration system (see
+    AssemblyContext.assemble).
 
     D_cells: (n_cells, 2, 2) cellwise-constant dispersion (None for pure
     advection).  mu_cells: (n_cells,) cellwise stabilization viscosity (None
@@ -131,7 +132,8 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
 
     q_qp = cell_field_values(ctx, sources.q)
     qp_pos, qp_neg = source_split(q_qp)
-    blocks, rhs = [], []
+    vals, views = ctx.block_buffer()
+    blocks, rhs = iter(views), []
 
     for g in ctx.cell_groups:
         nm = g.idx.size
@@ -145,7 +147,7 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
             coef[:, 20:24] = mass_coef * D_cells[g.idx].reshape(nm, 4)
         # sink at resident concentration, folded into the matrix
         coef[:, 24:] = -qp_neg[g.idx]
-        blocks.append(coef @ g.table)
+        np.matmul(coef, g.table, out=next(blocks))
 
         hist = -a1 * C_n[g.dofs]
         if m_eff == 2:
@@ -168,18 +170,18 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
         if D_cells is not None:
             coef[:, 11:13] = (-0.5 * mass_coef) * (g.normal @ D_cells[g.own])
             coef[:, 13:15] = (-0.5 * mass_coef) * (g.normal @ D_cells[g.nb])
-        blocks.append(coef @ g.table)
+        np.matmul(coef, g.table, out=next(blocks))
 
     mean_un = flux.mean_un
     for g in ctx.boundary_groups:
         un = flux.face_un[g.idx]
         out = (mean_un[g.idx] >= 0.0)[:, None]
         # outflow faces take the resident trace; inflow faces add zeros here
-        blocks.append((rho0 * np.where(out, un, 0.0)) @ g.table[3:])
+        np.matmul(rho0 * np.where(out, un, 0.0), g.table[3:], out=next(blocks))
         if out.all():
             rhs.append(np.zeros((g.idx.size, 5)))
         else:
             cin = face_field_values(g, bc.side_value(g.boundary))
             rhs.append(-(rho0 * np.where(out, 0.0, un * cin)) @ g.wN)
 
-    return ctx.assemble(blocks, rhs)
+    return ctx.assemble(vals, rhs)

@@ -1,4 +1,5 @@
-"""Table assembly against the per-term einsum oracle; the shared CSR pattern."""
+"""Table assembly into the reduced, pinned system against the per-term einsum
+oracle reduced by P^T A P; the shared plan."""
 
 import gc
 import weakref
@@ -12,8 +13,8 @@ from egflow import egspace
 from egflow.driver import make_config, run
 from egflow.egspace import (
     AssemblyContext,
-    CSRPattern,
     EGDofMap,
+    Scatter,
     _unique_inverse,
     cell_field_values,
     face_field_values,
@@ -217,7 +218,19 @@ def _random_flux(ctx, rng):
                     center_velocity=vel.mean(axis=1))
 
 
+def _reduced(dm, A, b):
+    """P^T A P and P^T b of a full-layout system."""
+    return (dm.P.T @ A @ dm.P).tocsr(), dm.P.T @ b
+
+
+def _pinned(dm, A, b):
+    """The reduced system without the pinned last row and column."""
+    A_red, b_red = _reduced(dm, A, b)
+    return A_red[:-1, :-1], b_red[:-1]
+
+
 def _close(A, b, A_ref, b_ref):
+    assert A.shape == A_ref.shape and b.shape == b_ref.shape
     scale = abs(A_ref).max()
     assert abs(A - A_ref).max() <= 1e-13 * scale
     assert np.abs(b - b_ref).max() <= 1e-13 * max(np.abs(b_ref).max(), 1e-300)
@@ -240,7 +253,7 @@ def test_pressure_matches_oracle(seed, theta, c_F, m):
     args = dict(P_n=rng.standard_normal(n), P_nm1=rng.standard_normal(n),
                 q_field=rng.standard_normal((nc, 9)), dt=0.1, m=m)
     A, b = assemble_pressure(ctx, params, bc, kappa, **args)
-    _close(A, b, *_oracle_pressure(ctx, params, bc, kappa, **args))
+    _close(A, b, *_pinned(ctx.dofmap, *_oracle_pressure(ctx, params, bc, kappa, **args)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -260,14 +273,16 @@ def test_transport_matches_oracle(seed, with_D, with_mu, m):
     args = dict(C_n=rng.standard_normal(n), C_nm1=rng.standard_normal(n),
                 sources=src, dt=0.05, m=m)
     A, b = assemble_transport(ctx, params, bc, flux, D, mu, **args)
-    _close(A, b, *_oracle_transport(ctx, params, bc, flux, D, mu, **args))
+    _close(A, b, *_pinned(ctx.dofmap,
+                          *_oracle_transport(ctx, params, bc, flux, D, mu, **args)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_gauge_vector_is_a_null_vector(seed):
     # z = (+1 on free vertex dofs, -1 on cell constants) is the zero function,
-    # so it is a null vector of both reduced operators from either side;
-    # solve_reduced pins the last reduced dof because of it
+    # so it is a null vector of both reduced operators from either side; the
+    # assembled systems pin the last reduced dof because of it, so this is
+    # checked on the oracle, which the assembled systems match
     ctx, rng = _random_context(seed)
     dm = ctx.dofmap
     nc, n = ctx.mesh.n_active, dm.n_dofs
@@ -275,15 +290,15 @@ def test_gauge_vector_is_a_null_vector(seed):
     bc = FlowBC(dirichlet={s: SIDE_DATA[s] for s in ("left", "bottom")},
                 neumann={s: SIDE_DATA[s] for s in ("right", "top")})
     systems = [
-        assemble_pressure(ctx, FlowParams(c_F=0.05), bc, np.exp(rng.standard_normal(nc)),
-                          P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
-                          dt=0.1, m=1),
-        assemble_transport(ctx, TransportParams(), TransportBC(c_in=0.7),
-                           _random_flux(ctx, rng), None, rng.random(nc),
-                           rng.standard_normal(n), m=1),
+        _oracle_pressure(ctx, FlowParams(c_F=0.05), bc, np.exp(rng.standard_normal(nc)),
+                         P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
+                         dt=0.1, m=1),
+        _oracle_transport(ctx, TransportParams(), TransportBC(c_in=0.7),
+                          _random_flux(ctx, rng), None, rng.random(nc),
+                          rng.standard_normal(n), m=1),
     ]
     for A, b in systems:
-        A_red, b_red = dm.reduce_matrix(A), dm.reduce_vector(b)
+        A_red, b_red = _reduced(dm, A, b)
         scale = spla.norm(A_red) * np.linalg.norm(z)
         assert np.linalg.norm(A_red @ z) <= 1e-14 * scale
         assert np.linalg.norm(A_red.T @ z) <= 1e-14 * scale
@@ -319,36 +334,43 @@ def test_pressure_and_transport_share_the_pattern():
     assert np.array_equal(A_p.indptr, A_t.indptr)
     assert np.array_equal(A_p.indices, A_t.indices)
     assert A_p.has_canonical_format and A_t.has_canonical_format
-    # the union of all local blocks; boundary blocks add no entries
-    ref = _coo([np.broadcast_to(g.dofs[:, :, None], (len(g.dofs),) + 2 * g.dofs.shape[1:]).ravel()
-                for g in ctx.cell_groups + ctx.interior_groups],
-               [np.broadcast_to(g.dofs[:, None, :], (len(g.dofs),) + 2 * g.dofs.shape[1:]).ravel()
-                for g in ctx.cell_groups + ctx.interior_groups],
-               [np.ones(len(g.dofs) * g.dofs.shape[1] ** 2)
-                for g in ctx.cell_groups + ctx.interior_groups], n)
+    # the union of all local blocks, without the entries whose table column
+    # is zero in every row, reduced and pinned; boundary blocks add no
+    # entries, and nonnegative values cannot cancel
+    groups = ctx.cell_groups + ctx.interior_groups
+    full = _coo([np.broadcast_to(g.dofs[:, :, None], (len(g.dofs),) + 2 * g.dofs.shape[1:]).ravel()
+                 for g in groups],
+                [np.broadcast_to(g.dofs[:, None, :], (len(g.dofs),) + 2 * g.dofs.shape[1:]).ravel()
+                 for g in groups],
+                [np.broadcast_to(g.table.any(axis=0), (len(g.dofs), g.table.shape[1])).ravel()
+                 .astype(float) for g in groups], n)
+    ref, _ = _pinned(ctx.dofmap, full, np.zeros(n))
+    ref.sort_indices()
     assert np.array_equal(A_p.indptr, ref.indptr)
     assert np.array_equal(A_p.indices, ref.indices)
 
 
-def test_pattern_sums_duplicates():
-    rows = np.array([0, 1, 0, 1, 0])
-    cols = np.array([0, 1, 1, 1, 0])
-    vals = np.array([4.0, 1.0, 1.0, 2.0, -1.0])
-    A = CSRPattern.from_triplets(rows, cols, (2, 2)).matrix(vals)
-    ref = sp.coo_matrix((vals, (rows, cols)), shape=(2, 2)).toarray()
-    assert np.allclose(A.toarray(), ref)
-    assert A.has_canonical_format
+def test_assembled_pattern_is_read_only():
+    # every matrix of a context shares the plan's index arrays: an in-place
+    # change to one must fail instead of corrupting the next assembly
+    ctx, rng = _random_context(7)
+    bc = FlowBC(dirichlet={"left": 1.0}, neumann={"right": 0.0, "bottom": 0.0, "top": 0.0})
+    A, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(ctx.mesh.n_active))
+    data = A.data.copy()
+    A.data[:5] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        A.eliminate_zeros()
+    A2, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(ctx.mesh.n_active))
+    assert A2.nnz == data.size and np.array_equal(A2.data, data)
 
 
-def test_pattern_triplet_order_invariant():
-    rng = np.random.default_rng(3)
-    rows = rng.integers(0, 6, 40)
-    cols = rng.integers(0, 6, 40)
-    vals = rng.standard_normal(40)
-    A = CSRPattern.from_triplets(rows, cols, (6, 6)).matrix(vals)
-    p = rng.permutation(40)
-    B = CSRPattern.from_triplets(rows[p], cols[p], (6, 6)).matrix(vals[p])
-    assert np.allclose(A.toarray(), B.toarray())
+def test_scatter_sums_and_distributes():
+    # bins 0-2 are reduced entries, bin 3 collects a hanging entry that goes
+    # half to entry 0 and half to entry 2, bin 4 is dropped
+    scatter = Scatter(size=3, bins=5, slot=np.array([0, 3, 1, 0, 4, 3, 2]),
+                      src=np.array([3, 3]), dst=np.array([0, 2]), w=np.array([0.5, 0.5]))
+    vals = np.array([4.0, 1.0, 1.0, 2.0, -7.0, 3.0, 0.25])
+    assert np.array_equal(scatter(vals), [4.0 + 2.0 + 2.0, 1.0, 0.25 + 2.0])
 
 
 @pytest.mark.parametrize("bound", [50, 2**62])

@@ -285,21 +285,25 @@ def test_cli_singular_system_exits_3(monkeypatch, capsys):
 
 
 def test_factor_dies_with_its_generation(monkeypatch):
-    # factors are kept once a mesh survives an adapt, and freed with it
+    # factors are kept once a mesh survives an adapt, and freed with it; so
+    # is the column order the generation's two systems share
     factor = linalg._factor
 
     class Tracked:                      # SuperLU objects take no weak references
-        def __init__(self, A):
-            self.solve = factor(A).solve
+        def __init__(self, A, order):
+            self.solve = factor(A, order).solve
 
     monkeypatch.setattr(linalg, "_factor", Tracked)
-    kept = []
+    kept, orders = [], []
 
     def hook(state):
         gen = state["mesh"].generation
-        assert all(ref() is None for g, ref in kept if g != gen)
+        assert all(ref() is None for g, ref in kept + orders if g != gen)
         kept.extend((gen, weakref.ref(f.lu))
                     for f in state["factors"].values() if f.lu is not None)
+        order = state["factors"]["flow"].order
+        assert state["factors"]["transport"].order is order
+        orders.extend([(gen, weakref.ref(order)), (gen, weakref.ref(order.q))])
 
     cfg = make_config("perm_block", nx=4, ny=4, dt=0.05, t_end=0.5, r_max=1)
     gc.disable()
@@ -308,6 +312,7 @@ def test_factor_dies_with_its_generation(monkeypatch):
     finally:
         gc.enable()
     assert len({g for g, _ in kept}) >= 2
+    assert len({g for g, _ in orders}) >= 3
 
 
 def test_config_validation_rules():

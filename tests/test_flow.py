@@ -4,8 +4,6 @@ import re
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import egflow.driver as driver
 from egflow import linalg
@@ -125,8 +123,7 @@ def test_symmetric_variant_yields_symmetric_matrix():
     ctx = _context(3, 3)
     kappa = np.full(ctx.mesh.n_active, 0.7)
     A, _ = assemble_pressure(ctx, FlowParams(theta=-1.0), LEFT_RIGHT_FLOW, kappa)
-    Ar = ctx.dofmap.reduce_matrix(A)
-    assert abs(Ar - Ar.T).max() < 1e-12 * abs(Ar).max()
+    assert abs(A - A.T).max() < 1e-12 * abs(A).max()
 
 
 def test_reconstructed_flux_locally_conservative():
@@ -217,22 +214,20 @@ def _fixture_systems(monkeypatch):
 
 
 def test_gauge_pin_makes_the_factor_regular(monkeypatch):
+    # the unpinned reduced operators are singular (tests/test_assembly.py,
+    # test_gauge_vector_is_a_null_vector); the assembled, pinned ones factor
     systems = _fixture_systems(monkeypatch)
     dm, A, _ = systems[2]                       # first pressure solve on a hanging mesh
-    assert dm.n_reduced == 343
-    A_red = dm.reduce_matrix(A).tocsc()
-    with pytest.raises(RuntimeError, match="singular"):
-        spla.splu(A_red)
-    spla.splu(A_red[:-1, :-1])
+    assert dm.n_reduced == 343 and A.shape == (342, 342)
     for dm, A, _ in systems:
-        linalg._factor(dm.reduce_matrix(A)[:-1, :-1])
+        assert A.shape == (dm.n_reduced - 1,) * 2
+        linalg._factor(A, linalg.ColumnOrder())
 
 
 def test_solve_matches_dense_least_squares(monkeypatch):
     for dm, A, b in _fixture_systems(monkeypatch):
-        A_red = dm.reduce_matrix(A).toarray()
-        x = np.linalg.lstsq(A_red, dm.reduce_vector(b), rcond=None)[0]
-        ref = fix_gauge(dm, dm.prolong(x))
+        x = np.linalg.lstsq(A.toarray(), b, rcond=None)[0]
+        ref = fix_gauge(dm, dm.prolong(np.append(x, 0.0)))
         P, _ = solve_reduced(dm, A, b, tol=1e-13)
         assert np.abs(P - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -240,7 +235,8 @@ def test_solve_matches_dense_least_squares(monkeypatch):
 def test_lagged_factor_reused_within_generation(monkeypatch):
     calls = []
     factor = linalg._factor
-    monkeypatch.setattr(linalg, "_factor", lambda A: calls.append(1) or factor(A))
+    monkeypatch.setattr(linalg, "_factor",
+                        lambda A, order: calls.append(1) or factor(A, order))
     ctx = _context(4, 4, refine=(5,))
     kappa = np.linspace(1.0, 3.0, ctx.mesh.n_active)
     lu = LaggedLU(keep=True)
@@ -251,10 +247,13 @@ def test_lagged_factor_reused_within_generation(monkeypatch):
     P2, rep = solve_reduced(ctx.dofmap, A2, b2, x0_full=P1, factor=lu)
     assert len(calls) == 1
     assert rep.iterations > 0
+    # P2 in the pinned gauge: shifted along the null vector to a zero last dof
     dm = ctx.dofmap
-    A_red, b_red = dm.reduce_matrix(A2), dm.reduce_vector(b2)
-    assert np.linalg.norm(b_red - A_red @ dm.restrict(P2)) <= 1e-10 * np.linalg.norm(b_red)
-    assert rep.residual <= 1e-10 * np.linalg.norm(b_red)
+    x = dm.restrict(P2)
+    z = np.where(np.arange(dm.n_reduced) < dm.n_free_cg, 1.0, -1.0)
+    x = (x + x[-1] * z)[:-1]
+    assert np.linalg.norm(b2 - A2 @ x) <= 1e-10 * np.linalg.norm(b2)
+    assert rep.residual <= 1e-10 * np.linalg.norm(b2)
 
 
 def test_compressible_needs_history():

@@ -1,21 +1,24 @@
-"""LU-preconditioned GMRES and the factor kept over a mesh generation."""
+"""LU-preconditioned GMRES, the factor kept over a mesh generation and the
+column order its two systems share."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import egflow.driver as driver
 from egflow import linalg
-from egflow.linalg import GmresResult, LaggedLU, SolverError
+from egflow.linalg import (ColumnOrder, GmresResult, LaggedLU, SolverError,
+                           generation_factors)
 
 
 def _counting_factor(monkeypatch):
     calls = []
     factor = linalg._factor
 
-    def counting(A):
+    def counting(A, order):
         calls.append(A.shape)
-        return factor(A)
+        return factor(A, order)
 
     monkeypatch.setattr(linalg, "_factor", counting)
     return calls
@@ -42,7 +45,7 @@ def test_gmres_nonconvergence_flag():
     Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.geomspace(1e-6, 1.0, 40)) @ Q.T)
     b = rng.standard_normal(40)
-    out = linalg._gmres(A, b, None, linalg._factor(A), tol=1e-30)
+    out = linalg._gmres(A, b, None, linalg._factor(A, ColumnOrder()), tol=1e-30)
     assert not out.converged
     assert out.residual == pytest.approx(np.linalg.norm(b - A @ out.x))
     assert out.iterations <= linalg.RESTART        # the cap counts restarts too
@@ -131,3 +134,112 @@ def test_gmres_matches_dense_solve(n, seed):
     out = LaggedLU().solve(sp.csr_matrix(A), b, tol=1e-12)
     assert out.converged
     assert np.allclose(out.x, np.linalg.solve(A, b), atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# one fill-reducing order per mesh generation
+
+
+def _spy_orders(monkeypatch):
+    """Records the permc_spec of every SuperLU factorization."""
+    specs = []
+    splu = linalg.splu
+
+    def spy(A, permc_spec, **kwargs):
+        specs.append(permc_spec)
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(linalg, "splu", spy)
+    return specs
+
+
+def _driver_systems(monkeypatch, **overrides):
+    """(generation, A, b) of every solve of a perm_block run."""
+    systems = []
+    solve = driver.solve_reduced
+
+    def capture(dm, A, b, **kwargs):
+        systems.append((dm.mesh.generation, A, b))
+        return solve(dm, A, b, **kwargs)
+
+    monkeypatch.setattr(driver, "solve_reduced", capture)
+    driver.run(driver.make_config("perm_block", **overrides))
+    return systems
+
+
+def test_one_minimum_degree_order_per_generation(monkeypatch):
+    specs = _spy_orders(monkeypatch)
+    orders = []                         # held, so that no two share an id
+    factor = linalg._factor
+
+    def tagged(A, order):
+        orders.append(order)
+        return factor(A, order)
+
+    monkeypatch.setattr(linalg, "_factor", tagged)
+    systems = _driver_systems(monkeypatch, r_max=2, t_end=0.06)
+    generations = {g for g, _, _ in systems}
+    assert len(generations) >= 3                         # the mesh adapted
+    assert len(specs) == len(orders) >= 2 * len(generations)
+    distinct = {id(order): order for order in orders}
+    for key in distinct:
+        mine = [spec for order, spec in zip(orders, specs) if id(order) == key]
+        assert mine[0] == "MMD_AT_PLUS_A"
+        assert set(mine[1:]) <= {"NATURAL"}
+    # one order per generation: as many orders as generations
+    assert specs.count("MMD_AT_PLUS_A") == len(distinct) == len(generations)
+
+
+def _last_pair(monkeypatch):
+    """The flow and transport systems of the last step of a short adaptive run."""
+    (g_f, A_f, b_f), (g_t, A_t, b_t) = _driver_systems(monkeypatch, r_max=2,
+                                                       t_end=0.04)[-2:]
+    assert g_f == g_t and A_f.shape == A_t.shape and A_f.shape[0] > 500
+    return A_f, b_f, A_t, b_t
+
+
+def test_second_system_reuses_the_order(monkeypatch):
+    A_f, b_f, A_t, b_t = _last_pair(monkeypatch)
+    specs = _spy_orders(monkeypatch)
+    factors = generation_factors("flow", "transport")
+    for f in factors.values():
+        f.keep = True
+    factors["flow"].solve(A_f, b_f)
+    order = factors["flow"].order
+    assert factors["transport"].order is order and order.q is not None
+    q = order.q.copy()
+    out = factors["transport"].solve(A_t, b_t, tol=1e-10)
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert np.array_equal(order.q, q) and factors["transport"].lu.q is order.q
+    assert np.linalg.norm(b_t - A_t @ out.x) <= 1e-10 * np.linalg.norm(b_t)
+    own = linalg._factor(A_t, ColumnOrder())
+    assert factors["transport"].lu.superlu.nnz <= 1.05 * own.superlu.nnz
+
+
+def test_recorded_order_keeps_the_fill():
+    # q = argsort(perm_c) in the natural order reproduces the minimum-degree
+    # fill of the same matrix; perm_c itself, the inverse, does not
+    rng = np.random.default_rng(2)
+    n = 400
+    A = (sp.random(n, n, density=0.004, random_state=2)
+         + sp.diags(rng.uniform(1.0, 2.0, n))).tocsr()
+    A = (A + A.T).tocsr()
+    order = ColumnOrder()
+    mmd = linalg._factor(A, order)
+    again = linalg._factor(A, order)
+    assert again.superlu.nnz <= 1.01 * mmd.superlu.nnz
+    wrong = ColumnOrder()
+    wrong.q, wrong.qinv = order.qinv, order.q
+    assert linalg._factor(A, wrong).superlu.nnz > 1.5 * mmd.superlu.nnz
+    b = rng.standard_normal(n)
+    for lu in (mmd, again):
+        assert np.allclose(A @ lu.solve(b), b, atol=1e-10)
+
+
+def test_explicit_zeros_do_not_reach_the_factor():
+    A = sp.csr_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]]))
+    B = sp.csr_matrix((np.where(np.arange(9) % 2 == 1, 0.0, A.toarray().ravel()),
+                       np.tile(np.arange(3), 3), np.arange(0, 10, 3)), shape=(3, 3))
+    assert B.nnz == 9 and abs(A - B).max() == 0.0
+    assert linalg._factor(B, ColumnOrder()).superlu.nnz == \
+        linalg._factor(A, ColumnOrder()).superlu.nnz
