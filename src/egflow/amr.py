@@ -10,7 +10,9 @@ dofs copy where the vertex survives; vertices created by a split take the
 parent's bilinear trace (edge midpoints average the edge endpoints, centers
 average the four corners).  The old-to-new vertex map and these stencils
 are found once per adapt from the dof maps' integer vertex lattices, level
-by level with parents first, and every field then applies them as gathers.
+by level with parents first; each new cell finds its old counterpart by
+key-code lookups of its own key, its parent's and its four children's; and
+every field then applies them as gathers.
 After re-imposing the hanging constraints (a hanging vertex is the average
 of its coarse edge's endpoints, which 2:1 balance keeps free), each new
 cell's constant is set so the cell mean matches the old function's mean
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egspace import EGDofMap, q1_values
-from .mesh import AdaptBounds, QuadMesh, _parent_key
+from .mesh import AdaptBounds, MeshError, QuadMesh
 
 __all__ = [
     "FieldState",
@@ -139,44 +141,31 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
         return mesh, dofmap, list(fields)
     new_dm = EGDofMap(new_mesh)
 
-    refined = sorted(report.refined)            # level-ascending: parents first
-    coarsened = set(report.coarsened)
-
-    # classify each new cell against the old mesh
-    SAME, CHILD, MERGED = 0, 1, 2
+    # each new cell kept its old key (SAME), split off an old active parent
+    # (CHILD) or merged four old active children (MERGED): old 2:1 balance
+    # makes every split cell an old active one
     n_new = new_mesh.n_active
-    tag = np.empty(n_new, dtype=np.int8)
-    src = np.empty(n_new, dtype=np.int64)       # old cell index (SAME/CHILD anchor)
-    anchor_ref = np.zeros((n_new, 2))           # center of the new cell inside anchor
-    merged_children = {}
-    for idx, key in enumerate(new_mesh.cell_keys):
-        if key in coarsened:
-            tag[idx] = MERGED
-            kids = [(key[0] + 1, 2 * key[1] + di, 2 * key[2] + dj)
-                    for di in (0, 1) for dj in (0, 1)]
-            merged_children[idx] = [mesh.cell_index[k] for k in kids]
-        elif key in mesh.cell_index:
-            tag[idx] = SAME
-            src[idx] = mesh.cell_index[key]
-        else:
-            tag[idx] = CHILD
-            a = _parent_key(key)
-            while a not in mesh.cell_index:
-                a = _parent_key(a)
-            src[idx] = mesh.cell_index[a]
-            d = key[0] - a[0]
-            anchor_ref[idx, 0] = (key[1] - (a[1] << d) + 0.5) / (1 << d)
-            anchor_ref[idx, 1] = (key[2] - (a[2] << d) + 0.5) / (1 << d)
+    lev, i, j = new_mesh.cell_level, new_mesh.cell_i, new_mesh.cell_j
+    same = mesh.find_cells(lev, i, j)
+    parent = mesh.find_cells(lev - 1, i >> 1, j >> 1)
+    kids = mesh.find_cells(lev[:, None] + 1, 2 * i[:, None] + (0, 0, 1, 1),
+                           2 * j[:, None] + (0, 1, 0, 1))   # SW, NW, SE, NE
+    is_same, child = same >= 0, parent >= 0
+    merged = (kids >= 0).all(axis=1)
+    if np.any(is_same.astype(int) + child + merged != 1):
+        raise MeshError("new mesh is not one adapt away from the old mesh")
+    kids, keep = kids[merged], ~merged
+    src = np.maximum(same, parent)              # old cell of a SAME/CHILD cell
+    # center of a child inside its parent, in the parent's reference square
+    anchor = ((i[child] & 1) + 0.5) / 2, ((j[child] & 1) + 0.5) / 2
 
-    kept, kept_from, stencils = _vertex_transfer(dofmap, new_dm, refined)
+    kept, kept_from, stencils = _vertex_transfer(dofmap, new_dm, sorted(report.refined))
     new_fields = []
     for f in fields:
         if f.kind == "cell":
             out = np.empty((n_new,) + f.data.shape[1:], dtype=f.data.dtype)
-            same_or_child = tag != MERGED
-            out[same_or_child] = f.data[src[same_or_child]]
-            for idx, kids in merged_children.items():
-                out[idx] = f.data[kids].mean(axis=0)
+            out[keep] = f.data[src[keep]]
+            out[merged] = f.data[kids].mean(axis=1)
             new_fields.append(FieldState(f.name, "cell", out))
             continue
 
@@ -193,16 +182,13 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
         # constants enforce exact per-region means of the old function
         old_means = dofmap.cell_means(old)
         target = np.empty(n_new)
-        same = tag == SAME
-        target[same] = old_means[src[same]]
-        child = tag == CHILD
+        target[is_same] = old_means[same[is_same]]
         if np.any(child):
-            N = q1_values(anchor_ref[child, 0], anchor_ref[child, 1])[:, :4]
+            N = q1_values(*anchor)[:, :4]
             corners = old[dofmap.cell_dofs[src[child], :4]]
             target[child] = (N * corners).sum(axis=1) \
                 + old[dofmap.cell_dofs[src[child], 4]]
-        for idx, kids in merged_children.items():
-            target[idx] = old_means[kids].mean()
+        target[merged] = old_means[kids].mean(axis=1)
         cg[new_dm.n_cg:] = target - cg[new_dm.cell_dofs[:, :4]].mean(axis=1)
         new_fields.append(FieldState(f.name, "eg", cg))
 

@@ -727,8 +727,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                       FieldState("P_n", "eg", P_n),
                       FieldState("C", "eg", C_np1),
                       FieldState("C_n", "eg", C_n),
-                      FieldState("ux", "cell", flux.center_velocity[:, 0].copy()),
-                      FieldState("uy", "cell", flux.center_velocity[:, 1].copy())]
+                      FieldState("u_center", "cell", flux.center_velocity)]
             mesh2, dm2 = mesh, dm
             if config.amr:
                 marks = mark(ind, mesh, config.marking)
@@ -745,7 +744,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
             by_name = {f.name: f.data for f in fields}
             P_nm1, P_n = by_name["P_n"], by_name["P"]
             C_nm1, C_n = by_name["C_n"], by_name["C"]
-            u_center = np.stack([by_name["ux"], by_name["uy"]], axis=1)
+            u_center = by_name["u_center"]
     finally:
         if outdir is not None:
             write_csv(records, os.path.join(outdir, "diagnostics.csv"))

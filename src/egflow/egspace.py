@@ -131,7 +131,7 @@ class EGDofMap:
 
     def __init__(self, mesh: QuadMesh):
         self.mesh = mesh
-        lev, ci, cj = np.array(mesh.cell_keys, dtype=np.int64).reshape(-1, 3).T
+        lev, ci, cj = mesh.cell_level, mesh.cell_i, mesh.cell_j
         top = self.lattice_level = int(lev.max())
         # codes X * row + Y ascend in (X, Y); Python integers past int64
         self._row = (mesh.ny << top) + 1

@@ -95,6 +95,11 @@ class AdaptBounds:
     cell_max: int = 10**9
 
     def __post_init__(self):
+        if self.r_min < 0:
+            raise ValueError(f"r_min={self.r_min} is negative")
+        if self.r_max > _DEFAULT_LEVEL_CAP:
+            raise ValueError(f"r_max={self.r_max} exceeds the level cap "
+                             f"{_DEFAULT_LEVEL_CAP}")
         if self.r_min > self.r_max:
             raise ValueError(f"r_min={self.r_min} exceeds r_max={self.r_max}")
         if self.cell_max < 1:
@@ -247,13 +252,15 @@ class QuadMesh:
     def _finalize(self):
         keys = sorted(self._active)
         self.cell_keys = keys
-        self.cell_index = {k: idx for idx, k in enumerate(keys)}
         self._key_by_id = {self._active[k]: k for k in keys}
-        n = len(keys)
-        self.n_active = n
+        self.n_active = len(keys)
         self.cell_id = np.array([self._active[k] for k in keys], dtype=np.int64)
-        lev, ci, cj = np.array(keys, dtype=np.int64).T
+        lev, ci, cj = np.array(keys, dtype=np.int64).T.copy()
         self.cell_level = lev.astype(np.int32)
+        self.cell_i, self.cell_j = ci, cj
+        self._top = int(lev.max())
+        self._code = _key_coder(self.nx, self.ny, self._top)
+        self._cell_codes = self._code(lev, ci, cj)  # ascending: keys are sorted
 
         x0, y0, x1, y1 = self.domain
         sx = (x1 - x0) / (self.nx << lev)
@@ -269,18 +276,16 @@ class QuadMesh:
         ni = ci[:, None] + _STEP[:, 0]
         nj = cj[:, None] + _STEP[:, 1]
         inside = (ni >= 0) & (nj >= 0) & (ni < (self.nx << nl)) & (nj < (self.ny << nl))
-        code = _key_coder(self.nx, self.ny, int(lev.max()))
-        act = code(lev, ci, cj)  # ascending, because keys are sorted
-        q = code(nl, ni, nj)
-        same, same_at = _find(act, q)
-        same &= inside
-        par, par_at = _find(act, code(np.maximum(nl - 1, 0), ni >> 1, nj >> 1))
-        hang = inside & ~same & par & (nl > 0)
+        same_at = self.find_cells(nl, ni, nj)
+        par_at = self.find_cells(nl - 1, ni >> 1, nj >> 1)
+        same = same_at >= 0
+        hang = ~same & (par_at >= 0)
         # anything else must be covered by finer cells, which own the sub-faces
         gap = inside & ~same & ~hang
         if gap.any():
             ref = np.array(sorted(self._refined), dtype=np.int64).reshape(-1, 3)
-            if ref.size == 0 or not _find(code(*ref.T), q[gap])[0].all():
+            q = self._code(nl, ni, nj)[gap]
+            if ref.size == 0 or not _find(self._code(*ref.T), q)[0].all():
                 raise MeshError("internal error: mesh violates 2:1 balance")
 
         # conforming faces are created once, by the west/south cell
@@ -313,7 +318,19 @@ class QuadMesh:
             raise MeshError(f"cell id {cid} is not an active cell") from None
 
     def index_of_id(self, cid: int) -> int:
-        return self.cell_index[self.key_of_id(cid)]
+        return int(self.find_cells(*self.key_of_id(cid)))
+
+    def find_cells(self, level, i, j) -> np.ndarray:
+        """Index of the active cell with each key (level, i, j); -1 where no
+        active cell has that key, including levels and positions off the
+        mesh."""
+        level, i, j = (np.asarray(a, dtype=np.int64) for a in (level, i, j))
+        ok = (level >= 0) & (level <= self._top)
+        lev = np.where(ok, level, 0)
+        ok = ok & (i >= 0) & (j >= 0) & (i < (self.nx << lev)) & (j < (self.ny << lev))
+        hit, at = _find(self._cell_codes,
+                        self._code(lev, np.where(ok, i, 0), np.where(ok, j, 0)))
+        return np.where(ok & hit, at, -1)
 
     def cell(self, cid: int) -> Cell:
         key = self.key_of_id(cid)
@@ -342,9 +359,6 @@ class QuadMesh:
     def faces(self):
         for f in range(self.n_faces):
             yield self.face(f)
-
-    def interior_face_count(self) -> int:
-        return int((self.face_neighbor >= 0).sum())
 
     def locate(self, x: float, y: float) -> int:
         """Active cell id containing (x, y); ties resolve to the upper cell."""
@@ -388,15 +402,12 @@ class QuadMesh:
             walk.split(k)
         return walk
 
-    def refine_closure(self, cell_ids) -> set:
-        """Keys of every cell a refine(cell_ids) call would split (incl. closure)."""
-        return set(self._walk(cell_ids).splits)
-
     def closure_counts(self, cell_ids) -> np.ndarray:
         """Closure size of every prefix of `cell_ids`, without building a mesh.
 
-        Entry k is len(refine_closure(cell_ids[:k + 1])): the closure grows
-        with the prefix, so one walk over the ids in order counts them all.
+        Entry k is the number of cells refine(cell_ids[:k + 1]) splits, 2:1
+        closure included: the closure grows with the prefix, so one walk over
+        the ids in order counts them all.
         """
         walk = _ClosureWalk(self)
         counts = np.empty(len(cell_ids), dtype=np.int64)

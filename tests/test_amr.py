@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from egflow.amr import FieldState, MarkingPolicy, Marks, adapt_and_transfer, mark
 from egflow.egspace import EGDofMap, eval_point, interpolate, q1_values
-from egflow.mesh import AdaptBounds, QuadMesh, _parent_key, build_uniform
+from egflow.mesh import AdaptBounds, MeshError, QuadMesh, _parent_key, build_uniform
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -58,6 +58,11 @@ def test_marking_respects_level_cap():
     assert marks.refine == ()
 
 
+def _refine_closure(mesh, cell_ids):
+    """Keys of every cell refine(cell_ids) splits, 2:1 closure included."""
+    return set(mesh._walk(cell_ids).splits)
+
+
 def test_budget_truncation_matches_brute_force():
     rng = np.random.default_rng(21)
     mesh = build_uniform(UNIT, 4, 4).refine([1, 6])
@@ -72,7 +77,7 @@ def test_budget_truncation_matches_brute_force():
                     if mesh.cell_level[i] < 3]
         best = ()
         for k in range(len(eligible) + 1):
-            extra = len(mesh.refine_closure(eligible[:k])) if k else 0
+            extra = len(_refine_closure(mesh, eligible[:k])) if k else 0
             if mesh.n_active + 3 * extra <= cell_max:
                 best = tuple(eligible[:k])
         assert got.refine == best
@@ -96,7 +101,8 @@ def test_budget_pass_matches_brute_force_on_cascading_closures():
     order = sorted(range(n), key=lambda i: (-er[i], mesh.cell_id[i]))
     eligible = [mesh.cell_id[i] for i in order[: int(0.4 * n)]
                 if mesh.cell_level[i] < 4]
-    sizes = [len(mesh.refine_closure(eligible[:k])) for k in range(len(eligible) + 1)]
+    sizes = [len(_refine_closure(mesh, eligible[:k]))
+             for k in range(len(eligible) + 1)]
     # closures cascade: some single mark splits more than its own cell
     assert max(np.diff(sizes)) > 1
     kept = set()
@@ -273,6 +279,7 @@ def _dict_transfer(mesh, dofmap, fields, marks):
         return list(fields)
     new_dm = EGDofMap(new_mesh)
     old_index, new_index = _vertex_index(mesh), _vertex_index(new_mesh)
+    cell_index = {k: n for n, k in enumerate(mesh.cell_keys)}
     refined = sorted(report.refined)
     coarsened = set(report.coarsened)
 
@@ -287,16 +294,16 @@ def _dict_transfer(mesh, dofmap, fields, marks):
             tag[idx] = MERGED
             kids = [(key[0] + 1, 2 * key[1] + di, 2 * key[2] + dj)
                     for di in (0, 1) for dj in (0, 1)]
-            merged_children[idx] = [mesh.cell_index[k] for k in kids]
-        elif key in mesh.cell_index:
+            merged_children[idx] = [cell_index[k] for k in kids]
+        elif key in cell_index:
             tag[idx] = SAME
-            src[idx] = mesh.cell_index[key]
+            src[idx] = cell_index[key]
         else:
             tag[idx] = CHILD
             a = _parent_key(key)
-            while a not in mesh.cell_index:
+            while a not in cell_index:
                 a = _parent_key(a)
-            src[idx] = mesh.cell_index[a]
+            src[idx] = cell_index[a]
             d = key[0] - a[0]
             anchor_ref[idx, 0] = (key[1] - (a[1] << d) + 0.5) / (1 << d)
             anchor_ref[idx, 1] = (key[2] - (a[2] << d) + 0.5) / (1 << d)
@@ -387,3 +394,18 @@ def test_transfer_matches_dict_oracle(nx, ny, seed):
             assert got.name == want.name and got.data.shape == want.data.shape
             assert np.array_equal(got.data, want.data)
     assert changed > 0
+
+
+def test_transfer_rejects_a_mesh_two_refinements_below(monkeypatch):
+    # refining every cell twice is not one adapt: its cells have neither an
+    # old key, nor an old parent, nor four old children
+    mesh = build_uniform(UNIT, 2, 2)
+    dm = EGDofMap(mesh)
+    deep = mesh.refine(mesh.cell_id)
+    deep = deep.refine(deep.cell_id)
+    _, report = mesh.adapt(mesh.cell_id, ())
+    monkeypatch.setattr(QuadMesh, "adapt", lambda self, r, c: (deep, report))
+    marks = Marks(refine=tuple(mesh.cell_id), coarsen=(), generation=mesh.generation)
+    with pytest.raises(MeshError, match="one adapt"):
+        adapt_and_transfer(mesh, dm, [FieldState("c", "eg", np.zeros(dm.n_dofs))],
+                           marks)

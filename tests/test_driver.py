@@ -326,6 +326,17 @@ def test_config_validation_rules():
         make_config("manufactured", threads=4)      # no such knob
 
 
+def test_refinement_levels_outside_the_quadtree_are_config_errors(capsys):
+    with pytest.raises(ConfigError, match="level cap"):
+        make_config("perm_block", r_max=31)
+    with pytest.raises(ConfigError, match="negative"):
+        make_config("perm_block", r_max=31, r_min=-3)
+    with pytest.raises(ConfigError, match="negative"):
+        make_config("perm_block", r_min=-3)
+    assert main(["--scenario", "perm_block", "--r-max", "31"]) == 2
+    assert "level cap" in capsys.readouterr().err
+
+
 def test_radial_preset_short_run():
     # sealed box with a center source: the flow solve must survive the pure
     # Neumann pressure system and the mass ledger must follow the source rate

@@ -351,7 +351,7 @@ def test_constrained_master_raises():
     mesh = build_uniform(UNIT, 2, 2).refine([0])
     mesh = mesh.refine([mesh.locate(0.4, 0.3)])
     EGDofMap(mesh)
-    f = np.flatnonzero((mesh.face_owner == mesh.cell_index[(1, 1, 0)])
+    f = np.flatnonzero((mesh.face_owner == mesh.cell_keys.index((1, 1, 0)))
                        & (mesh.face_dir == EAST))
     assert mesh.face_kind[f].tolist() == [CONFORMING]
     doctored = copy.copy(mesh)

@@ -26,7 +26,7 @@ def test_uniform_counts():
     assert mesh.n_active == 4
     # 4 interior faces (2 vertical + 2 horizontal) + 8 boundary faces
     assert mesh.n_faces == 12
-    assert mesh.interior_face_count() == 4
+    assert (mesh.face_neighbor >= 0).sum() == 4
     assert np.allclose(mesh.cell_area, 0.25)
     assert mesh.total_area == pytest.approx(1.0)
 
@@ -165,7 +165,7 @@ def test_refine_closure_matches_adapt_and_keeps_receiver():
     for _ in range(10):
         ids = rng.choice(mesh.cell_id, size=rng.integers(1, 6), replace=False)
         _, report = mesh.adapt(ids, ())
-        assert mesh.refine_closure(ids) == set(report.refined)
+        assert set(mesh._walk(ids).splits) == set(report.refined)
         counts = mesh.closure_counts(list(ids))
         assert counts[-1] == len(report.refined)
         assert np.all(np.diff(counts) >= 0)
@@ -209,9 +209,7 @@ def _face_rows(mesh):
                     mesh.face_h.tolist()))
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**31 - 1))
-def test_face_table_matches_reference_rule(seed):
+def _random_mesh(seed):
     rng = np.random.default_rng(seed)
     nx, ny = (int(v) for v in rng.integers(1, 5, 2))
     mesh = build_uniform((0.0, -0.3, 1.7, 0.9), nx, ny)
@@ -222,6 +220,20 @@ def test_face_table_matches_reference_rule(seed):
         mesh, _ = mesh.adapt(rng.choice(ok, size=min(3, ok.size), replace=False),
                              rng.choice(mesh.cell_id, size=mesh.n_active // 3,
                                         replace=False))
+    return mesh
+
+
+def _level_cap_mesh():
+    mesh = build_uniform(UNIT, 3, 3)
+    for _ in range(30):
+        mesh = mesh.refine([mesh.locate(0.3, 0.3)])
+    return mesh
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_face_table_matches_reference_rule(seed):
+    mesh = _random_mesh(seed)
     assert _face_rows(mesh) == _reference_faces(mesh)
     for n in range(mesh.n_active):
         x0, y0, x1, y1 = mesh.cell(mesh.cell_id[n]).bbox
@@ -241,10 +253,49 @@ def test_hanging_faces_on_all_four_sides():
 def test_face_table_at_level_cap():
     # key codes of 3x3 roots at level 30 exceed int64, so the face lookup
     # runs on Python integers
-    mesh = build_uniform(UNIT, 3, 3)
-    for _ in range(30):
-        mesh = mesh.refine([mesh.locate(0.3, 0.3)])
+    mesh = _level_cap_mesh()
     assert mesh.cell_level.max() == 30 and mesh.balanced()
     assert _face_rows(mesh) == _reference_faces(mesh)
     with pytest.raises(MeshError):
         mesh.refine([mesh.locate(0.3, 0.3)])
+
+
+def _assert_find_cells_matches_dict(mesh):
+    # every active key, its parent, its children (one level past the finest
+    # at the level cap) and its face neighbors (off the root grid at its edge)
+    index = {k: n for n, k in enumerate(mesh.cell_keys)}
+    queries = set()
+    for lev, i, j in mesh.cell_keys:
+        queries.add((lev - 1, i >> 1, j >> 1))
+        queries.update((lev + 1, 2 * i + a, 2 * j + b) for a in (0, 1) for b in (0, 1))
+        queries.update((lev, i + a, j + b) for a, b in _STEP.values())
+    queries = sorted(queries.union(index))
+    lev, i, j = (list(c) for c in zip(*queries))
+    got = mesh.find_cells(lev, i, j)
+    assert got.tolist() == [index.get(q, -1) for q in queries]
+    assert (got >= 0).sum() == mesh.n_active
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_find_cells_matches_key_dict(seed):
+    mesh = _random_mesh(seed)
+    _assert_find_cells_matches_dict(mesh)
+    for n in range(mesh.n_active):
+        assert mesh.index_of_id(mesh.cell_id[n]) == n
+
+
+def test_find_cells_at_level_cap():
+    # key codes past int64 are Python integers
+    _assert_find_cells_matches_dict(_level_cap_mesh())
+
+
+def test_find_cells_off_the_mesh():
+    mesh = build_refined_corner()        # 2 x 2 roots, finest level 1
+    assert mesh.find_cells(1, 0, 0) >= 0
+    assert mesh.find_cells(2, 0, 0) == -1            # above the finest level
+    assert mesh.find_cells(40, 0, 0) == -1
+    assert mesh.find_cells(-1, 0, 0) == -1           # negative level
+    # outside the root grid on either side, in either direction
+    lev, i, j = [0, 0, 0, 0, 1, 1], [-1, 2, 0, 0, 4, 0], [0, 0, -1, 2, 0, -1]
+    assert mesh.find_cells(lev, i, j).tolist() == [-1] * 6
