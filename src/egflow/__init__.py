@@ -12,10 +12,9 @@ from .egspace import (AssemblyContext, AssemblyPlan, EGDofMap, QuadratureRule,
                       dof_count, eval_grad, eval_point, gauss_cell, gauss_face,
                       interpolate)
 from .linalg import GmresResult, LaggedLU, SolverError
-from .physics import (DispersionParams, PermeabilityField, ViscosityModel,
-                      dispersion_tensor, draw_centers, mix_viscosity,
-                      mobility, peclet, random_permeability,
-                      single_vortex_velocity)
+from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
+                      draw_centers, mix_viscosity, mobility,
+                      random_permeability, single_vortex_velocity)
 from .flow import (FaceFlux, FlowBC, FlowParams, assemble_pressure,
                    bdf_apply, bdf_coefficients, flux_from_velocity,
                    local_conservation_residual, reconstruct_flux,

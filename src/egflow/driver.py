@@ -451,23 +451,14 @@ def _edge_values(ctx: AssemblyContext, C):
         yield g.idx, np.broadcast_to(xL, CL.shape), np.broadcast_to(xR, CR.shape), CL, CR
 
 
-def _front_positions(xL, xR, CL, CR, threshold):
-    """Rightmost x with C >= threshold on each linear row segment (nan: none)."""
-    out = np.full(CL.shape, np.nan)
+def _crossings(xL, xR, CL, CR, threshold, rightmost: bool):
+    """Per linear row segment, the rightmost x with C >= threshold, or else
+    the leftmost x where C falls below it (nan: none)."""
     cross = (CL >= threshold) & (CR < threshold)
     denom = np.where(CR != CL, CR - CL, 1.0)
-    xc = xL + (threshold - CL) / denom * (xR - xL)
-    out = np.where(cross, xc, out)
-    return np.where(CR >= threshold, xR, out)
-
-
-def _drop_positions(xL, xR, CL, CR, threshold):
-    """Leftmost x where C falls below threshold on each segment (nan: none)."""
-    out = np.full(CL.shape, np.nan)
-    cross = (CL >= threshold) & (CR < threshold)
-    denom = np.where(CR != CL, CR - CL, 1.0)
-    xc = xL + (threshold - CL) / denom * (xR - xL)
-    out = np.where(cross, xc, out)
+    out = np.where(cross, xL + (threshold - CL) / denom * (xR - xL), np.nan)
+    if rightmost:
+        return np.where(CR >= threshold, xR, out)
     return np.where(CL < threshold, xL, out)
 
 
@@ -484,13 +475,13 @@ def finger_diagnostics(ctx: AssemblyContext, C) -> FingerDiagnostics:
     tip = lead = -np.inf
     trail = np.inf
     for _, xL, xR, CL, CR in _edge_values(ctx, C):
-        f = _front_positions(xL, xR, CL, CR, _TIP_LEVEL)
+        f = _crossings(xL, xR, CL, CR, _TIP_LEVEL, rightmost=True)
         if not np.all(np.isnan(f)):
             tip = max(tip, np.nanmax(f))
-        f = _front_positions(xL, xR, CL, CR, _LEAD_LEVEL)
+        f = _crossings(xL, xR, CL, CR, _LEAD_LEVEL, rightmost=True)
         if not np.all(np.isnan(f)):
             lead = max(lead, np.nanmax(f))
-        d = _drop_positions(xL, xR, CL, CR, _TRAIL_LEVEL)
+        d = _crossings(xL, xR, CL, CR, _TRAIL_LEVEL, rightmost=False)
         if not np.all(np.isnan(d)):
             trail = min(trail, np.nanmin(d))
     tip = 0.0 if tip == -np.inf else float(tip)
@@ -506,7 +497,7 @@ def tip_profile(ctx: AssemblyContext, C, bins: int,
     y0, y1 = ctx.mesh.domain[1], ctx.mesh.domain[3]
     prof = np.zeros(bins)
     for idx, xL, xR, CL, CR in _edge_values(ctx, C):
-        f = _front_positions(xL, xR, CL, CR, threshold)
+        f = _crossings(xL, xR, CL, CR, threshold, rightmost=True)
         rowmax = np.nanmax(np.where(np.isnan(f), -np.inf, f), axis=1)
         b = np.clip(((ctx.cell_center[idx, 1] - y0) / (y1 - y0) * bins
                      ).astype(int), 0, bins - 1)

@@ -420,6 +420,13 @@ def _boundary_reference(d: int):
             _frozen(_W3[:, None, None] * dN))
 
 
+def _trace_table(N: np.ndarray, dN: np.ndarray, h, normal) -> np.ndarray:
+    """(5, 6) map from one side's local dofs to its values and normal
+    derivatives at the 3 face points, for reference shapes N (3, 5) and
+    gradients dN (3, 5, 2) on a cell of size h = (hx, hy)."""
+    return np.hstack([N.T, ((dN / np.array(h)) @ normal).T])
+
+
 _INTERIOR_REF = {(d, k): _interior_reference(d, k)
                  for d in _DIRS for k in _INTERIOR_KINDS}
 _BOUNDARY_REF = {d: _boundary_reference(d) for d in _DIRS}
@@ -654,6 +661,9 @@ class CellGroup:
     table rows, each a flattened 5x5 local matrix: 0 mass, 1 stiffness,
     2:20 advection per (quadrature point, velocity component), 20:24
     diffusion per (d, e) tensor entry, 24:33 mass per quadrature point.
+    eval_table maps the 5 local dofs to the values at the 9 quadrature
+    points (columns 0:9), then to the physical gradients there (9:27, in
+    (point, component) order).
     """
 
     level: int
@@ -661,13 +671,12 @@ class CellGroup:
     dofs: np.ndarray
     hx: float
     hy: float
-    N: np.ndarray        # (9, 5)
-    dN: np.ndarray       # (9, 5, 2) physical gradients
     wq: np.ndarray       # (9,) physical weights (sum = cell area)
     qx: np.ndarray       # (m, 9)
     qy: np.ndarray
     table: np.ndarray    # (33, 25)
     wN: np.ndarray       # (9, 5) rhs weights wq * N
+    eval_table: np.ndarray  # (5, 27) local dofs -> 9 values, then 9 x 2 physical gradients
 
 
 @dataclass
@@ -681,6 +690,10 @@ class FaceGroup:
     jump x grad N per gradient component of the owner/neighbor side.
     Boundary table rows, each a flattened 5x5: 0 N x N, 1 N x (grad N . n),
     2 its transpose, 3:6 N x N per quadrature point.
+    eval_table maps the local dofs to the owner's values and normal
+    derivatives at the 3 quadrature points (columns 0:3, 3:6), and on
+    interior faces the neighbor's (6:9, 9:12); both derivatives are along
+    the owner normal.
     """
 
     dir: int
@@ -690,10 +703,6 @@ class FaceGroup:
     own: np.ndarray
     nb: np.ndarray | None
     dofs: np.ndarray     # (m, 10) interior, (m, 5) boundary
-    N_o: np.ndarray      # (3, 5)
-    dN_o: np.ndarray     # (3, 5, 2) physical
-    N_n: np.ndarray | None
-    dN_n: np.ndarray | None
     wq: np.ndarray       # (3,) physical weights (sum = h_e)
     h_e: float
     normal: np.ndarray
@@ -701,6 +710,7 @@ class FaceGroup:
     qx: np.ndarray       # (m, 3)
     qy: np.ndarray
     table: np.ndarray    # (15, 100) interior, (6, 25) boundary
+    eval_table: np.ndarray  # (10, 12) interior, (5, 6) boundary (see face_traces)
     wN: np.ndarray | None = None     # (3, 5) boundary rhs weights wq * N
     wdN: np.ndarray | None = None    # (3, 5) boundary rhs weights wq * grad N . n
 
@@ -720,6 +730,11 @@ class AssemblyContext:
     same for the right-hand side pieces of cells and boundary faces.  Faces
     that contribute nothing (Neumann, inflow) still pass zeros, so the
     pattern does not depend on the data.  Pressure and transport share it.
+
+    Evaluation: every group's `eval_table` maps its local dofs to values and
+    derivatives at its quadrature points, so `cell_values`, `cell_gradients`
+    and `face_traces` evaluate a coefficient vector with one matmul per
+    group.  `face_h_e` is each face's h_e, as its group holds it.
     """
 
     def __init__(self, mesh: QuadMesh, dofmap: EGDofMap | None = None):
@@ -737,13 +752,14 @@ class AssemblyContext:
             table = np.vstack([area * _REF_MASS, diff[0, 0] + diff[1, 1],
                                (area * inv[:, None] * _REF_ADV).reshape(18, 25),
                                diff.reshape(4, 25), area * _REF_SINK])
+            grads = (_CELL_DN / np.array([hx, hy])).transpose(1, 0, 2).reshape(5, 18)
             self.cell_groups.append(CellGroup(
                 level=int(lev), idx=idx, dofs=dm.cell_dofs[idx], hx=hx, hy=hy,
-                N=_CELL_N, dN=_CELL_DN / np.array([hx, hy]),
                 wq=_CELL_W * hx * hy,
                 qx=mesh.cell_x0[idx, None] + _CELL_PTS[None, :, 0] * hx,
                 qy=mesh.cell_y0[idx, None] + _CELL_PTS[None, :, 1] * hy,
                 table=table, wN=area * _REF_WN,
+                eval_table=np.hstack([_CELL_N.T, grads]),
             ))
 
         # face classes in (direction, kind, owner level) order
@@ -755,6 +771,7 @@ class AssemblyContext:
         ends = np.append(starts[1:], order.size)
         self.interior_groups: list[FaceGroup] = []
         self.boundary_groups: list[FaceGroup] = []
+        self.face_h_e = np.empty(mesh.n_faces)
         for c, s, e in zip(codes.tolist(), starts, ends):
             d, kind, lev = c // (4 * n_lev), (c // n_lev) % 4, c % n_lev
             faces = order[s:e]
@@ -763,9 +780,10 @@ class AssemblyContext:
             h_e = hy if d in (EAST, WEST) else hx
             inv = np.array([1.0 / hx, 1.0 / hy])
             normal = DIR_NORMAL[d].copy()
+            self.face_h_e[faces] = h_e
+            own_trace = _trace_table(_FACE_N[d], _FACE_DN[d], (hx, hy), normal)
             common = dict(
                 dir=d, kind=kind, level=lev, idx=faces, own=own,
-                N_o=_FACE_N[d], dN_o=_FACE_DN[d] / np.array([hx, hy]),
                 wq=_W3 * h_e, h_e=h_e, normal=normal,
                 qx=mesh.cell_x0[own][:, None] + _FACE_PTS[d][None, :, 0] * hx,
                 qy=mesh.cell_y0[own][:, None] + _FACE_PTS[d][None, :, 1] * hy,
@@ -776,8 +794,8 @@ class AssemblyContext:
                 table = np.vstack([h_e * nn.sum(axis=0), ndn,
                                    _transpose(ndn, 5), h_e * nn])
                 self.boundary_groups.append(FaceGroup(
-                    nb=None, dofs=dm.cell_dofs[own], N_n=None, dN_n=None,
-                    boundary=BOUNDARY_NAME[d], table=table, wN=h_e * wN,
+                    nb=None, dofs=dm.cell_dofs[own], boundary=BOUNDARY_NAME[d],
+                    table=table, eval_table=own_trace, wN=h_e * wN,
                     wdN=h_e * (wdN @ (normal * inv)), **common,
                 ))
             else:
@@ -790,11 +808,13 @@ class AssemblyContext:
                 table = np.vstack([h_e * jj, g_o, g_n, _transpose(g_o, 10),
                                    _transpose(g_n, 10), h_e * up.reshape(6, 100),
                                    f_o, f_n])
+                trace = np.zeros((10, 12))
+                trace[:5, :6] = own_trace
+                trace[5:, 6:] = _trace_table(_NB_N[d, kind], _NB_DN[d, kind],
+                                             (hx * scale, hy * scale), normal)
                 self.interior_groups.append(FaceGroup(
                     nb=nb, dofs=np.hstack([dm.cell_dofs[own], dm.cell_dofs[nb]]),
-                    N_n=_NB_N[d, kind],
-                    dN_n=_NB_DN[d, kind] / np.array([hx * scale, hy * scale]),
-                    boundary=None, table=table, **common,
+                    boundary=None, table=table, eval_table=trace, **common,
                 ))
         self.face_groups = self.interior_groups + self.boundary_groups
 
@@ -843,15 +863,28 @@ class AssemblyContext:
         """(n_cells, 9) values at the volume quadrature points."""
         out = np.empty((self.mesh.n_active, 9))
         for g in self.cell_groups:
-            out[g.idx] = np.einsum("qb,mb->mq", g.N, coeffs[g.dofs])
+            out[g.idx] = coeffs[g.dofs] @ g.eval_table[:, :9]
         return out
 
     def cell_gradients(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_cells, 9, 2) physical gradients at the volume quadrature points."""
-        out = np.empty((self.mesh.n_active, 9, 2))
+        out = np.empty((self.mesh.n_active, 18))
         for g in self.cell_groups:
-            out[g.idx] = np.einsum("qbd,mb->mqd", g.dN, coeffs[g.dofs])
-        return out
+            out[g.idx] = coeffs[g.dofs] @ g.eval_table[:, 9:]
+        return out.reshape(-1, 9, 2)
+
+    def face_traces(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and normal derivatives at the face quadrature points.
+
+        Returns two (n_faces, 2, 3) arrays, side 0 the owner and side 1 the
+        neighbor, the derivatives along the owner normal; the neighbor side
+        of a boundary face is 0.
+        """
+        out = np.zeros((self.mesh.n_faces, 12))
+        for g in self.face_groups:
+            out[g.idx, :g.eval_table.shape[1]] = coeffs[g.dofs] @ g.eval_table
+        out = out.reshape(-1, 2, 2, 3)
+        return out[:, :, 0], out[:, :, 1]
 
 
 def cell_field_values(ctx: AssemblyContext, field) -> np.ndarray:

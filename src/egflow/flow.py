@@ -25,10 +25,11 @@ from .egspace import (
     cell_field_values,
     face_field_values,
     fix_gauge,
+    gauss_cell,
     gauss_face,
-    q1_grads,
 )
 from .linalg import GmresResult, LaggedLU, SolverError
+from .mesh import DIR_NORMAL
 
 __all__ = [
     "FaceFlux",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 _SIDES = ("left", "right", "bottom", "top")
+_NORMALS = np.array([DIR_NORMAL[d] for d in range(4)])     # by face direction
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,15 @@ def weights(kappa_plus, kappa_minus, normal) -> tuple[np.ndarray, np.ndarray]:
     return beta, kappa_e
 
 
+def _per_cell(mesh, kappa_cells) -> np.ndarray:
+    kappa_cells = np.asarray(kappa_cells, dtype=float)
+    if kappa_cells.shape != (mesh.n_active,):
+        raise ValueError(
+            f"kappa must be per-cell, expected ({mesh.n_active},), got {kappa_cells.shape}"
+        )
+    return kappa_cells
+
+
 def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
                           m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Constant-pressure mode and its image under the sealed-box operator.
@@ -211,11 +222,7 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     m_eff = params.bdf_order if m is None else m
     a0, a1, a2 = bdf_coefficients(m_eff, dt)
     rho0, alpha, theta = params.rho0, params.alpha, params.theta
-    kappa_cells = np.asarray(kappa_cells, dtype=float)
-    if kappa_cells.shape != (mesh.n_active,):
-        raise ValueError(
-            f"kappa must be per-cell, expected ({mesh.n_active},), got {kappa_cells.shape}"
-        )
+    kappa_cells = _per_cell(mesh, kappa_cells)
 
     mass_coef = rho0 * params.phi * params.c_F
     if mass_coef != 0.0 and P_n is None:
@@ -331,44 +338,35 @@ def reconstruct_flux(ctx: AssemblyContext, P: np.ndarray, kappa_cells, bc: FlowB
     Interior faces combine the permeability-weighted gradient average with
     the penalty times the pressure jump, exactly as the bilinear form sees
     them; Neumann faces carry the prescribed mass flux over rho0; Dirichlet
-    faces penalize the deviation from the boundary pressure.
+    faces penalize the deviation from the boundary pressure.  The centre
+    velocity is the Gauss mean of the cell's quadrature-point velocities,
+    exact because the gradient of a bilinear function is linear in each
+    coordinate.
     """
     mesh = ctx.mesh
-    kappa_cells = np.asarray(kappa_cells, dtype=float)
+    kappa_cells = _per_cell(mesh, kappa_cells)
     rho0, alpha = params.rho0, params.alpha
 
-    grad = ctx.cell_gradients(P)                  # (nc, 9, 2)
-    cell_velocity = -kappa_cells[:, None, None] * grad
-    dNc = q1_grads(0.5, 0.5)                      # (5, 2) reference
-    center_velocity = np.empty((mesh.n_active, 2))
-    for g in ctx.cell_groups:
-        dN = dNc.copy()
-        dN[:, 0] /= g.hx
-        dN[:, 1] /= g.hy
-        gc = np.einsum("bd,mb->md", dN, P[g.dofs])
-        center_velocity[g.idx] = -kappa_cells[g.idx][:, None] * gc
+    cell_velocity = -kappa_cells[:, None, None] * ctx.cell_gradients(P)
+    center_velocity = gauss_cell().weights @ cell_velocity
 
+    vals, ders = ctx.face_traces(P)
+    Po, Pn, go, gn = vals[:, 0], vals[:, 1], ders[:, 0], ders[:, 1]
+    ko = kappa_cells[mesh.face_owner][:, None]
+    alpha_h = (alpha / ctx.face_h_e)[:, None]
     face_un = np.empty((mesh.n_faces, 3))
-    for g in ctx.face_groups:
-        nrm = g.normal
-        Po = np.einsum("qb,mb->mq", g.N_o, P[g.dofs[:, :5]])
-        go = np.einsum("qbd,mb,d->mq", g.dN_o, P[g.dofs[:, :5]], nrm)
-        if g.nb is not None:
-            Pn = np.einsum("qb,mb->mq", g.N_n, P[g.dofs[:, 5:]])
-            gn = np.einsum("qbd,mb,d->mq", g.dN_n, P[g.dofs[:, 5:]], nrm)
-            ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
-            beta, kap_e = weights(ko, kn, nrm)
-            un = -(beta[:, None] * ko[:, None] * go
-                   + (1.0 - beta[:, None]) * kn[:, None] * gn) \
-                + (alpha / g.h_e) * kap_e[:, None] * (Po - Pn)
-        elif bc.is_dirichlet(g.boundary):
+    i = np.flatnonzero(mesh.face_neighbor >= 0)
+    kn = kappa_cells[mesh.face_neighbor[i]]
+    beta, kap_e = weights(ko[i, 0], kn, _NORMALS[mesh.face_dir[i]])
+    face_un[i] = -(beta[:, None] * ko[i] * go[i] + (1.0 - beta[:, None]) * kn[:, None] * gn[i]) \
+        + alpha_h[i] * kap_e[:, None] * (Po[i] - Pn[i])
+    for g in ctx.boundary_groups:
+        f = g.idx
+        if bc.is_dirichlet(g.boundary):
             gD = face_field_values(g, bc.dirichlet[g.boundary])
-            ko = kappa_cells[g.own][:, None]
-            un = -ko * go + (alpha / g.h_e) * ko * (Po - gD)
+            face_un[f] = -ko[f] * go[f] + alpha_h[f] * ko[f] * (Po[f] - gD)
         else:
-            gN = face_field_values(g, bc.neumann[g.boundary])
-            un = gN / rho0
-        face_un[g.idx] = un
+            face_un[f] = face_field_values(g, bc.neumann[g.boundary]) / rho0
     return FaceFlux(face_un=face_un, cell_velocity=cell_velocity,
                     center_velocity=center_velocity)
 

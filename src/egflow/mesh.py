@@ -339,10 +339,6 @@ class QuadMesh:
         return Cell(id=cid, level=key[0], bbox=self._bbox(key), active=True,
                     parent=parent, children=None)
 
-    def cells(self):
-        for k in self.cell_keys:
-            yield self.cell(self._active[k])
-
     def face(self, f: int) -> Face:
         nb = int(self.face_neighbor[f])
         d = int(self.face_dir[f])

@@ -14,13 +14,11 @@ import numpy as np
 
 __all__ = [
     "DispersionParams",
-    "PermeabilityField",
     "ViscosityModel",
     "dispersion_tensor",
     "draw_centers",
     "mix_viscosity",
     "mobility",
-    "peclet",
     "random_permeability",
     "single_vortex_velocity",
 ]
@@ -98,22 +96,6 @@ def mobility(K, model: ViscosityModel, c):
     return np.asarray(K, dtype=float) / mix_viscosity(model, c)
 
 
-@dataclass(frozen=True)
-class PermeabilityField:
-    """Scalar isotropic permeability evaluator K(x, y) > 0."""
-
-    fn: object
-
-    def __call__(self, x, y):
-        return np.asarray(self.fn(x, y), dtype=float)
-
-    @staticmethod
-    def constant(value: float) -> "PermeabilityField":
-        if value <= 0:
-            raise ValueError(f"permeability must be positive, got {value}")
-        return PermeabilityField(lambda x, y: np.full_like(np.asarray(x, float), value))
-
-
 def draw_centers(n: int, domain, rng: np.random.Generator) -> np.ndarray:
     """n uniformly random bump centers inside the rectangle (seeded RNG)."""
     x0, y0, x1, y1 = domain
@@ -152,10 +134,3 @@ def single_vortex_velocity(x, y, t: float, T_p: float):
     ux = -2.0 * np.sin(np.pi * y) * np.sin(np.pi * x) ** 2 * np.cos(np.pi * y) * a
     uy = 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y) ** 2 * np.cos(np.pi * x) * a
     return np.stack([ux, uy], axis=-1)
-
-
-def peclet(L: float, U_L: float, d_m: float) -> float:
-    """Peclet number L U_L / d_m; rejects d_m = 0."""
-    if d_m == 0:
-        raise ValueError("Peclet number undefined for zero molecular diffusivity")
-    return L * U_L / d_m

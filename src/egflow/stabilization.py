@@ -125,8 +125,7 @@ def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
     R = a0 * E + a1 * entropy_eval(config, ctx.cell_values(C_n))[0]
     if m == 2:
         R += a2 * entropy_eval(config, ctx.cell_values(C_nm1))[0]
-    grad = ctx.cell_gradients(C_star)
-    R += Ep * np.einsum("mqd,mqd->mq", np.asarray(U_qp, dtype=float), grad)
+    R += Ep * (np.asarray(U_qp, dtype=float) * ctx.cell_gradients(C_star)).sum(axis=2)
     if q_tilde_qp is not None:
         R -= Ep * np.asarray(q_tilde_qp, dtype=float)
     return np.abs(R).max(axis=1)
@@ -135,16 +134,9 @@ def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
 def face_residual(config: EntropyConfig, ctx: AssemblyContext, C_star,
                   flux: FaceFlux) -> np.ndarray:
     """Per-face jump residual h_e^{-1} |U.n| |[E(C*)]|, zero on the boundary."""
-    mesh = ctx.mesh
-    J = np.zeros(mesh.n_faces)
-    for g in ctx.face_groups:
-        if g.nb is None:
-            continue
-        Eo = entropy_eval(config, np.einsum("qb,mb->mq", g.N_o, C_star[g.dofs[:, :5]]))[0]
-        En = entropy_eval(config, np.einsum("qb,mb->mq", g.N_n, C_star[g.dofs[:, 5:]]))[0]
-        un = flux.face_un[g.idx]
-        J[g.idx] = (np.abs(un) * np.abs(Eo - En)).max(axis=1) / g.h_e
-    return J
+    E = entropy_eval(config, ctx.face_traces(C_star)[0])[0]
+    J = (np.abs(flux.face_un) * np.abs(E[:, 0] - E[:, 1])).max(axis=1) / ctx.face_h_e
+    return np.where(ctx.mesh.face_neighbor >= 0, J, 0.0)
 
 
 def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
@@ -163,14 +155,18 @@ def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
 
 def entropy_normalization(config: EntropyConfig, ctx: AssemblyContext, C_star) -> float:
     """Sup-norm over the domain of E(C*) minus its domain mean."""
-    E = entropy_eval(config, ctx.cell_values(C_star))[0]
+    return _normalization(ctx, entropy_eval(config, ctx.cell_values(C_star))[0])
+
+
+def _normalization(ctx: AssemblyContext, E: np.ndarray) -> float:
+    """entropy_normalization from E(C*) at the volume quadrature points."""
     mesh = ctx.mesh
     mean = float((E @ gauss_cell().weights * mesh.cell_area).sum() / mesh.total_area)
     return float(np.abs(E - mean).max())
 
 
 def viscosity(config: EntropyConfig, ctx: AssemblyContext, ind: IndicatorField,
-              flux: FaceFlux, C_star, normalization: float | None = None) -> ViscosityField:
+              flux: FaceFlux, C_star) -> ViscosityField:
     """Per-cell min(first-order, entropy) viscosity.
 
     mu_lin = lambda_lin * h_T * max|U| over the cell's quadrature points;
@@ -184,8 +180,7 @@ def viscosity(config: EntropyConfig, ctx: AssemblyContext, ind: IndicatorField,
     mu_lin = config.lambda_lin * h * speed
     E = entropy_eval(config, ctx.cell_values(C_star))[0]
     scale = max(1.0, float(np.abs(E).max()))
-    norm = entropy_normalization(config, ctx, C_star) if normalization is None \
-        else float(normalization)
+    norm = _normalization(ctx, E)
     if norm < 1e-14 * scale:
         zero = np.zeros(ctx.mesh.n_active)
         return ViscosityField(mu_stab=zero, mu_lin=mu_lin,

@@ -1,23 +1,32 @@
 """Table assembly into the reduced, pinned system against the per-term einsum
-oracle reduced by P^T A P; the shared plan."""
+oracle reduced by P^T A P; the shared plan; flux recovery and the entropy
+indicator, evaluated through the context's tables, against the einsum
+evaluators."""
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from egflow import egspace
+from egflow import egspace, stabilization
 from egflow.driver import make_config, run
 from egflow.egspace import (
     AssemblyContext,
+    CellGroup,
     EGDofMap,
     Scatter,
     _unique_inverse,
     cell_field_values,
     face_field_values,
+    gauss_cell,
+    gauss_face,
+    interpolate,
+    q1_grads,
+    q1_values,
 )
 from egflow.flow import (
     FaceFlux,
@@ -26,9 +35,11 @@ from egflow.flow import (
     assemble_pressure,
     bdf_coefficients,
     neutral_pressure_mode,
+    reconstruct_flux,
     weights,
 )
-from egflow.mesh import BOUNDARY, HANGING_HIGH, HANGING_LOW, build_uniform
+from egflow.mesh import BOUNDARY, CONFORMING, HANGING_HIGH, HANGING_LOW, build_uniform
+from egflow.stabilization import EntropyConfig, entropy_eval, face_residual, indicator
 from egflow.transport import (
     SourceField,
     TransportBC,
@@ -40,6 +51,26 @@ from egflow.transport import (
 
 # ---------------------------------------------------------------------------
 # oracle: one einsum per term over the face and cell groups
+
+
+def _shaped(ctx, groups):
+    """The groups with the shape arrays the oracle reads, from q1_values and
+    q1_grads at each group's reference points, gradients physical: N, dN on
+    a cell group; N_o, dN_o on a face group and N_n, dN_n on interior ones."""
+    for g in groups:
+        if isinstance(g, CellGroup):
+            pts = gauss_cell().points
+            yield SimpleNamespace(**vars(g), N=q1_values(*pts.T),
+                                  dN=q1_grads(*pts.T) / np.array([g.hx, g.hy]))
+            continue
+        h = np.array(ctx.mesh._cell_size(g.level))
+        pts = egspace._face_ref_coords(g.dir, gauss_face().points)
+        shapes = dict(N_o=q1_values(*pts.T), dN_o=q1_grads(*pts.T) / h)
+        if g.nb is not None:
+            pts = egspace._neighbor_ref_coords(g.dir, g.kind, gauss_face().points)
+            scale = 1.0 if g.kind == CONFORMING else 2.0
+            shapes.update(N_n=q1_values(*pts.T), dN_n=q1_grads(*pts.T) / (h * scale))
+        yield SimpleNamespace(**vars(g), **shapes)
 
 
 def _coo(rows, cols, vals, n):
@@ -65,7 +96,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
     b = np.zeros(n)
     mass_coef = rho0 * params.phi * params.c_F
     q_qp = cell_field_values(ctx, q_field)
-    for g in ctx.cell_groups:
+    for g in _shaped(ctx, ctx.cell_groups):
         mloc = np.einsum("q,qa,qb->ab", g.wq, g.N, g.N)
         kloc = np.einsum("q,qad,qbd->ab", g.wq, g.dN, g.dN)
         contrib = (mass_coef * a0) * mloc[None, :, :] \
@@ -78,7 +109,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
                 hist -= a2 * P_nm1[g.dofs]
             rhs += mass_coef * np.einsum("ab,mb->ma", mloc, hist)
         np.add.at(b, g.dofs.ravel(), rhs.ravel())
-    for g in ctx.face_groups:
+    for g in _shaped(ctx, ctx.face_groups):
         nrm = g.normal
         if g.nb is not None:
             ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
@@ -124,7 +155,7 @@ def _oracle_transport(ctx, params, bc, flux, D_cells, mu_cells, C_n,
     n = dm.n_dofs
     rows, cols, vals = [], [], []
     b = np.zeros(n)
-    for g in ctx.cell_groups:
+    for g in _shaped(ctx, ctx.cell_groups):
         mloc = np.einsum("q,qa,qb->ab", g.wq, g.N, g.N)
         contrib = (mass_coef * a0) * np.broadcast_to(mloc, (g.idx.size, 5, 5)).copy()
         U = flux.cell_velocity[g.idx]
@@ -144,7 +175,7 @@ def _oracle_transport(ctx, params, bc, flux, D_cells, mu_cells, C_n,
         rhs += np.einsum("q,qa,mq->ma", g.wq, g.N, sources.c_q * qp_pos[g.idx])
         np.add.at(b, g.dofs.ravel(), rhs.ravel())
     mean_un = flux.mean_un
-    for g in ctx.face_groups:
+    for g in _shaped(ctx, ctx.face_groups):
         un = flux.face_un[g.idx]
         if g.nb is not None:
             No_pad = np.pad(g.N_o, ((0, 0), (0, 5)))
@@ -310,13 +341,129 @@ def test_neutral_mode_matches_oracle():
     params = FlowParams(c_F=1e-3, rho0=3.0)
     z, w = neutral_pressure_mode(ctx, params, 0.1, m=2)
     z_ref, w_ref = np.zeros(ctx.dofmap.n_dofs), np.zeros(ctx.dofmap.n_dofs)
-    for g in ctx.cell_groups:
+    for g in _shaped(ctx, ctx.cell_groups):
         z_ref[g.dofs[:, :4]] = 1.0
         wloc = np.einsum("q,qa->a", g.wq, g.N)
         np.add.at(w_ref, g.dofs.ravel(), np.broadcast_to(wloc, g.dofs.shape).ravel())
     w_ref *= params.rho0 * params.phi * params.c_F * bdf_coefficients(2, 0.1)[0]
     assert np.array_equal(z, z_ref)
     assert np.abs(w - w_ref).max() <= 1e-14 * np.abs(w_ref).max()
+
+
+# ---------------------------------------------------------------------------
+# evaluation: flux recovery and the indicator against the einsum evaluators
+
+
+def _oracle_cell_values(ctx, coeffs):
+    out = np.empty((ctx.mesh.n_active, 9))
+    for g in _shaped(ctx, ctx.cell_groups):
+        out[g.idx] = np.einsum("qb,mb->mq", g.N, coeffs[g.dofs])
+    return out
+
+
+def _oracle_cell_gradients(ctx, coeffs):
+    out = np.empty((ctx.mesh.n_active, 9, 2))
+    for g in _shaped(ctx, ctx.cell_groups):
+        out[g.idx] = np.einsum("qbd,mb->mqd", g.dN, coeffs[g.dofs])
+    return out
+
+
+def _oracle_flux(ctx, P, kappa_cells, bc, params):
+    mesh = ctx.mesh
+    rho0, alpha = params.rho0, params.alpha
+    cell_velocity = -kappa_cells[:, None, None] * _oracle_cell_gradients(ctx, P)
+    dNc = q1_grads(0.5, 0.5)
+    center_velocity = np.empty((mesh.n_active, 2))
+    for g in ctx.cell_groups:
+        gc = np.einsum("bd,mb->md", dNc / np.array([g.hx, g.hy]), P[g.dofs])
+        center_velocity[g.idx] = -kappa_cells[g.idx][:, None] * gc
+    face_un = np.empty((mesh.n_faces, 3))
+    for g in _shaped(ctx, ctx.face_groups):
+        nrm = g.normal
+        Po = np.einsum("qb,mb->mq", g.N_o, P[g.dofs[:, :5]])
+        go = np.einsum("qbd,mb,d->mq", g.dN_o, P[g.dofs[:, :5]], nrm)
+        if g.nb is not None:
+            Pn = np.einsum("qb,mb->mq", g.N_n, P[g.dofs[:, 5:]])
+            gn = np.einsum("qbd,mb,d->mq", g.dN_n, P[g.dofs[:, 5:]], nrm)
+            ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
+            beta, kap_e = weights(ko, kn, nrm)
+            un = -(beta[:, None] * ko[:, None] * go
+                   + (1.0 - beta[:, None]) * kn[:, None] * gn) \
+                + (alpha / g.h_e) * kap_e[:, None] * (Po - Pn)
+        elif bc.is_dirichlet(g.boundary):
+            gD = face_field_values(g, bc.dirichlet[g.boundary])
+            ko = kappa_cells[g.own][:, None]
+            un = -ko * go + (alpha / g.h_e) * ko * (Po - gD)
+        else:
+            un = face_field_values(g, bc.neumann[g.boundary]) / rho0
+        face_un[g.idx] = un
+    return FaceFlux(face_un=face_un, cell_velocity=cell_velocity,
+                    center_velocity=center_velocity)
+
+
+def _oracle_face_residual(config, ctx, C_star, flux):
+    J = np.zeros(ctx.mesh.n_faces)
+    for g in _shaped(ctx, ctx.interior_groups):
+        Eo = entropy_eval(config, np.einsum("qb,mb->mq", g.N_o, C_star[g.dofs[:, :5]]))[0]
+        En = entropy_eval(config, np.einsum("qb,mb->mq", g.N_n, C_star[g.dofs[:, 5:]]))[0]
+        un = flux.face_un[g.idx]
+        J[g.idx] = (np.abs(un) * np.abs(Eo - En)).max(axis=1) / g.h_e
+    return J
+
+
+def _rel_close(a, ref, tol=1e-13):
+    assert a.shape == ref.shape
+    assert np.abs(a - ref).max() <= tol * np.abs(ref).max()
+
+
+FLOW_BC = FlowBC(dirichlet={s: SIDE_DATA[s] for s in ("left", "bottom")},
+                 neumann={s: SIDE_DATA[s] for s in ("right", "top")})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flux_matches_oracle(seed):
+    ctx, rng = _random_context(seed)
+    P = ctx.dofmap.distribute(rng.standard_normal(ctx.dofmap.n_dofs))
+    kappa = np.exp(rng.standard_normal(ctx.mesh.n_active))
+    params = FlowParams(rho0=2.0, alpha=5.0)
+    flux = reconstruct_flux(ctx, P, kappa, FLOW_BC, params)
+    ref = _oracle_flux(ctx, P, kappa, FLOW_BC, params)
+    _rel_close(flux.face_un, ref.face_un)
+    _rel_close(flux.cell_velocity, ref.cell_velocity)
+    _rel_close(flux.center_velocity, ref.center_velocity)
+    _rel_close(ctx.cell_values(P), _oracle_cell_values(ctx, P))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["power", "log"])
+def test_indicator_matches_oracle(seed, kind, monkeypatch):
+    ctx, rng = _random_context(seed)
+    dm = ctx.dofmap
+    C_n, C_nm1 = (dm.distribute(rng.random(dm.n_dofs)) for _ in range(2))
+    C_star = 2.0 * C_n - C_nm1
+    flux = _random_flux(ctx, rng)
+    q = rng.standard_normal((ctx.mesh.n_active, 9))
+    cfg = EntropyConfig(kind=kind)
+    J = face_residual(cfg, ctx, C_star, flux)
+    _rel_close(J, _oracle_face_residual(cfg, ctx, C_star, flux))
+    er = indicator(cfg, ctx, C_star, C_n, C_nm1, flux, q, dt=0.1, m=2).er
+    monkeypatch.setattr(ctx, "cell_values", lambda c: _oracle_cell_values(ctx, c))
+    monkeypatch.setattr(ctx, "cell_gradients", lambda c: _oracle_cell_gradients(ctx, c))
+    monkeypatch.setattr(stabilization, "face_residual", _oracle_face_residual)
+    _rel_close(er, indicator(cfg, ctx, C_star, C_n, C_nm1, flux, q, dt=0.1, m=2).er)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_center_velocity_of_bilinear_field(seed):
+    # the Gauss mean of a bilinear function's gradient is its centre value
+    ctx, rng = _random_context(seed)
+    a, b, c, d = rng.standard_normal(4)
+    P = interpolate(lambda x, y: a + b * x + c * y + d * x * y, ctx.mesh, ctx.dofmap)
+    kappa = np.exp(rng.standard_normal(ctx.mesh.n_active))
+    flux = reconstruct_flux(ctx, P, kappa, FLOW_BC, FlowParams())
+    xc, yc = ctx.cell_center.T
+    exact = -kappa[:, None] * np.stack([b + d * yc, c + d * xc], axis=1)
+    _rel_close(flux.center_velocity, exact, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,14 @@ def test_reconstructed_flux_locally_conservative():
     assert np.abs(r).max() < 1e-10
 
 
+def test_flux_rejects_mobility_that_is_not_per_cell():
+    ctx = _context(2, 2)
+    P = np.zeros(ctx.dofmap.n_dofs)
+    for kappa in (1.0, np.ones(ctx.mesh.n_active + 1), np.ones((ctx.mesh.n_active, 2, 2))):
+        with pytest.raises(ValueError, match=r"kappa must be per-cell, expected \(4,\)"):
+            reconstruct_flux(ctx, P, kappa, LEFT_RIGHT_FLOW, FlowParams())
+
+
 def test_conservation_detects_imbalance():
     # an analytic field with nonzero divergence must show up in the residual
     ctx = _context(4, 4)

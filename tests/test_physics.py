@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from egflow.physics import (
-    PermeabilityField,
     ViscosityModel,
     dispersion_tensor,
     DispersionParams,
     draw_centers,
     mix_viscosity,
     mobility,
-    peclet,
     random_permeability,
     single_vortex_velocity,
 )
@@ -109,19 +107,6 @@ def test_vortex_no_normal_flow_on_walls():
         assert single_vortex_velocity(1.0, s, 0.3, 2.0)[0] == pytest.approx(0.0, abs=1e-14)
         assert single_vortex_velocity(s, 0.0, 0.3, 2.0)[1] == pytest.approx(0.0, abs=1e-14)
         assert single_vortex_velocity(s, 1.0, 0.3, 2.0)[1] == pytest.approx(0.0, abs=1e-14)
-
-
-def test_peclet_oracle():
-    assert peclet(1.0, 0.05, 1.8e-8) == pytest.approx(2777777.777777778, rel=1e-13)
-    with pytest.raises(ValueError):
-        peclet(1.0, 0.05, 0.0)
-
-
-def test_constant_field_validation():
-    f = PermeabilityField.constant(2.5)
-    assert f(np.array([0.1]), np.array([0.2]))[0] == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        PermeabilityField.constant(0.0)
 
 
 def test_random_permeability_clamped_and_seeded():
