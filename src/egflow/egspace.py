@@ -21,6 +21,8 @@ appears here with cellwise-constant coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -141,7 +143,7 @@ class EGDofMap:
         s = top - lev
         X = ((ci[:, None] + (0, 1, 0, 1)) << s[:, None]).ravel()  # SW, SE, NW, NE
         Y = ((cj[:, None] + (0, 0, 1, 1)) << s[:, None]).ravel()
-        self._codes, inverse = _unique_inverse(self._code(X, Y), bound)
+        self._codes, _, inverse = _unique_inverse(self._code(X, Y), bound)
         self.n_cg = self._codes.size
         self.n_const = mesh.n_active
         self.n_dofs = self.n_cg + self.n_const
@@ -379,6 +381,7 @@ _CELL_W = _frozen(gauss_cell().weights)
 _CELL_N = _frozen(q1_values(*_CELL_PTS.T))                      # (9, 5)
 _CELL_DN = _frozen(q1_grads(*_CELL_PTS.T))                      # (9, 5, 2)
 _FACE_PTS = {d: _frozen(_face_ref_coords(d, _G3)) for d in _DIRS}
+_FACE_PTS_BY_DIR = _frozen(np.stack([_FACE_PTS[d] for d in range(4)]))
 _FACE_N = {d: _frozen(q1_values(*p.T)) for d, p in _FACE_PTS.items()}
 _FACE_DN = {d: _frozen(q1_grads(*p.T)) for d, p in _FACE_PTS.items()}
 _NB_PTS = {(d, k): _neighbor_ref_coords(d, k, _G3)
@@ -432,6 +435,48 @@ _INTERIOR_REF = {(d, k): _interior_reference(d, k)
 _BOUNDARY_REF = {d: _boundary_reference(d) for d in _DIRS}
 
 
+@lru_cache(maxsize=256)
+def _cell_tables(hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A cell group's read-only (table, wN, eval_table) for hx x hy cells
+    (layouts in CellGroup)."""
+    area, inv = hx * hy, np.array([1.0 / hx, 1.0 / hy])
+    diff = area * np.outer(inv, inv)[:, :, None] * _REF_DIFF
+    table = np.vstack([area * _REF_MASS, diff[0, 0] + diff[1, 1],
+                       (area * inv[:, None] * _REF_ADV).reshape(18, 25),
+                       diff.reshape(4, 25), area * _REF_SINK])
+    grads = (_CELL_DN / np.array([hx, hy])).transpose(1, 0, 2).reshape(5, 18)
+    return _frozen(table), _frozen(area * _REF_WN), _frozen(np.hstack([_CELL_N.T, grads]))
+
+
+@lru_cache(maxsize=256)
+def _face_tables(d: int, kind: int, hx: float, hy: float):
+    """A face group's read-only (table, eval_table, wN, wdN) for direction d,
+    face kind `kind` and hx x hy owner cells (layouts in FaceGroup); wN and
+    wdN are None on interior faces."""
+    h_e = hy if d in (EAST, WEST) else hx
+    inv = np.array([1.0 / hx, 1.0 / hy])
+    normal = DIR_NORMAL[d]
+    own_trace = _trace_table(_FACE_N[d], _FACE_DN[d], (hx, hy), normal)
+    if kind == BOUNDARY:
+        nn, ndn, wN, wdN = _BOUNDARY_REF[d]
+        ndn = h_e * ((normal * inv) @ ndn)
+        table = np.vstack([h_e * nn.sum(axis=0), ndn, _transpose(ndn, 5), h_e * nn])
+        return (_frozen(table), _frozen(own_trace), _frozen(h_e * wN),
+                _frozen(h_e * (wdN @ (normal * inv))))
+    scale = 1.0 if kind == CONFORMING else 2.0
+    jj, up, flux = _INTERIOR_REF[d, kind]
+    f_o = h_e * inv[:, None] * flux[0]
+    f_n = (h_e / scale) * inv[:, None] * flux[1]
+    g_o, g_n = normal @ f_o, normal @ f_n
+    table = np.vstack([h_e * jj, g_o, g_n, _transpose(g_o, 10), _transpose(g_n, 10),
+                       h_e * up.reshape(6, 100), f_o, f_n])
+    trace = np.zeros((10, 12))
+    trace[:5, :6] = own_trace
+    trace[5:, 6:] = _trace_table(_NB_N[d, kind], _NB_DN[d, kind],
+                                 (hx * scale, hy * scale), normal)
+    return _frozen(table), _frozen(trace), None, None
+
+
 # ----------------------------------------------------------------------
 # sparsity pattern
 
@@ -441,32 +486,33 @@ def _index_type(shape) -> type:
     return np.int32 if shape[0] * shape[1] < 2**31 else np.int64
 
 
-def _unique_inverse(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(key, return_inverse=True) for keys in [0, bound).
+def _unique_inverse(key: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique(key, return_index=True, return_inverse=True) for keys in
+    [0, bound): the sorted unique keys, the first position of each, and the
+    position of each key's value among them.
 
     When each key and its position fit one int64 together, sorting the packed
     values replaces the slower argsort.
     """
     bits = max(int(key.size - 1).bit_length(), 1)
     if bound > (2**63 - 1) >> bits:
-        return np.unique(key, return_inverse=True)
-    packed = key.astype(np.int64)
-    packed <<= bits
-    packed |= np.arange(key.size)
+        return np.unique(key, return_index=True, return_inverse=True)
+    spare = np.arange(key.size)                # positions, then ranks
+    packed = np.left_shift(key, bits, dtype=np.int64)
+    packed |= spare
     packed.sort()
-    srt = packed >> bits
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(srt[1:], srt[:-1], out=first[1:])
-    uniq = srt[first].astype(key.dtype)
-    del srt
-    rank = first.astype(np.intp)
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    packed &= (1 << bits) - 1
-    inverse = np.empty(key.size, dtype=np.intp)
-    inverse[packed] = rank
-    return uniq, inverse
+    at = packed & ((1 << bits) - 1)
+    packed >>= bits                            # the sorted keys
+    step = np.empty(key.size, dtype=bool)
+    step[:1] = True
+    np.not_equal(packed[1:], packed[:-1], out=step[1:])
+    starts = np.flatnonzero(step)
+    uniq = packed[starts].astype(key.dtype)
+    spare[:1] = 0
+    np.cumsum(step[1:], out=spare[1:])
+    inverse = packed                           # reused: the sorted keys are done
+    inverse[at] = spare
+    return uniq, at[starts], inverse
 
 
 @dataclass(frozen=True)
@@ -475,11 +521,11 @@ class Scatter:
 
     Value k adds into bin `slot[k]`.  A bin below `size` is a reduced entry.
     A bin from `size` on collects one full-layout entry that touches a
-    hanging vertex; pair p then adds bin `src[p]` times `w[p]` into reduced
-    entry `dst[p]`, over the entry's masters (deal.II's
-    distribute_local_to_global).  The last bin takes what the reduced,
-    pinned system drops: the pinned dof's row and column, and the entries
-    that are zero by construction.
+    hanging vertex or the pinned dof; pair p then adds bin `src[p]` times
+    `w[p]` into reduced entry `dst[p]`, over the entry's masters (deal.II's
+    distribute_local_to_global).  A bin that no pair reads is dropped,
+    which is how the pinned dof's row and column and the entries that are
+    zero by construction leave the reduced, pinned system.
     """
 
     size: int
@@ -519,132 +565,153 @@ class AssemblyPlan:
     rhs: Scatter
 
 
-def _expand(P, rows, cols):
-    """Reduced pairs of full-layout entries (rows, cols) through the CSR
-    matrix P, whose rows hold one entry per free dof, two per hanging one
-    and none for the pinned one: entry i expands to every pair of its row's
-    and its column's stencils.  Returns the entry of each pair, its reduced
-    row and column, and its weight."""
-    n_st = np.diff(P.indptr)
-    i, j = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    e, k = np.nonzero((i < n_st[rows][:, None]) & (j < n_st[cols][:, None]))
-    ri = P.indptr[rows[e]] + i[k]
-    ci = P.indptr[cols[e]] + j[k]
-    return e, P.indices[ri], P.indices[ci], P.data[ri] * P.data[ci]
+def _face_sources(dofs: np.ndarray, live: np.ndarray):
+    """How the 100 entries of an interior face block find their bins, for a
+    face group whose first face has the local dofs `dofs` (the owner's, then
+    the neighbor's) and whose table columns are nonzero where `live` holds.
 
+    An entry whose two dofs lie in one cell repeats that cell block's entry,
+    the owner's if both cells hold them.  Every other entry couples the two
+    cells' unshared dofs: it is keyed on its own if its table column is
+    nonzero, and dropped if not, being zero by construction.  The faces of a
+    group share their geometry, so the first face shows which dofs coincide.
 
-def _union_slots(ascending: np.ndarray, more: np.ndarray,
-                 bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted union of an ascending array of unique keys and more keys in
-    [0, bound), and the position in it of the keys of each of the two.
-
-    A stable sort of the two ascending runs is a merge."""
-    more, inverse = _unique_inverse(more, bound)
-    keys = np.concatenate([ascending, more])
-    order = np.argsort(keys, kind="stable")
-    srt = keys[order]
-    new = np.ones(keys.size, dtype=bool)
-    np.not_equal(srt[1:], srt[:-1], out=new[1:])
-    slot = np.empty(keys.size, dtype=np.intp)
-    slot[order] = np.cumsum(new) - 1
-    return srt[new], slot[:ascending.size], slot[ascending.size:][inverse]
-
-
-def _reduced_entries(dm: EGDofMap, full: np.ndarray):
-    """The reduced, pinned pattern of the ascending full-layout entries
-    `full` (keys row * n_dofs + col), as CSR (indptr, indices), and the
-    Scatter that sums values given per full entry into it.
-
-    An entry between two free dofs maps 1:1 onto its reduced entry, and the
-    reduced numbering keeps the order of the free dofs, so only the master
-    pairs of entries that touch a hanging vertex are merged in.  Each of
-    those gets a bin of its own, distributed onto its master pairs; entries
-    of the pinned dof are dropped.
+    Returns each entry's column in the face's source row [owner cell block
+    (25) | neighbor cell block (25) | keyed entries | dropped], and the
+    local row and column (0-9) of each keyed entry.
     """
-    frow, fcol = np.divmod(full, dm.n_dofs)
-    Pp = dm.P[:, :-1]          # each dof's reduced stencil, without the pinned dof
-    n = Pp.shape[1]
-    n_st = np.diff(Pp.indptr)
-    red_of = dm.full_to_reduced
-    cnt = n_st[frow] * n_st[fcol]
-    one = np.flatnonzero(cnt == 1)
-    hang = np.flatnonzero(cnt > 1)
-    e, hr, hc, w = _expand(Pp, frow[hang], fcol[hang])
-    keys, one_slot, pair_slot = _union_slots(red_of[frow[one]] * n + red_of[fcol[one]],
-                                             hr.astype(np.int64) * n + hc, n * n)
-    size, dropped = keys.size, keys.size + hang.size
-    bin_of = np.full(full.size, dropped, dtype=np.intp)
-    bin_of[one] = one_slot
-    bin_of[hang] = np.arange(size, dropped)
-    itype = _index_type((n, n))
-    row = keys // n
-    indptr = np.zeros(n + 1, dtype=itype)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return (indptr, (keys - row * n).astype(itype),
-            Scatter(size=size, bins=dropped + 1, slot=bin_of, src=size + e,
-                    dst=pair_slot, w=w))
+    d = dofs.tolist()
+    col = np.full(100, -1)
+    for side in (1, 0):
+        cell = d[5 * side:5 * side + 5]
+        k = np.array([cell.index(x) if x in cell else -1 for x in d])
+        both = ((k[:, None] >= 0) & (k >= 0)).ravel()
+        col[both] = (25 * side + 5 * k[:, None] + k).ravel()[both]
+    keyed = np.flatnonzero((col < 0) & live.ravel())
+    col[keyed] = 50 + np.arange(keyed.size)
+    col[col < 0] = 50 + keyed.size
+    return col, keyed // 10, keyed % 10
 
 
 def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
     """Reduced, pinned plan over every local block in assembly order.
 
     Blocks: 5x5 per cell, 10x10 per interior face, 5x5 per boundary face.
-    Only the cell blocks and the owner/neighbor cross blocks of interior
-    faces are sorted, in the full layout; the other face blocks repeat bins
-    of cell blocks.  Cross entries whose table column is zero in every row
-    are zero by construction and left out.  The sorted entries then map onto
-    the reduced, pinned system (see _reduced_entries).
+    Only the cell blocks and the face-block entries between dofs of no
+    common cell are keyed (see _face_sources); every other entry repeats a
+    bin of a cell block.  Keys are reduced before the one sort: an entry
+    between free dofs keys its reduced entry row * n + col.  Any other keys
+    its full-layout entry above those, so that one bin collects it from
+    every block, and lists the pairs of its row's and its column's reduced
+    stencils, a hanging vertex's two masters at 1/2 and none for the pinned
+    dof (deal.II's distribute_local_to_global); the pairs join the sort.
+    Sorting gives the CSR pattern, every slot, and the reduced entry of
+    every pair.
     """
-    n_full = dm.n_dofs
-    cd = np.concatenate([g.dofs for g in cells])
-    cd_key = cd.astype(_index_type((n_full, n_full)))
-    pos = np.empty(len(cd), dtype=np.intp)
-    pos[np.concatenate([g.idx for g in cells])] = np.arange(len(cd))
-    so = pos[np.concatenate([g.own for g in interior] + [np.empty(0, np.intp)])]
-    sn = pos[np.concatenate([g.nb for g in interior] + [np.empty(0, np.intp)])]
-    sb = pos[np.concatenate([g.own for g in boundary] + [np.empty(0, np.intp)])]
-    fo, fn = cd_key[so], cd_key[sn]
-    nc, nf = len(cd), len(so)
-    live = np.concatenate([np.broadcast_to(g.table.any(axis=0).reshape(2, 5, 2, 5),
-                                           (g.idx.size, 2, 5, 2, 5)) for g in interior]
-                          + [np.empty((0, 2, 5, 2, 5), dtype=bool)])
-    x_on, x_no = live[:, 0, :, 1], live[:, 1, :, 0]
-    key = np.concatenate([(cd_key[:, :, None] * n_full + cd_key[:, None, :]).ravel(),
-                          (fo[:, :, None] * n_full + fn[:, None, :])[x_on],
-                          (fn[:, :, None] * n_full + fo[:, None, :])[x_no]])
-    full, primary = _unique_inverse(key, n_full * n_full)
-    del key
-    indptr, indices, by_full = _reduced_entries(dm, full)
-    primary = by_full.slot[primary]
-    dropped = by_full.bins - 1
+    n = dm.n_reduced - 1
+    nn = n * n
+    bound = nn + dm.n_dofs**2
+    ktype = np.int32 if bound < 2**31 else np.int64
+    # a key row * n + col of reduced dofs; n * n and up unless both are free
+    red = dm.full_to_reduced
+    free = (red >= 0) & (red < n)
+    row_code = np.where(free, red * n, nn).astype(ktype)
+    col_code = np.where(free, red, nn).astype(ktype)
 
-    slot = np.empty(25 * nc + 100 * nf + 25 * len(sb), dtype=np.intp)
-    cell = slot[:25 * nc].reshape(nc, 5, 5)
-    cell[...] = primary[:25 * nc].reshape(nc, 5, 5)
-    face = slot[25 * nc:25 * nc + 100 * nf].reshape(nf, 2, 5, 2, 5)  # [f, side, a, side, b]
-    face[:, 0, :, 0] = cell[so]
-    face[:, 1, :, 1] = cell[sn]
-    for x, mask, start in ((face[:, 0, :, 1], x_on, 25 * nc),
-                           (face[:, 1, :, 0], x_no, primary.size - np.count_nonzero(x_no))):
-        cross = np.full(mask.shape, dropped, dtype=np.intp)
-        cross[mask] = primary[start:start + np.count_nonzero(mask)]
-        x[...] = cross
-    del primary, cross
-    slot[25 * nc + 100 * nf:].reshape(-1, 5, 5)[...] = cell[sb]
-    matrix = Scatter(size=by_full.size, bins=by_full.bins, slot=slot,
-                     src=by_full.src, dst=by_full.dst, w=by_full.w)
+    cd = np.concatenate([g.dofs for g in cells])
+    nc = len(cd)
+    pos = np.empty(nc, dtype=np.intp)
+    pos[np.concatenate([g.idx for g in cells])] = np.arange(nc)
+    # the faces of one direction and kind, at every level, share where their
+    # entries go: a face table's zero pattern, like its dof layout, follows
+    # from direction and kind, and the level only scales the nonzeros
+    runs = []
+    for _, run in groupby(interior, key=lambda g: (g.dir, g.kind)):
+        run = list(run)
+        col, i, j = _face_sources(run[0].dofs[0], run[0].table.any(axis=0))
+        runs.append((np.concatenate([g.dofs for g in run]), col, i, j,
+                     pos[np.concatenate([g.own for g in run])],
+                     pos[np.concatenate([g.nb for g in run])]))
+    every = np.arange(25)
+    parts = [(cd, every // 5, every % 5)] + [(dofs, i, j) for dofs, _, i, j, _, _ in runs]
+    key = np.empty(sum(d.shape[0] * i.size for d, i, _ in parts), dtype=ktype)
+    spec, r, c, start = [], [], [], 0
+    for dofs, i, j in parts:
+        m, k = dofs.shape[0], i.size
+        np.add(np.take(row_code[dofs], i, axis=1), np.take(col_code[dofs], j, axis=1),
+               out=key[start:start + m * k].reshape(m, k))
+        off = np.flatnonzero(key[start:start + m * k] >= nn)
+        spec.append(start + off)
+        f, e = np.divmod(off, k)
+        r.append(dofs[f, i[e]])
+        c.append(dofs[f, j[e]])
+        start += m * k
+    spec, r, c = (np.concatenate(a) for a in (spec, r, c))
+
+    # the entries off the free block, and the pairs of those clear of the
+    # pinned dof, entry by entry
+    key[spec] = nn + r * dm.n_dofs + c
+    spread = np.flatnonzero((r != dm.free_dofs[n]) & (c != dm.free_dofs[n]))
+    spec, r, c = spec[spread], r[spread], c[spread]
+    master = np.stack([red, red]).astype(ktype)
+    master[:, dm.constrained] = red[dm.masters].T
+    hang = (red < 0).astype(np.intp)
+    n_col = 1 + hang[c]
+    n_pairs = (1 + hang[r]) * n_col
+    offset = np.cumsum(n_pairs) - n_pairs
+    entry = np.repeat(np.arange(spec.size), n_pairs)
+    a, b = np.divmod(np.arange(entry.size) - offset[entry], n_col[entry])
+    pair_key = master[a, r[entry]] * n + master[b, c[entry]]
+
+    uniq, first, inverse = _unique_inverse(np.concatenate([key, pair_key]), bound)
+    size = int(np.searchsorted(uniq, nn))
+    dropped = uniq.size
+    bins = inverse[:key.size]
+    # the Scatter reads the pairs of each bin's first entry, in bin order
+    entry_bin = bins[spec]
+    lead = np.flatnonzero(first[entry_bin] == spec)
+    by_bin = np.full(dropped - size, -1)
+    by_bin[entry_bin[lead] - size] = lead
+    lead = by_bin[by_bin >= 0]
+    m = n_pairs[lead]
+    pair = np.repeat(offset[lead] - (np.cumsum(m) - m), m) + np.arange(m.sum())
+    src, dst = np.repeat(entry_bin[lead], m), inverse[key.size + pair]
+    w = np.repeat(0.5 ** (hang[r] + hang[c])[lead], m)
+    itype = _index_type((n, n))
+    row = uniq[:size] // n
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    indices = (uniq[:size] - row * n).astype(itype)
+    del key, pair_key, uniq, first, inverse, row    # before the largest array
+
+    slot = np.empty(25 * nc + 100 * sum(g.idx.size for g in interior)
+                    + 25 * sum(g.idx.size for g in boundary), dtype=np.intp)
+    cell = slot[:25 * nc].reshape(nc, 25)
+    cell[...] = bins[:25 * nc].reshape(nc, 25)
+    at, start = 25 * nc, 25 * nc
+    for dofs, col, i, _, own, nb in runs:
+        m, k = dofs.shape[0], i.size
+        source = np.empty((m, 51 + k), dtype=np.intp)
+        source[:, :25] = cell[own]
+        source[:, 25:50] = cell[nb]
+        source[:, 50:-1] = bins[start:start + m * k].reshape(m, k)
+        source[:, -1] = dropped
+        # col is in range: "wrap" only spares numpy's buffered bounds check
+        np.take(source, col, axis=1, out=slot[at:at + 100 * m].reshape(m, 100), mode="wrap")
+        at += 100 * m
+        start += m * k
+    sb = pos[np.concatenate([g.own for g in boundary] + [np.empty(0, np.intp)])]
+    slot[at:].reshape(-1, 25)[...] = cell[sb]
+    matrix = Scatter(size=size, bins=dropped + 1, slot=slot, src=src, dst=dst, w=w)
 
     # rhs rows: free dofs map 1:1, hanging ones onto their two masters
-    n = indptr.size - 1
-    red_of = dm.full_to_reduced
     hung = dm.constrained
-    row_bin = np.full(n_full, n + hung.size, dtype=np.intp)      # dropped
-    free = (red_of >= 0) & (red_of < n)
-    row_bin[free] = red_of[free]
+    row_bin = np.full(dm.n_dofs, n + hung.size, dtype=np.intp)      # dropped
+    row_bin[free] = red[free]
     row_bin[hung] = np.arange(n, n + hung.size)
     rhs = Scatter(size=n, bins=n + hung.size + 1,
                   slot=row_bin[np.concatenate([cd.ravel(), cd[sb].ravel()])],
-                  src=np.repeat(row_bin[hung], 2), dst=red_of[dm.masters].ravel(),
+                  src=np.repeat(row_bin[hung], 2), dst=red[dm.masters].ravel(),
                   w=np.full(2 * hung.size, 0.5))
     return AssemblyPlan(shape=(n, n), indptr=_frozen_index(indptr),
                         indices=_frozen_index(indices), matrix=matrix, rhs=rhs)
@@ -720,8 +787,10 @@ class AssemblyContext:
 
     Tables: every cell group (one level) and face group (one direction, face
     kind and owner level) holds its local matrices as rows of `table`, built
-    once from unit-cell/unit-face integrals scaled by hx, hy and h_e (row
-    layouts in CellGroup and FaceGroup).  An assembler writes each local block
+    from unit-cell/unit-face integrals scaled by hx, hy and h_e (row layouts
+    in CellGroup and FaceGroup) and shared read-only by the contexts of every
+    mesh with the same cell sizes (_cell_tables, _face_tables), since a mesh
+    generation often lasts one step.  An assembler writes each local block
     as one matmul of per-cell or per-face coefficients against `table`.
 
     Plan: `plan` maps every local-block entry, in assembly order (cell
@@ -747,19 +816,13 @@ class AssemblyContext:
             idx = np.nonzero(mesh.cell_level == lev)[0]
             hx = float(mesh.cell_hx[idx[0]])
             hy = float(mesh.cell_hy[idx[0]])
-            area, inv = hx * hy, np.array([1.0 / hx, 1.0 / hy])
-            diff = area * np.outer(inv, inv)[:, :, None] * _REF_DIFF
-            table = np.vstack([area * _REF_MASS, diff[0, 0] + diff[1, 1],
-                               (area * inv[:, None] * _REF_ADV).reshape(18, 25),
-                               diff.reshape(4, 25), area * _REF_SINK])
-            grads = (_CELL_DN / np.array([hx, hy])).transpose(1, 0, 2).reshape(5, 18)
+            table, wN, eval_table = _cell_tables(hx, hy)
             self.cell_groups.append(CellGroup(
                 level=int(lev), idx=idx, dofs=dm.cell_dofs[idx], hx=hx, hy=hy,
                 wq=_CELL_W * hx * hy,
                 qx=mesh.cell_x0[idx, None] + _CELL_PTS[None, :, 0] * hx,
                 qy=mesh.cell_y0[idx, None] + _CELL_PTS[None, :, 1] * hy,
-                table=table, wN=area * _REF_WN,
-                eval_table=np.hstack([_CELL_N.T, grads]),
+                table=table, wN=wN, eval_table=eval_table,
             ))
 
         # face classes in (direction, kind, owner level) order
@@ -771,51 +834,31 @@ class AssemblyContext:
         ends = np.append(starts[1:], order.size)
         self.interior_groups: list[FaceGroup] = []
         self.boundary_groups: list[FaceGroup] = []
+        # per-face arrays in class order, each group holding its slice
+        owner, neighbor = mesh.face_owner[order], mesh.face_neighbor[order]
+        x0, y0, x1, y1 = mesh.domain
+        lev_of = own_level[order][:, None]
+        pts = _FACE_PTS_BY_DIR[mesh.face_dir[order]]
+        qx = mesh.cell_x0[owner][:, None] + pts[:, :, 0] * ((x1 - x0) / (mesh.nx << lev_of))
+        qy = mesh.cell_y0[owner][:, None] + pts[:, :, 1] * ((y1 - y0) / (mesh.ny << lev_of))
+        dofs = np.hstack([dm.cell_dofs[owner], dm.cell_dofs[neighbor]])
         self.face_h_e = np.empty(mesh.n_faces)
         for c, s, e in zip(codes.tolist(), starts, ends):
             d, kind, lev = c // (4 * n_lev), (c // n_lev) % 4, c % n_lev
-            faces = order[s:e]
-            own = mesh.face_owner[faces]
+            faces, own = order[s:e], owner[s:e]
             hx, hy = mesh._cell_size(lev)
             h_e = hy if d in (EAST, WEST) else hx
-            inv = np.array([1.0 / hx, 1.0 / hy])
-            normal = DIR_NORMAL[d].copy()
             self.face_h_e[faces] = h_e
-            own_trace = _trace_table(_FACE_N[d], _FACE_DN[d], (hx, hy), normal)
-            common = dict(
+            table, eval_table, wN, wdN = _face_tables(d, kind, hx, hy)
+            group = FaceGroup(
                 dir=d, kind=kind, level=lev, idx=faces, own=own,
-                wq=_W3 * h_e, h_e=h_e, normal=normal,
-                qx=mesh.cell_x0[own][:, None] + _FACE_PTS[d][None, :, 0] * hx,
-                qy=mesh.cell_y0[own][:, None] + _FACE_PTS[d][None, :, 1] * hy,
-            )
-            if kind == BOUNDARY:
-                nn, ndn, wN, wdN = _BOUNDARY_REF[d]
-                ndn = h_e * ((normal * inv) @ ndn)
-                table = np.vstack([h_e * nn.sum(axis=0), ndn,
-                                   _transpose(ndn, 5), h_e * nn])
-                self.boundary_groups.append(FaceGroup(
-                    nb=None, dofs=dm.cell_dofs[own], boundary=BOUNDARY_NAME[d],
-                    table=table, eval_table=own_trace, wN=h_e * wN,
-                    wdN=h_e * (wdN @ (normal * inv)), **common,
-                ))
-            else:
-                nb = mesh.face_neighbor[faces]
-                scale = 1.0 if kind == CONFORMING else 2.0
-                jj, up, flux = _INTERIOR_REF[d, kind]
-                f_o = h_e * inv[:, None] * flux[0]
-                f_n = (h_e / scale) * inv[:, None] * flux[1]
-                g_o, g_n = normal @ f_o, normal @ f_n
-                table = np.vstack([h_e * jj, g_o, g_n, _transpose(g_o, 10),
-                                   _transpose(g_n, 10), h_e * up.reshape(6, 100),
-                                   f_o, f_n])
-                trace = np.zeros((10, 12))
-                trace[:5, :6] = own_trace
-                trace[5:, 6:] = _trace_table(_NB_N[d, kind], _NB_DN[d, kind],
-                                             (hx * scale, hy * scale), normal)
-                self.interior_groups.append(FaceGroup(
-                    nb=nb, dofs=np.hstack([dm.cell_dofs[own], dm.cell_dofs[nb]]),
-                    boundary=None, table=table, eval_table=trace, **common,
-                ))
+                nb=None if kind == BOUNDARY else neighbor[s:e],
+                dofs=np.ascontiguousarray(dofs[s:e, :5]) if kind == BOUNDARY else dofs[s:e],
+                wq=_W3 * h_e, h_e=h_e, normal=DIR_NORMAL[d].copy(),
+                boundary=BOUNDARY_NAME[d] if kind == BOUNDARY else None,
+                qx=qx[s:e], qy=qy[s:e], table=table, eval_table=eval_table,
+                wN=wN, wdN=wdN)
+            (self.boundary_groups if kind == BOUNDARY else self.interior_groups).append(group)
         self.face_groups = self.interior_groups + self.boundary_groups
 
         self.plan = _assembly_pattern(

@@ -189,7 +189,7 @@ def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
     rho0 phi c_F a0 times the integral of each basis function.  Returns
     (z, w) in the full dof layout with z the vertex-dof representation of the
     constant 1 and w its exact operator image; both feed solve_reduced's
-    deflation hook so the Krylov solve never carries the box pressure level,
+    deflation hook so the linear solve never carries the box pressure level,
     which grows without bound under net injection and otherwise drowns the
     pressure gradients in roundoff.
     """
@@ -279,11 +279,13 @@ def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10,
     """Solve a reduced, pinned EG system and prolong it to the full layout.
 
     (A, b) come from an assembler on the dofmap's context (see
-    AssemblyContext.assemble).  The solve is GMRES preconditioned by a
-    sparse LU of A (see linalg.LaggedLU), started from x0_full and stopped
-    on the true residual ||b - A x|| <= tol ||b||.  `factor` holds the LU of
-    this system over the current mesh generation; without it every call
-    factors afresh.  Raises SolverError on a stall or a singular factor.
+    AssemblyContext.assemble).  The solve uses a sparse LU of A (see
+    linalg.LaggedLU): on a fresh factor one LU solve corrects the start
+    x0_full, and GMRES preconditioned by the LU runs only on a lagged factor
+    or when that misses tol; either stops on the true residual
+    ||b - A x|| <= tol ||b||.  `factor` holds the LU of this system over the
+    current mesh generation; without it every call factors afresh.  Raises
+    SolverError on a stall or a singular factor.
 
     Gauge pin: a global constant lives both in the vertex part and in the
     cell constants, so z = (+1 on the free vertex dofs, -1 on the cell
@@ -296,7 +298,7 @@ def solve_reduced(dm, A, b, x0_full=None, tol: float = 1e-10,
 
     deflate, if given, is the (z, w) pair from neutral_pressure_mode; the
     constant-mode amplitude is then read off the mass-balance row and only
-    the fluctuation is handed to the Krylov solve.  Without it a sealed-box
+    the fluctuation is handed to the linear solve.  Without it a sealed-box
     solution sits many orders above the data scale and the true residual
     floors out at ||A|| ||x|| eps, above any practical tolerance.
 

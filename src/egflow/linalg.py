@@ -1,14 +1,18 @@
-"""Sparse linear algebra: a sparse LU reused as the preconditioner of GMRES.
+"""Sparse linear algebra: a sparse LU, kept over a mesh generation, with GMRES
+as the fallback.
 
 A reduced system is factored completely by SuperLU's supernodal LU (`splu`;
 Li, *ACM TOMS* 31 (2005) 302) in symmetric mode with a relaxed diagonal
-pivot threshold, and solved by scipy's GMRES with that factor as the
-preconditioner, for at most `RESTART` iterations, restarts included.
-`LaggedLU` holds one system's factor over one mesh generation: later solves
-on the same mesh reuse it while it keeps the Krylov iteration count under
-`REFACTOR_ITERS`, which is how a factor of a matrix that drifts slowly from
-step to step stays a good preconditioner (Saad, *Iterative Methods for
-Sparse Linear Systems*, 2nd ed., ch. 9-10).
+pivot threshold.  A solve on a fresh factor is one LU solve, correcting the
+start, and a check of the true residual; a complete LU is exact up to
+roundoff, so that meets tol unless the system is too ill-conditioned for it.
+Only a solve that misses tol there, or one on a lagged factor, runs scipy's
+GMRES with the factor as the preconditioner, for at most `RESTART`
+iterations, restarts included.  `LaggedLU` holds one system's factor over
+one mesh generation: later solves on the same mesh reuse it while it keeps
+the Krylov iteration count under `REFACTOR_ITERS`, which is how a factor of
+a matrix that drifts slowly from step to step stays a good preconditioner
+(Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., ch. 9-10).
 Convergence is always judged on the true residual ||b - A x||_2 <= tol ||b||_2.
 
 The fill-reducing order is computed once per mesh generation: the first
@@ -104,12 +108,14 @@ def _factor(A, order: ColumnOrder) -> _LU:
 
 
 def _gmres(A, b, x0, lu, tol: float) -> GmresResult:
-    """LU-preconditioned GMRES; `converged` tests the true residual.
+    """LU-preconditioned GMRES from x0; `converged` tests the true residual.
 
-    A fresh complete LU converges in one or two iterations, so running past
-    RESTART iterations only delays a failure, and a lagged factor that
-    misses tol is replaced.  A restart within that budget still happens when
-    the preconditioned residual passes and the true one does not.
+    It runs after a solve on a fresh factor missed tol, or on a lagged
+    factor.  A fresh complete LU converges in one or two iterations, so
+    running past RESTART iterations only delays a failure, and a lagged
+    factor that misses tol is replaced.  A restart within that budget still
+    happens when the preconditioned residual passes and the true one does
+    not.
     """
     count = [0]
 
@@ -120,19 +126,31 @@ def _gmres(A, b, x0, lu, tol: float) -> GmresResult:
     x, _ = gmres(A, b, x0=x0, rtol=tol, atol=0.0, restart=RESTART, maxiter=RESTART,
                  M=LinearOperator(A.shape, lu.solve, dtype=float),
                  callback=tick, callback_type="legacy")
+    return _checked(A, b, x, count[0], tol)
+
+
+def _checked(A, b, x, iterations: int, tol: float) -> GmresResult:
     r = float(np.linalg.norm(b - A @ x))
-    return GmresResult(x, count[0], r, r <= tol * np.linalg.norm(b))
+    return GmresResult(x, iterations, r, r <= tol * np.linalg.norm(b))
+
+
+def _direct(A, b, x0, lu, tol: float) -> GmresResult:
+    """One LU solve for the correction to x0 (to 0 without one), 0 iterations."""
+    x = lu.solve(b) if x0 is None else x0 + lu.solve(b - A @ x0)
+    return _checked(A, b, x, 0, tol)
 
 
 class LaggedLU:
     """One system's sparse LU over the solves of one mesh generation.
 
     A solve reuses the held factor unless the previous solve on it took more
-    than REFACTOR_ITERS iterations; a lagged solve that fails is retried once
-    on a fresh factor.  The factor is dropped after every solve until `keep`
-    is set, which the driver does once the mesh has survived an adapt
-    unchanged, so a mesh that lives for one step holds no factor.  Every
-    factor uses `order`, which generation_factors shares between systems.
+    than REFACTOR_ITERS iterations.  On a fresh factor it is one LU solve
+    and 0 iterations, continued by GMRES only if the true residual misses
+    tol; on a lagged factor it is GMRES, retried once on a fresh factor if
+    it fails.  The factor is dropped after every solve until `keep` is set,
+    which the driver does once the mesh has survived an adapt unchanged, so
+    a mesh that lives for one step holds no factor.  Every factor uses
+    `order`, which generation_factors shares between systems.
     """
 
     def __init__(self, keep: bool = False):
@@ -141,18 +159,19 @@ class LaggedLU:
         self.iterations = 0
         self.order = ColumnOrder()
 
-    def _refactor(self, A) -> None:
+    def _fresh(self, A, b, x0, tol: float) -> GmresResult:
         self.lu = None               # free the old factor before the new one
         self.lu = _factor(A, self.order)
+        out = _direct(A, b, x0, self.lu, tol)
+        return out if out.converged else _gmres(A, b, out.x, self.lu, tol)
 
     def solve(self, A, b, x0=None, tol: float = 1e-10) -> GmresResult:
-        lagged = self.lu is not None and self.iterations <= REFACTOR_ITERS
-        if not lagged:
-            self._refactor(A)
-        out = _gmres(A, b, x0, self.lu, tol)
-        if lagged and not out.converged:
-            self._refactor(A)
+        if self.lu is not None and self.iterations <= REFACTOR_ITERS:
             out = _gmres(A, b, x0, self.lu, tol)
+            if not out.converged:
+                out = self._fresh(A, b, x0, tol)
+        else:
+            out = self._fresh(A, b, x0, tol)
         self.iterations = out.iterations
         if not self.keep:
             self.lu = None

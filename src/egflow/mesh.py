@@ -300,9 +300,9 @@ class QuadMesh:
         self.face_dir = (faces % 4).astype(np.int8)
         self.face_kind = kind.ravel()[faces].astype(np.int8)
         self.n_faces = faces.size
+        # the owner level's cell size, as the assembly tables take it
         ew = np.isin(self.face_dir, (EAST, WEST))
-        self.face_h = np.where(ew, self.cell_hy[self.face_owner],
-                               self.cell_hx[self.face_owner])
+        self.face_h = np.where(ew, sy[self.face_owner], sx[self.face_owner])
 
     # ------------------------------------------------------------------
     # queries

@@ -1,7 +1,7 @@
 """Table assembly into the reduced, pinned system against the per-term einsum
-oracle reduced by P^T A P; the shared plan; flux recovery and the entropy
-indicator, evaluated through the context's tables, against the einsum
-evaluators."""
+oracle reduced by P^T A P; the shared plan, and the one-sort plan against
+the full-layout plan it replaced; flux recovery and the entropy indicator,
+evaluated through the context's tables, against the einsum evaluators."""
 
 import gc
 import weakref
@@ -11,14 +11,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from egflow import egspace, stabilization
 from egflow.driver import make_config, run
 from egflow.egspace import (
     AssemblyContext,
+    AssemblyPlan,
     CellGroup,
     EGDofMap,
     Scatter,
+    _frozen_index,
+    _index_type,
     _unique_inverse,
     cell_field_values,
     face_field_values,
@@ -214,6 +218,125 @@ def _oracle_transport(ctx, params, bc, flux, D_cells, mu_cells, C_n,
                 rhs = -rho0 * np.einsum("q,mq,mq,qa->ma", g.wq, un[sl], cin, g.N_o)
                 np.add.at(b, g.dofs[sl].ravel(), rhs.ravel())
     return _coo(rows, cols, vals, n), b
+
+
+# ---------------------------------------------------------------------------
+# plan oracle: the full-layout sort, then the reduction of its unique entries
+
+
+def _expand(P, rows, cols):
+    """Reduced pairs of full-layout entries (rows, cols) through the CSR
+    matrix P, whose rows hold one entry per free dof, two per hanging one
+    and none for the pinned one: entry i expands to every pair of its row's
+    and its column's stencils.  Returns the entry of each pair, its reduced
+    row and column, and its weight."""
+    n_st = np.diff(P.indptr)
+    i, j = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    e, k = np.nonzero((i < n_st[rows][:, None]) & (j < n_st[cols][:, None]))
+    ri = P.indptr[rows[e]] + i[k]
+    ci = P.indptr[cols[e]] + j[k]
+    return e, P.indices[ri], P.indices[ci], P.data[ri] * P.data[ci]
+
+
+def _union_slots(ascending, more, bound):
+    """Sorted union of an ascending array of unique keys and more keys in
+    [0, bound), and the position in it of the keys of each of the two.
+
+    A stable sort of the two ascending runs is a merge."""
+    more, _, inverse = _unique_inverse(more, bound)
+    keys = np.concatenate([ascending, more])
+    order = np.argsort(keys, kind="stable")
+    srt = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    slot = np.empty(keys.size, dtype=np.intp)
+    slot[order] = np.cumsum(new) - 1
+    return srt[new], slot[:ascending.size], slot[ascending.size:][inverse]
+
+
+def _reduced_entries(dm, full):
+    """The reduced, pinned pattern of the ascending full-layout entries
+    `full` (keys row * n_dofs + col), as CSR (indptr, indices), and the
+    Scatter that sums values given per full entry into it: one bin per
+    entry that touches a hanging vertex, distributed onto its master pairs."""
+    frow, fcol = np.divmod(full, dm.n_dofs)
+    Pp = dm.P[:, :-1]          # each dof's reduced stencil, without the pinned dof
+    n = Pp.shape[1]
+    n_st = np.diff(Pp.indptr)
+    red_of = dm.full_to_reduced
+    cnt = n_st[frow] * n_st[fcol]
+    one = np.flatnonzero(cnt == 1)
+    hang = np.flatnonzero(cnt > 1)
+    e, hr, hc, w = _expand(Pp, frow[hang], fcol[hang])
+    keys, one_slot, pair_slot = _union_slots(red_of[frow[one]] * n + red_of[fcol[one]],
+                                             hr.astype(np.int64) * n + hc, n * n)
+    size, dropped = keys.size, keys.size + hang.size
+    bin_of = np.full(full.size, dropped, dtype=np.intp)
+    bin_of[one] = one_slot
+    bin_of[hang] = np.arange(size, dropped)
+    itype = _index_type((n, n))
+    row = keys // n
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return (indptr, (keys - row * n).astype(itype),
+            Scatter(size=size, bins=dropped + 1, slot=bin_of, src=size + e,
+                    dst=pair_slot, w=w))
+
+
+def _oracle_plan(dm, cells, interior, boundary):
+    """The plan from one sort of every cell-block and live cross entry in
+    the full layout, reduced afterwards (see _reduced_entries)."""
+    n_full = dm.n_dofs
+    cd = np.concatenate([g.dofs for g in cells])
+    cd_key = cd.astype(_index_type((n_full, n_full)))
+    pos = np.empty(len(cd), dtype=np.intp)
+    pos[np.concatenate([g.idx for g in cells])] = np.arange(len(cd))
+    so = pos[np.concatenate([g.own for g in interior] + [np.empty(0, np.intp)])]
+    sn = pos[np.concatenate([g.nb for g in interior] + [np.empty(0, np.intp)])]
+    sb = pos[np.concatenate([g.own for g in boundary] + [np.empty(0, np.intp)])]
+    fo, fn = cd_key[so], cd_key[sn]
+    nc, nf = len(cd), len(so)
+    live = np.concatenate([np.broadcast_to(g.table.any(axis=0).reshape(2, 5, 2, 5),
+                                           (g.idx.size, 2, 5, 2, 5)) for g in interior]
+                          + [np.empty((0, 2, 5, 2, 5), dtype=bool)])
+    x_on, x_no = live[:, 0, :, 1], live[:, 1, :, 0]
+    key = np.concatenate([(cd_key[:, :, None] * n_full + cd_key[:, None, :]).ravel(),
+                          (fo[:, :, None] * n_full + fn[:, None, :])[x_on],
+                          (fn[:, :, None] * n_full + fo[:, None, :])[x_no]])
+    full, _, primary = _unique_inverse(key, n_full * n_full)
+    indptr, indices, by_full = _reduced_entries(dm, full)
+    primary = by_full.slot[primary]
+    dropped = by_full.bins - 1
+
+    slot = np.empty(25 * nc + 100 * nf + 25 * len(sb), dtype=np.intp)
+    cell = slot[:25 * nc].reshape(nc, 5, 5)
+    cell[...] = primary[:25 * nc].reshape(nc, 5, 5)
+    face = slot[25 * nc:25 * nc + 100 * nf].reshape(nf, 2, 5, 2, 5)  # [f, side, a, side, b]
+    face[:, 0, :, 0] = cell[so]
+    face[:, 1, :, 1] = cell[sn]
+    for x, mask, start in ((face[:, 0, :, 1], x_on, 25 * nc),
+                           (face[:, 1, :, 0], x_no, primary.size - np.count_nonzero(x_no))):
+        cross = np.full(mask.shape, dropped, dtype=np.intp)
+        cross[mask] = primary[start:start + np.count_nonzero(mask)]
+        x[...] = cross
+    slot[25 * nc + 100 * nf:].reshape(-1, 5, 5)[...] = cell[sb]
+    matrix = Scatter(size=by_full.size, bins=by_full.bins, slot=slot,
+                     src=by_full.src, dst=by_full.dst, w=by_full.w)
+
+    # rhs rows: free dofs map 1:1, hanging ones onto their two masters
+    n = indptr.size - 1
+    red_of = dm.full_to_reduced
+    hung = dm.constrained
+    row_bin = np.full(n_full, n + hung.size, dtype=np.intp)      # dropped
+    free = (red_of >= 0) & (red_of < n)
+    row_bin[free] = red_of[free]
+    row_bin[hung] = np.arange(n, n + hung.size)
+    rhs = Scatter(size=n, bins=n + hung.size + 1,
+                  slot=row_bin[np.concatenate([cd.ravel(), cd[sb].ravel()])],
+                  src=np.repeat(row_bin[hung], 2), dst=red_of[dm.masters].ravel(),
+                  w=np.full(2 * hung.size, 0.5))
+    return AssemblyPlan(shape=(n, n), indptr=_frozen_index(indptr),
+                        indices=_frozen_index(indices), matrix=matrix, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +593,97 @@ def test_center_velocity_of_bilinear_field(seed):
 # the pattern
 
 
+def _level_cap_context():
+    # 3x3 roots refined 30 times: vertex codes overflow int64 in the dof map
+    mesh = build_uniform((0.0, 0.0, 1.0, 1.0), 3, 3)
+    for _ in range(30):
+        mesh = mesh.refine([mesh.locate(0.3, 0.3)])
+    return AssemblyContext(mesh, EGDofMap(mesh))
+
+
+def _adapted_context(seed):
+    """A context on a mesh from a random sequence of refine/coarsen rounds."""
+    rng = np.random.default_rng(seed)
+    nx, ny = (int(v) for v in rng.integers(1, 5, 2))
+    mesh = build_uniform((0.0, -0.3, 1.7, 0.9), nx, ny)
+    for _ in range(int(rng.integers(0, 6))):
+        ok = mesh.cell_id[mesh.cell_level < 4]
+        mesh, _ = mesh.adapt(
+            rng.choice(ok, size=min(int(rng.integers(1, 5)), ok.size), replace=False),
+            rng.choice(mesh.cell_id, size=int(rng.integers(0, mesh.n_active + 1)),
+                       replace=False))
+    return AssemblyContext(mesh, EGDofMap(mesh)), rng
+
+
+def _assert_plan_matches_oracle(ctx, rng):
+    plan = ctx.plan
+    ref = _oracle_plan(ctx.dofmap, ctx.cell_groups, ctx.interior_groups,
+                       ctx.boundary_groups)
+    assert plan.shape == ref.shape
+    for mine, theirs in ((plan.indptr, ref.indptr), (plan.indices, ref.indices)):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+    for field in ("size", "bins", "slot", "src", "dst", "w"):
+        assert np.array_equal(getattr(plan.rhs, field), getattr(ref.rhs, field))
+    # the hanging bins are numbered apart (the plan also bins the pinned
+    # dof's entries), but every sum adds the same terms in the same order
+    assert plan.matrix.slot.size == ref.matrix.slot.size
+    vals = rng.standard_normal(plan.matrix.slot.size)
+    assert np.array_equal(plan.matrix(vals), ref.matrix(vals))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_plan_matches_oracle(seed):
+    ctx, rng = _random_context(seed)
+    _assert_plan_matches_oracle(ctx, rng)
+
+
+def test_plan_matches_oracle_at_level_cap():
+    _assert_plan_matches_oracle(_level_cap_context(), np.random.default_rng(8))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_plan_matches_oracle_after_adapting(seed):
+    _assert_plan_matches_oracle(*_adapted_context(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assembled_systems_match_the_oracle_plan(seed):
+    ctx, rng = _random_context(seed)
+    nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
+    kappa = np.exp(rng.standard_normal(nc))
+    bc = FlowBC(dirichlet={s: SIDE_DATA[s] for s in ("left", "bottom")},
+                neumann={s: SIDE_DATA[s] for s in ("right", "top")})
+    flux = _random_flux(ctx, rng)
+    M = rng.standard_normal((nc, 2, 2))
+    D = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(2)
+    mu = rng.random(nc)
+    p_args = dict(P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
+                  dt=0.1, m=1)
+    t_args = dict(C_n=rng.standard_normal(n), C_nm1=rng.standard_normal(n),
+                  sources=SourceField(q=rng.standard_normal((nc, 9)), c_q=0.7),
+                  dt=0.05, m=2)
+
+    def systems():
+        return [assemble_pressure(ctx, FlowParams(c_F=0.05, phi=0.3), bc, kappa, **p_args),
+                assemble_transport(ctx, TransportParams(), TransportBC(c_in=0.7), flux,
+                                   D, mu, **t_args)]
+
+    mine = systems()
+    ctx.plan = _oracle_plan(ctx.dofmap, ctx.cell_groups, ctx.interior_groups,
+                            ctx.boundary_groups)
+    for (A, b), (A_ref, b_ref) in zip(mine, systems()):
+        assert np.array_equal(A.indptr, A_ref.indptr)
+        assert np.array_equal(A.indices, A_ref.indices)
+        assert np.array_equal(A.data, A_ref.data) and np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "cap"])
+def test_mesh_face_h_is_the_assembly_h_e(seed):
+    ctx = _level_cap_context() if seed == "cap" else _random_context(seed)[0]
+    assert np.array_equal(ctx.mesh.face_h, ctx.face_h_e)
+
+
 def test_pressure_and_transport_share_the_pattern():
     ctx, rng = _random_context(5)
     nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
@@ -524,9 +738,9 @@ def test_scatter_sums_and_distributes():
 def test_unique_inverse_matches_numpy(bound):
     # a bound too large to pack a key with its position takes numpy's path
     key = np.random.default_rng(9).integers(0, 50, 300)
-    uniq, inv = _unique_inverse(key, bound)
-    ref_u, ref_inv = np.unique(key, return_inverse=True)
-    assert np.array_equal(uniq, ref_u) and np.array_equal(inv, ref_inv)
+    got = _unique_inverse(key, bound)
+    ref = np.unique(key, return_index=True, return_inverse=True)
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_one_plan_per_context(monkeypatch):

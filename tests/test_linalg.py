@@ -1,5 +1,6 @@
-"""LU-preconditioned GMRES, the factor kept over a mesh generation and the
-column order its two systems share."""
+"""The LU solve on a fresh factor, LU-preconditioned GMRES on a lagged one or
+after a miss, the factor kept over a mesh generation and the column order
+its two systems share."""
 
 import numpy as np
 import pytest
@@ -49,18 +50,58 @@ def test_gmres_nonconvergence_flag():
     assert not out.converged
     assert out.residual == pytest.approx(np.linalg.norm(b - A @ out.x))
     assert out.iterations <= linalg.RESTART        # the cap counts restarts too
-    with pytest.raises(SolverError, match="stalled"):
+    # on a fresh factor the LU solve misses, GMRES takes over and stalls
+    with pytest.raises(SolverError, match="stalled") as err:
         LaggedLU().solve(A, b, tol=1e-30)
+    iterations = int(str(err.value).split("after ")[1].split()[0])
+    assert 0 < iterations <= linalg.RESTART
 
 
-def test_fresh_factor_converges_at_once():
-    # a complete LU is an exact preconditioner: GMRES converges in one or two
-    # iterations whatever the conditioning
+def _spy_gmres(monkeypatch):
+    calls = []
+    gmres = linalg.gmres
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "gmres", spy)
+    return calls
+
+
+def _fresh_solve(monkeypatch, start):
+    # a complete LU is exact up to roundoff: one LU solve meets tol whatever
+    # the conditioning, with or without a start to correct, and no GMRES runs
+    calls = _spy_gmres(monkeypatch)
     rng = np.random.default_rng(5)
     Q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
     A = sp.csr_matrix(Q @ np.diag(np.geomspace(1.0, 1e5, 30)) @ Q.T)
-    out = LaggedLU().solve(A, rng.standard_normal(30))
-    assert out.iterations <= 2
+    b = rng.standard_normal(30)
+    out = LaggedLU().solve(A, b, x0=rng.standard_normal(30) if start else None)
+    assert out.iterations == 0 and out.converged and not calls
+    assert out.residual == pytest.approx(np.linalg.norm(b - A @ out.x))
+    assert out.residual <= 1e-10 * np.linalg.norm(b)
+
+
+def test_fresh_factor_converges_at_once(monkeypatch):
+    _fresh_solve(monkeypatch, start=False)
+
+
+def test_fresh_factor_corrects_the_start(monkeypatch):
+    _fresh_solve(monkeypatch, start=True)
+
+
+def test_fresh_factor_miss_goes_on_into_gmres(monkeypatch):
+    # a factor whose solve is off by 1e-6 relative misses tol at once, and
+    # GMRES preconditioned by it converges from the LU solve's result
+    calls = _spy_gmres(monkeypatch)
+    solve = linalg._LU.solve
+    monkeypatch.setattr(linalg._LU, "solve", lambda lu, b: solve(lu, b) * (1.0 + 1e-6))
+    A, _, b = _perturbed_pair(60, 7, 0.5)
+    out = LaggedLU().solve(A, b)
+    assert calls == [1]
+    assert out.converged and 0 < out.iterations <= 3
+    assert np.linalg.norm(b - A @ out.x) <= 1e-10 * np.linalg.norm(b)
 
 
 def _perturbed_pair(n, seed, eps):
@@ -104,7 +145,7 @@ def test_iteration_cap_triggers_refactor(monkeypatch):
     assert lu.iterations > linalg.REFACTOR_ITERS
     out = lu.solve(A2, b)                     # so this one refactors first
     assert len(calls) == 2
-    assert out.iterations <= 2
+    assert out.iterations == 0
 
 
 def test_failed_lagged_solve_refactors(monkeypatch):
@@ -188,6 +229,39 @@ def test_one_minimum_degree_order_per_generation(monkeypatch):
         assert set(mine[1:]) <= {"NATURAL"}
     # one order per generation: as many orders as generations
     assert specs.count("MMD_AT_PLUS_A") == len(distinct) == len(generations)
+
+
+def test_budget_bound_run_pays_once_per_generation(monkeypatch):
+    # with the cell budget binding, nearly every step starts a mesh
+    # generation: it builds one context and one minimum-degree factor, and
+    # a fresh factor solves without GMRES
+    specs = _spy_orders(monkeypatch)
+    contexts, solves = [], []
+    init, solve, gmres = driver.AssemblyContext.__init__, LaggedLU.solve, linalg.gmres
+
+    def counting_init(self, mesh, *args, **kwargs):
+        contexts.append(mesh.generation)
+        init(self, mesh, *args, **kwargs)
+
+    def spying_solve(self, *args, **kwargs):
+        fresh = self.lu is None or self.iterations > linalg.REFACTOR_ITERS
+        solves.append({"fresh": fresh, "gmres": 0})
+        return solve(self, *args, **kwargs)
+
+    def spying_gmres(*args, **kwargs):
+        solves[-1]["gmres"] += 1
+        return gmres(*args, **kwargs)
+
+    monkeypatch.setattr(driver.AssemblyContext, "__init__", counting_init)
+    monkeypatch.setattr(LaggedLU, "solve", spying_solve)
+    monkeypatch.setattr(linalg, "gmres", spying_gmres)
+    systems = _driver_systems(monkeypatch, r_max=4, cell_max=1500, t_end=0.15)
+    generations = [g for g, _, _ in systems]
+    assert len(set(generations)) >= 6                   # the mesh kept changing
+    assert sorted(contexts) == sorted(set(contexts)) and set(generations) <= set(contexts)
+    assert specs.count("MMD_AT_PLUS_A") == len(set(generations))
+    assert len(solves) == len(systems)
+    assert not [s for s in solves if s["fresh"] and s["gmres"]]
 
 
 def _last_pair(monkeypatch):

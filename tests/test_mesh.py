@@ -179,7 +179,7 @@ def test_refine_closure_matches_adapt_and_keeps_receiver():
 # refined same-level neighbor gives nothing (its children own the sub-faces);
 # otherwise the neighbor's parent is active and the cell owns a hanging
 # sub-face, LOW or HIGH by the parity of its coordinate along the face.
-# face_h is the owner's side length along the face.
+# face_h is the owner's side length along the face: its level's cell size.
 _STEP = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
 
 
@@ -187,9 +187,9 @@ def _reference_faces(mesh):
     index = {k: n for n, k in enumerate(mesh.cell_keys)}
     rows = []
     for n, (lev, i, j) in enumerate(mesh.cell_keys):
-        x0, y0, x1, y1 = mesh.cell(mesh.cell_id[n]).bbox
+        hx, hy = mesh._cell_size(lev)
         for d, (di, dj) in _STEP.items():
-            h = y1 - y0 if di else x1 - x0
+            h = hy if di else hx
             ni, nj = i + di, j + dj
             if not (0 <= ni < mesh.nx << lev and 0 <= nj < mesh.ny << lev):
                 rows.append((n, -1, d, BOUNDARY, h))
