@@ -9,8 +9,7 @@ adaptation.
 from .mesh import (AdaptBounds, AdaptReport, MeshError, QuadMesh,
                    build_uniform)
 from .egspace import (AssemblyContext, AssemblyPlan, EGDofMap, QuadratureRule,
-                      dof_count, eval_grad, eval_point, gauss_cell, gauss_face,
-                      interpolate)
+                      dof_count, gauss_cell, gauss_face, interpolate)
 from .linalg import GmresResult, LaggedLU, SolverError
 from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
                       draw_centers, mix_viscosity, mobility,

@@ -61,14 +61,11 @@ class MarkingPolicy:
 
 @dataclass(frozen=True)
 class Marks:
-    """Cell ids to refine / coarsen; unpacks as (refine, coarsen)."""
+    """Cell ids to refine / coarsen."""
 
     refine: tuple
     coarsen: tuple
     generation: int
-
-    def __iter__(self):
-        return iter((self.refine, self.coarsen))
 
 
 @dataclass(frozen=True)

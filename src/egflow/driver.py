@@ -9,7 +9,7 @@ entry point (``simulate``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -209,6 +209,8 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if not (self.dt > 0.0 and self.t_end > 0.0):
             raise ValueError("dt and t_end must be positive")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError("t_end / dt overflows")
         x0, y0, x1, y1 = self.domain
         if not (x1 > x0 and y1 > y0):
             raise ValueError(f"empty domain {self.domain}")
@@ -216,6 +218,10 @@ class ScenarioConfig:
             raise ValueError("nx, ny must be at least 1")
         if self.stride < 1:
             raise ValueError("stride must be at least 1")
+        if self.seed < 0 or self.n_centers < 0:
+            raise ValueError("seed and n_centers must be non-negative")
+        if not (self.flow_tol > 0.0 and self.transport_tol > 0.0):
+            raise ValueError("flow_tol and transport_tol must be positive")
         if self.n_steps < 1:
             raise ValueError("t_end shorter than one step")
         if self.scenario.startswith("hele_shaw") and self.viscosity.mobility_ratio < 1.0:
@@ -231,9 +237,12 @@ def _coerce(key: str, value):
         raise ConfigError(f"unknown config key {key!r}")
     conv = _SCHEMA[key][0]
     try:
-        return conv(value)
+        out = conv(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
+    if conv is float and not math.isfinite(out):
+        raise ConfigError(f"bad value for {key}: {value!r} (not finite)")
+    return out
 
 
 def load_config_file(path: str) -> dict:
@@ -252,22 +261,23 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        out[key] = val if key == "scenario" else _coerce(key, val)
+        out[key] = _coerce(key, val)
     return out
 
 
-def build_config(flat: dict) -> ScenarioConfig:
-    """Assemble the typed config from a complete flat key -> value map."""
-    f = dict(flat)
-    scenario = f.pop("scenario")
-    if scenario not in SCENARIOS:
+def make_config(scenario: str, **overrides) -> ScenarioConfig:
+    """Preset + keyword overrides -> ScenarioConfig (the library entry)."""
+    if scenario not in _PRESETS:
         raise ConfigError(
             f"unknown scenario {scenario!r}; choose one of {', '.join(SCENARIOS)}"
         )
+    f = dict(_DEFAULTS)
+    f.update(_PRESETS[scenario])
+    f.update({key: _coerce(key, val) for key, val in overrides.items()})
     mu_0 = f["ratio"] * f["mu_s"] if f["ratio"] > 0.0 else f["mu_0"]
     try:
         model = ViscosityModel(mu_s=f["mu_s"], mu_0=mu_0)
-        cfg = ScenarioConfig(
+        return ScenarioConfig(
             scenario=scenario,
             domain=(f["x0"], f["y0"], f["x1"], f["y1"]),
             nx=f["nx"], ny=f["ny"], dt=f["dt"], t_end=f["t_end"],
@@ -300,23 +310,6 @@ def build_config(flat: dict) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
-
-
-def make_config(scenario: str, **overrides) -> ScenarioConfig:
-    """Preset + keyword overrides -> ScenarioConfig (the library entry)."""
-    if scenario not in _PRESETS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; choose one of {', '.join(SCENARIOS)}"
-        )
-    flat = dict(_DEFAULTS)
-    flat.update(_PRESETS[scenario])
-    flat["scenario"] = scenario
-    for key, val in overrides.items():
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown config key {key!r}")
-        flat[key] = val if key == "scenario" else _coerce(key, val)
-    return build_config(flat)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +389,7 @@ class _Problem:
 
     def initial_concentration(self, ctx: AssemblyContext,
                               rng: np.random.Generator) -> np.ndarray:
-        C = interpolate(self.c0, ctx.mesh, ctx.dofmap)
+        C = interpolate(self.c0, ctx)
         if self.cfg.perturb > 0.0:
             # noise on the constants of the first inflow-side cell column;
             # physical runs self-seed, a symmetric discrete system does not
@@ -783,7 +776,7 @@ def main(argv=None) -> int:
                 continue
             val = getattr(args, key, None)
             if val is not None:
-                overrides[key] = _coerce(key, val)
+                overrides[key] = val
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.no_amr:

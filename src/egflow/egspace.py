@@ -50,8 +50,6 @@ __all__ = [
     "QuadratureRule",
     "cell_field_values",
     "dof_count",
-    "eval_grad",
-    "eval_point",
     "face_field_values",
     "fix_gauge",
     "gauss_cell",
@@ -216,10 +214,7 @@ class EGDofMap:
         hit, at = _find(self._codes, self._code(X, Y))
         return np.where(on & hit, at, -1)
 
-    # -- counting / layout ------------------------------------------------
-
-    def dof_count(self) -> tuple[int, int, int]:
-        return self.n_cg, self.n_const, self.n_dofs
+    # -- layout -------------------------------------------------------------
 
     def cell_means(self, coeffs: np.ndarray) -> np.ndarray:
         """Exact cell means: corner average of the CG part plus the constant."""
@@ -245,11 +240,12 @@ class EGDofMap:
 
 def dof_count(mesh: QuadMesh) -> tuple[int, int, int]:
     """(continuous dofs, constant dofs, total) of the enriched space."""
-    return EGDofMap(mesh).dof_count()
+    dm = EGDofMap(mesh)
+    return dm.n_cg, dm.n_const, dm.n_dofs
 
 
 # ----------------------------------------------------------------------
-# interpolation and point evaluation
+# gauge and interpolation
 
 
 def fix_gauge(dofmap: EGDofMap, coeffs: np.ndarray) -> np.ndarray:
@@ -269,57 +265,21 @@ def fix_gauge(dofmap: EGDofMap, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def interpolate(f, mesh: QuadMesh, dofmap: EGDofMap | None = None) -> np.ndarray:
-    """Interpolate a callable f(x, y) into the enriched space.
+def interpolate(f, ctx: AssemblyContext) -> np.ndarray:
+    """Interpolate a callable f(x, y) into the enriched space of a context.
 
     The continuous part takes vertex values (hanging vertices are then
     overwritten by their constraint averages); each cell constant is set so
     the cell mean of the interpolant matches the quadrature mean of f.
     """
-    dm = dofmap if dofmap is not None else EGDofMap(mesh)
+    dm = ctx.dofmap
     coeffs = np.zeros(dm.n_dofs)
     coeffs[: dm.n_cg] = np.asarray(
         f(dm.vertex_pos[:, 0], dm.vertex_pos[:, 1]), dtype=float
     )
     coeffs = dm.distribute(coeffs)
-
-    rule = gauss_cell()
-    N = q1_values(rule.points[:, 0], rule.points[:, 1])  # (9, 5)
-    corners = coeffs[dm.cell_dofs[:, :4]]                # (nc, 4)
-    qx = mesh.cell_x0[:, None] + rule.points[None, :, 0] * mesh.cell_hx[:, None]
-    qy = mesh.cell_y0[:, None] + rule.points[None, :, 1] * mesh.cell_hy[:, None]
-    fq = np.asarray(f(qx, qy), dtype=float)
-    if fq.shape != qx.shape:
-        fq = np.broadcast_to(fq, qx.shape)
-    cgq = np.einsum("qa,ma->mq", N[:, :4], corners)
-    coeffs[dm.n_cg:] = np.einsum("q,mq->m", rule.weights, fq - cgq)
+    coeffs[dm.n_cg:] = (cell_field_values(ctx, f) - ctx.cell_values(coeffs)) @ _CELL_W
     return coeffs
-
-
-def _ref_point_check(xi: float, eta: float):
-    if not (0.0 <= xi <= 1.0 and 0.0 <= eta <= 1.0):
-        raise ValueError(f"reference point ({xi}, {eta}) outside [0,1]^2")
-
-
-def eval_point(mesh: QuadMesh, dm: EGDofMap, coeffs: np.ndarray,
-               cell_id: int, xi: float, eta: float) -> float:
-    """Value of the EG function at reference point (xi, eta) of a cell."""
-    _ref_point_check(xi, eta)
-    idx = mesh.index_of_id(cell_id)
-    loc = coeffs[dm.cell_dofs[idx]]
-    return float(q1_values(xi, eta) @ loc)
-
-
-def eval_grad(mesh: QuadMesh, dm: EGDofMap, coeffs: np.ndarray,
-              cell_id: int, xi: float, eta: float) -> np.ndarray:
-    """Physical gradient of the EG function at a reference point of a cell."""
-    _ref_point_check(xi, eta)
-    idx = mesh.index_of_id(cell_id)
-    loc = coeffs[dm.cell_dofs[idx]]
-    g = np.einsum("ad,a->d", q1_grads(xi, eta), loc)
-    g[0] /= mesh.cell_hx[idx]
-    g[1] /= mesh.cell_hy[idx]
-    return g
 
 
 # ----------------------------------------------------------------------

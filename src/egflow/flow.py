@@ -3,7 +3,7 @@
 The pressure system uses the interior-penalty enriched Galerkin form with a
 permeability-weighted average across faces: the gradient average on a face
 takes weight beta = kappa_nb / (kappa_own + kappa_nb) on the owner side, and
-the penalty carries the harmonic mean of the two directional permeabilities.
+the penalty carries the harmonic mean of the two permeabilities.
 The nonsymmetric variant (theta = 0) is the default; it makes the constant
 test functions reproduce an exact per-cell mass balance, which is what the
 flux reconstruction turns into a single-valued normal flux per face.
@@ -29,7 +29,6 @@ from .egspace import (
     gauss_face,
 )
 from .linalg import GmresResult, LaggedLU, SolverError
-from .mesh import DIR_NORMAL
 
 __all__ = [
     "FaceFlux",
@@ -47,7 +46,6 @@ __all__ = [
 ]
 
 _SIDES = ("left", "right", "bottom", "top")
-_NORMALS = np.array([DIR_NORMAL[d] for d in range(4)])     # by face direction
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,6 @@ class FlowBC:
     def is_dirichlet(self, side: str) -> bool:
         return side in self.dirichlet
 
-    def value(self, side: str):
-        return self.dirichlet[side] if side in self.dirichlet else self.neumann[side]
-
 
 @dataclass
 class FaceFlux:
@@ -147,24 +142,17 @@ def bdf_apply(m: int, dt: float, u_np1, u_n, u_nm1=None):
     return out
 
 
-def weights(kappa_plus, kappa_minus, normal) -> tuple[np.ndarray, np.ndarray]:
-    """Face weight beta_e and harmonic directional permeability kappa_e.
+def weights(kappa_plus, kappa_minus) -> tuple[np.ndarray, np.ndarray]:
+    """Face weight beta_e and harmonic permeability kappa_e.
 
-    kappa_plus/kappa_minus are the two sides' permeabilities (scalars or 2x2
-    tensors, arrays allowed); the directional value is n^T kappa n.  Returns
-    beta_e = k_minus / (k_plus + k_minus) and kappa_e = harmonic mean.
+    kappa_plus/kappa_minus are the two sides' scalar permeabilities (arrays
+    allowed).  Returns beta_e = k_minus / (k_plus + k_minus) and kappa_e =
+    their harmonic mean.
     """
-    n = np.asarray(normal, dtype=float)
-
-    def directional(k):
-        k = np.asarray(k, dtype=float)
-        if k.ndim >= 2 and k.shape[-2:] == (2, 2):
-            return np.einsum("i,...ij,j->...", n, k, n)
-        return k
-
-    kp, km = directional(kappa_plus), directional(kappa_minus)
+    kp = np.asarray(kappa_plus, dtype=float)
+    km = np.asarray(kappa_minus, dtype=float)
     if np.any(kp <= 0) or np.any(km <= 0):
-        raise ValueError("directional permeabilities must be positive")
+        raise ValueError("permeabilities must be positive")
     beta = km / (kp + km)
     kappa_e = 2.0 * kp * km / (kp + km)
     return beta, kappa_e
@@ -247,7 +235,7 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
 
     for g in ctx.interior_groups:
         ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
-        beta, kap_e = weights(ko, kn, g.normal)
+        beta, kap_e = weights(ko, kn)
         c_o, c_n = rho0 * beta * ko, rho0 * (1.0 - beta) * kn
         pen = (alpha / g.h_e) * rho0 * kap_e
         # -(jump, avg grad) + theta (avg grad, jump) + penalty (jump, jump)
@@ -359,7 +347,7 @@ def reconstruct_flux(ctx: AssemblyContext, P: np.ndarray, kappa_cells, bc: FlowB
     face_un = np.empty((mesh.n_faces, 3))
     i = np.flatnonzero(mesh.face_neighbor >= 0)
     kn = kappa_cells[mesh.face_neighbor[i]]
-    beta, kap_e = weights(ko[i, 0], kn, _NORMALS[mesh.face_dir[i]])
+    beta, kap_e = weights(ko[i, 0], kn)
     face_un[i] = -(beta[:, None] * ko[i] * go[i] + (1.0 - beta[:, None]) * kn[:, None] * gn[i]) \
         + alpha_h[i] * kap_e[:, None] * (Po[i] - Pn[i])
     for g in ctx.boundary_groups:

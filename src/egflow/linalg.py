@@ -44,15 +44,12 @@ class SolverError(Exception):
 
 @dataclass
 class GmresResult:
-    """Solution plus convergence report; unpacks as (x, iterations, residual)."""
+    """Solution plus convergence report."""
 
     x: np.ndarray
     iterations: int
     residual: float
     converged: bool
-
-    def __iter__(self):
-        return iter((self.x, self.iterations, self.residual))
 
 
 class ColumnOrder:

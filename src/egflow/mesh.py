@@ -26,9 +26,7 @@ __all__ = [
     "AdaptReport",
     "BOUNDARY",
     "CONFORMING",
-    "Cell",
     "EAST",
-    "Face",
     "HANGING_HIGH",
     "HANGING_LOW",
     "MeshError",
@@ -59,31 +57,6 @@ _DEFAULT_LEVEL_CAP = 30
 
 class MeshError(Exception):
     """Invalid mesh construction or adaptation request."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Read-only view of one mesh cell."""
-
-    id: int
-    level: int
-    bbox: tuple[float, float, float, float]  # (x0, y0, x1, y1)
-    active: bool
-    parent: int | None
-    children: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
-class Face:
-    """Read-only view of one mesh face (sub-face on the fine side if hanging)."""
-
-    index: int
-    owner: int               # cell id
-    neighbor: int | None     # cell id, None on the boundary
-    boundary: str | None     # "left"/"right"/"bottom"/"top" for boundary faces
-    normal: tuple[float, float]
-    h_e: float
-    kind: int
 
 
 @dataclass(frozen=True)
@@ -204,7 +177,7 @@ class _ClosureWalk:
 class QuadMesh:
     """Forest of quadtrees over a rectangle; instances are immutable.
 
-    refine/coarsen/adapt return new meshes and never mutate the receiver.
+    refine/adapt return new meshes and never mutate the receiver.
     """
 
     def __init__(self, domain, nx: int, ny: int, level_cap: int = _DEFAULT_LEVEL_CAP,
@@ -300,9 +273,6 @@ class QuadMesh:
         self.face_dir = (faces % 4).astype(np.int8)
         self.face_kind = kind.ravel()[faces].astype(np.int8)
         self.n_faces = faces.size
-        # the owner level's cell size, as the assembly tables take it
-        ew = np.isin(self.face_dir, (EAST, WEST))
-        self.face_h = np.where(ew, sy[self.face_owner], sx[self.face_owner])
 
     # ------------------------------------------------------------------
     # queries
@@ -331,30 +301,6 @@ class QuadMesh:
         hit, at = _find(self._cell_codes,
                         self._code(lev, np.where(ok, i, 0), np.where(ok, j, 0)))
         return np.where(ok & hit, at, -1)
-
-    def cell(self, cid: int) -> Cell:
-        key = self.key_of_id(cid)
-        pk = _parent_key(key)
-        parent = self._refined.get(pk) if key[0] > 0 else None
-        return Cell(id=cid, level=key[0], bbox=self._bbox(key), active=True,
-                    parent=parent, children=None)
-
-    def face(self, f: int) -> Face:
-        nb = int(self.face_neighbor[f])
-        d = int(self.face_dir[f])
-        return Face(
-            index=f,
-            owner=int(self.cell_id[self.face_owner[f]]),
-            neighbor=int(self.cell_id[nb]) if nb >= 0 else None,
-            boundary=BOUNDARY_NAME[d] if nb < 0 else None,
-            normal=tuple(DIR_NORMAL[d]),
-            h_e=float(self.face_h[f]),
-            kind=int(self.face_kind[f]),
-        )
-
-    def faces(self):
-        for f in range(self.n_faces):
-            yield self.face(f)
 
     def locate(self, x: float, y: float) -> int:
         """Active cell id containing (x, y); ties resolve to the upper cell."""
@@ -385,11 +331,6 @@ class QuadMesh:
     def refine(self, cell_ids) -> "QuadMesh":
         """Split the given active cells (plus 2:1 closure); returns a new mesh."""
         mesh, _ = self.adapt(cell_ids, ())
-        return mesh
-
-    def coarsen(self, cell_ids) -> "QuadMesh":
-        """Merge marked sibling quartets where feasible; returns a new mesh."""
-        mesh, _ = self.adapt((), cell_ids)
         return mesh
 
     def _walk(self, cell_ids) -> _ClosureWalk:

@@ -50,23 +50,20 @@ class DispersionParams:
 def dispersion_tensor(params: DispersionParams, u) -> np.ndarray:
     """D(u) = d_m I + |u| (alpha_l E(u) + alpha_t (I - E(u))), E_ij = u_i u_j / |u|^2.
 
-    Accepts a single 2-vector or any (..., 2) stack; returns (..., 2, 2).
-    At u = 0 the dispersivity terms vanish with |u| and D = d_m I.
+    Takes an (..., 2) stack of velocities; returns (..., 2, 2).  At u = 0
+    the dispersivity terms vanish with |u| and D = d_m I.
     """
     u = np.asarray(u, dtype=float)
-    squeeze = u.ndim == 1
-    u = np.atleast_2d(u)
     norm = np.linalg.norm(u, axis=-1)
     eye = np.eye(2)
     # |u| E(u) = (u u^T)/|u|; safe at zero since the numerator is quadratic
     safe = np.where(norm > 0.0, norm, 1.0)
     outer_over_norm = u[..., :, None] * u[..., None, :] / safe[..., None, None]
-    D = (
+    return (
         params.d_m * eye
         + params.alpha_l * outer_over_norm
         + params.alpha_t * (norm[..., None, None] * eye - outer_over_norm)
     )
-    return D[0] if squeeze else D
 
 
 @dataclass(frozen=True)
@@ -105,18 +102,14 @@ def draw_centers(n: int, domain, rng: np.random.Generator) -> np.ndarray:
     return pts
 
 
-def random_permeability(centers, x, y=None):
+def random_permeability(centers, x, y):
     """Clamped sum of Gaussian bumps of width 0.05 at the given centers.
 
-    K = min(max(sum_i exp(-(|x - x_i| / 0.05)^2), 0.01), 4).  `x` may be an
-    (..., 2) position array, or pass x and y coordinate arrays separately.
+    K = min(max(sum_i exp(-(|x - x_i| / 0.05)^2), 0.01), 4) at the points
+    with coordinate arrays x and y.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 2)
-    if y is None:
-        pos = np.asarray(x, dtype=float)
-        px, py = pos[..., 0], pos[..., 1]
-    else:
-        px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    px, py = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     d2 = (px[..., None] - centers[:, 0]) ** 2 + (py[..., None] - centers[:, 1]) ** 2
     s = np.exp(-d2 / _BUMP_WIDTH**2).sum(axis=-1)
     return np.clip(s, _PERM_LO, _PERM_HI)

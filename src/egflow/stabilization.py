@@ -26,7 +26,6 @@ __all__ = [
     "ViscosityField",
     "cell_residual",
     "entropy_eval",
-    "entropy_normalization",
     "extrapolate_star",
     "face_residual",
     "indicator",
@@ -153,13 +152,9 @@ def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
     return IndicatorField(er=er, generation=mesh.generation)
 
 
-def entropy_normalization(config: EntropyConfig, ctx: AssemblyContext, C_star) -> float:
-    """Sup-norm over the domain of E(C*) minus its domain mean."""
-    return _normalization(ctx, entropy_eval(config, ctx.cell_values(C_star))[0])
-
-
 def _normalization(ctx: AssemblyContext, E: np.ndarray) -> float:
-    """entropy_normalization from E(C*) at the volume quadrature points."""
+    """Sup-norm over the domain of E(C*) minus its domain mean, from E(C*)
+    at the volume quadrature points."""
     mesh = ctx.mesh
     mean = float((E @ gauss_cell().weights * mesh.cell_area).sum() / mesh.total_area)
     return float(np.abs(E - mean).max())

@@ -174,7 +174,7 @@ def test_criterion_06_compatibility_constant_state():
     tparams = cfg.transport
     tbc = TransportBC(c_in=0.5)
 
-    C = interpolate(lambda x, y: 0.5, mesh, dm)
+    C = interpolate(lambda x, y: 0.5, ctx)
     C_prev = None
     P = np.zeros(dm.n_dofs)
     P_prev = None

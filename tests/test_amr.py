@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from egflow.amr import FieldState, MarkingPolicy, Marks, adapt_and_transfer, mark
-from egflow.egspace import EGDofMap, eval_point, interpolate, q1_values
+from egflow.egspace import AssemblyContext, EGDofMap, interpolate, q1_values
 from egflow.mesh import AdaptBounds, MeshError, QuadMesh, _parent_key, build_uniform
+from conftest import cell_bbox, eval_point
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -39,8 +40,6 @@ def test_marking_ranks_and_truncates():
     assert marks.refine == (mesh.cell_id[0], mesh.cell_id[3])
     # level-0 cells cannot coarsen below r_min = 0
     assert marks.coarsen == ()
-    ref, coa = marks              # unpacks as a (refine, coarsen) pair
-    assert ref == marks.refine and coa == marks.coarsen
 
 
 def test_marking_tie_break_by_cell_id():
@@ -167,7 +166,7 @@ def test_linear_field_transfers_exactly():
     mesh = build_uniform(UNIT, 3, 3)
     dm = EGDofMap(mesh)
     f = lambda x, y: 2.0 * x - y + 0.3
-    C = interpolate(f, mesh, dm)
+    C = interpolate(f, AssemblyContext(mesh, dm))
     marks = Marks(refine=(mesh.cell_id[0], mesh.cell_id[4]), coarsen=(),
                   generation=mesh.generation)
     mesh2, dm2, fields = adapt_and_transfer(mesh, dm, [FieldState("c", "eg", C)], marks)
@@ -175,7 +174,7 @@ def test_linear_field_transfers_exactly():
     rng = np.random.default_rng(17)
     for x, y in rng.random((40, 2)):
         cid = mesh2.locate(x, y)
-        x0, y0, x1, y1 = mesh2.cell(cid).bbox
+        x0, y0, x1, y1 = cell_bbox(mesh2, cid)
         xi, eta = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
         assert eval_point(mesh2, dm2, C2, cid, xi, eta) == pytest.approx(
             f(x, y), abs=1e-12)

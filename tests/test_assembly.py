@@ -117,7 +117,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
         nrm = g.normal
         if g.nb is not None:
             ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
-            beta, kap_e = weights(ko, kn, nrm)
+            beta, kap_e = weights(ko, kn)
             jump = np.hstack([g.N_o, -g.N_n])
             go = np.einsum("qbd,d->qb", g.dN_o, nrm)
             gn = np.einsum("qbd,d->qb", g.dN_n, nrm)
@@ -509,7 +509,7 @@ def _oracle_flux(ctx, P, kappa_cells, bc, params):
             Pn = np.einsum("qb,mb->mq", g.N_n, P[g.dofs[:, 5:]])
             gn = np.einsum("qbd,mb,d->mq", g.dN_n, P[g.dofs[:, 5:]], nrm)
             ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
-            beta, kap_e = weights(ko, kn, nrm)
+            beta, kap_e = weights(ko, kn)
             un = -(beta[:, None] * ko[:, None] * go
                    + (1.0 - beta[:, None]) * kn[:, None] * gn) \
                 + (alpha / g.h_e) * kap_e[:, None] * (Po - Pn)
@@ -581,7 +581,7 @@ def test_center_velocity_of_bilinear_field(seed):
     # the Gauss mean of a bilinear function's gradient is its centre value
     ctx, rng = _random_context(seed)
     a, b, c, d = rng.standard_normal(4)
-    P = interpolate(lambda x, y: a + b * x + c * y + d * x * y, ctx.mesh, ctx.dofmap)
+    P = interpolate(lambda x, y: a + b * x + c * y + d * x * y, ctx)
     kappa = np.exp(rng.standard_normal(ctx.mesh.n_active))
     flux = reconstruct_flux(ctx, P, kappa, FLOW_BC, FlowParams())
     xc, yc = ctx.cell_center.T
@@ -676,12 +676,6 @@ def test_assembled_systems_match_the_oracle_plan(seed):
         assert np.array_equal(A.indptr, A_ref.indptr)
         assert np.array_equal(A.indices, A_ref.indices)
         assert np.array_equal(A.data, A_ref.data) and np.array_equal(b, b_ref)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, "cap"])
-def test_mesh_face_h_is_the_assembly_h_e(seed):
-    ctx = _level_cap_context() if seed == "cap" else _random_context(seed)[0]
-    assert np.array_equal(ctx.mesh.face_h, ctx.face_h_e)
 
 
 def test_pressure_and_transport_share_the_pattern():

@@ -16,7 +16,6 @@ from egflow.driver import (
     ConfigError,
     FingerDiagnostics,
     ScenarioConfig,
-    build_config,
     finger_diagnostics,
     load_config_file,
     main,
@@ -50,7 +49,7 @@ def _front_state(ctx, x_hi=0.3, x_lo=0.4):
 
 def test_ramp_diagnostics():
     ctx = _context(10, 4)
-    C = interpolate(lambda x, y: 1.0 - x, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: 1.0 - x, ctx)
     fd = finger_diagnostics(ctx, C)
     assert fd.x_tip == pytest.approx(0.5, abs=1e-12)
     assert fd.x_lead == pytest.approx(0.9, abs=1e-12)
@@ -266,6 +265,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     bad.write_text("scenario=perm_block\nwhatever=1\n")
     assert main(["--config", str(bad)]) == 2
     assert main(["--scenario", "perm_block", "--dt", "nope"]) == 2
+    # values that would otherwise fail inside the run, or run until the
+    # solver stalls, are rejected before it starts
+    for argv in (["--seed", "-1"], ["--t-end", "inf"], ["--alpha-c", "nan"],
+                 ["--t-end", "1e300", "--dt", "1e-10"],
+                 ["--flow-tol", "0"], ["--transport-tol=-1e-10"]):
+        assert main(["--scenario", "manufactured", *argv]) == 2
+    assert main(["--scenario", "random_perm_2d", "--n-centers", "-1"]) == 2
 
 
 def test_cli_solver_failure_exits_3(capsys):
@@ -326,6 +332,12 @@ def test_config_validation_rules():
         make_config("manufactured", nx="0")
     with pytest.raises(ConfigError, match="threads"):
         make_config("manufactured", threads=4)      # no such knob
+    with pytest.raises(ConfigError, match="not finite"):
+        make_config("manufactured", dt=float("nan"))
+    with pytest.raises(ConfigError, match="non-negative"):
+        make_config("manufactured", seed=-1)
+    with pytest.raises(ConfigError, match="positive"):
+        make_config("manufactured", transport_tol=0.0)
 
 
 def test_refinement_levels_outside_the_quadtree_are_config_errors(capsys):

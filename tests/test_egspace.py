@@ -11,8 +11,6 @@ from egflow.egspace import (
     AssemblyContext,
     EGDofMap,
     dof_count,
-    eval_grad,
-    eval_point,
     fix_gauge,
     gauss_cell,
     gauss_face,
@@ -31,6 +29,7 @@ from egflow.mesh import (
     MeshError,
     build_uniform,
 )
+from conftest import cell_bbox, eval_grad, eval_point
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -48,7 +47,7 @@ def test_hanging_mesh_dof_count():
     mesh = build_uniform((0.0, 0.0, 2.0, 1.0), 2, 1)
     mesh = mesh.refine([mesh.cell_id[0]])
     dm = EGDofMap(mesh)
-    assert dm.dof_count() == (11, 5, 16)
+    assert (dm.n_cg, dm.n_const, dm.n_dofs) == (11, 5, 16)
     n_reduced = dm.restrict(np.zeros(dm.n_dofs)).shape[0]
     assert n_reduced == 15
 
@@ -84,11 +83,11 @@ def test_interpolate_reproduces_bilinear():
     mesh = build_uniform(UNIT, 2, 2).refine([0])
     dm = EGDofMap(mesh)
     f = lambda x, y: 2.0 * x * y - 3.0 * x + 0.5
-    coeffs = interpolate(f, mesh, dm)
+    coeffs = interpolate(f, AssemblyContext(mesh, dm))
     rng = np.random.default_rng(0)
     for x, y in rng.random((30, 2)):
         cid = mesh.locate(x, y)
-        x0, y0, x1, y1 = mesh.cell(cid).bbox
+        x0, y0, x1, y1 = cell_bbox(mesh, cid)
         xi, eta = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
         assert eval_point(mesh, dm, coeffs, cid, xi, eta) == pytest.approx(
             f(x, y), abs=1e-12)
@@ -97,7 +96,7 @@ def test_interpolate_reproduces_bilinear():
 def test_eval_grad_of_linear():
     mesh = build_uniform(UNIT, 3, 3)
     dm = EGDofMap(mesh)
-    coeffs = interpolate(lambda x, y: 4.0 * x - 7.0 * y + 1.0, mesh, dm)
+    coeffs = interpolate(lambda x, y: 4.0 * x - 7.0 * y + 1.0, AssemblyContext(mesh, dm))
     g = eval_grad(mesh, dm, coeffs, mesh.cell_id[4], 0.25, 0.75)
     assert np.allclose(g, [4.0, -7.0], atol=1e-12)
 
@@ -112,7 +111,7 @@ def test_fix_gauge_preserves_function():
     assert const @ mesh.cell_area == pytest.approx(0.0, abs=1e-13)
     for x, y in rng.random((20, 2)):
         cid = mesh.locate(x, y)
-        x0, y0, x1, y1 = mesh.cell(cid).bbox
+        x0, y0, x1, y1 = cell_bbox(mesh, cid)
         xi, eta = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
         a = eval_point(mesh, dm, coeffs, cid, xi, eta)
         b = eval_point(mesh, dm, fixed, cid, xi, eta)
@@ -142,9 +141,9 @@ def test_hanging_value_is_constrained_average():
     right_cell = mesh.locate(0.5 + 1e-9, y)
     cl = coeffs.copy()
     cl[dm.n_cg:] = 0.0            # drop the discontinuous enrichment
-    xa, ya, xb, yb = mesh.cell(left_cell).bbox
+    xa, ya, xb, yb = cell_bbox(mesh, left_cell)
     vl = eval_point(mesh, dm, cl, left_cell, 1.0, (y - ya) / (yb - ya))
-    xa, ya, xb, yb = mesh.cell(right_cell).bbox
+    xa, ya, xb, yb = cell_bbox(mesh, right_cell)
     vr = eval_point(mesh, dm, cl, right_cell, 0.0, (y - ya) / (yb - ya))
     assert vl == pytest.approx(vr, abs=1e-12)
 
@@ -152,7 +151,7 @@ def test_hanging_value_is_constrained_average():
 def test_context_means_and_integral():
     mesh = build_uniform(UNIT, 2, 2).refine([0])
     dm = EGDofMap(mesh)
-    coeffs = interpolate(lambda x, y: x, mesh, dm)
+    coeffs = interpolate(lambda x, y: x, AssemblyContext(mesh, dm))
     means = dm.cell_means(coeffs)
     centers_x = mesh.cell_x0 + 0.5 * mesh.cell_hx
     assert np.allclose(means, centers_x, atol=1e-13)
@@ -302,7 +301,7 @@ def _random_balanced_mesh(domain, nx, ny, seed, rounds=3):
         pick = rng.random(mesh.n_active)
         refine = mesh.cell_id[(pick < 0.12) & (mesh.cell_level < 4)]
         mesh, _ = mesh.adapt(refine, mesh.cell_id[pick > 0.3])
-        mesh = mesh.coarsen(mesh.cell_id[rng.random(mesh.n_active) < 0.8])
+        mesh, _ = mesh.adapt((), mesh.cell_id[rng.random(mesh.n_active) < 0.8])
     x0, y0, x1, y1 = domain
     p = (x0 + 0.4 * (x1 - x0), y0 + 0.4 * (y1 - y0))
     for _ in range(2):

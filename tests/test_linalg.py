@@ -28,9 +28,9 @@ def _counting_factor(monkeypatch):
 def test_gmres_small_oracle():
     # [[4,1],[1,3]] x = (1,2)  ->  x = (1/11, 7/11)
     A = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-    x, iters, res = LaggedLU().solve(A, np.array([1.0, 2.0]))
-    assert np.allclose(x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-12)
-    assert iters <= 2
+    out = LaggedLU().solve(A, np.array([1.0, 2.0]))
+    assert np.allclose(out.x, [1.0 / 11.0, 7.0 / 11.0], atol=1e-12)
+    assert out.iterations <= 2
 
 
 def test_gmres_result_fields():

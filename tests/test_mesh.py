@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from egflow.egspace import AssemblyContext
 from egflow.mesh import (
     BOUNDARY,
     CONFORMING,
+    EAST,
     HANGING_HIGH,
     HANGING_LOW,
+    NORTH,
+    SOUTH,
+    WEST,
     MeshError,
     build_uniform,
 )
+from conftest import cell_bbox
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -85,7 +91,7 @@ def test_locate_contains_point():
     rng = np.random.default_rng(3)
     for x, y in rng.random((50, 2)):
         cid = mesh.locate(x, y)
-        x0, y0, x1, y1 = mesh.cell(cid).bbox
+        x0, y0, x1, y1 = cell_bbox(mesh, cid)
         assert x0 <= x <= x1 and y0 <= y <= y1
 
 
@@ -99,7 +105,7 @@ def test_coarsen_restores_quartet():
     mesh = build_uniform(UNIT, 2, 2)
     fine = mesh.refine([mesh.cell_id[0]])
     kids = fine.cell_id[fine.cell_level == 1]
-    back = fine.coarsen(kids)
+    back, _ = fine.adapt((), kids)
     assert back.n_active == 4
     assert back.total_area == pytest.approx(1.0)
 
@@ -111,7 +117,7 @@ def test_coarsen_respects_balance():
     mesh = mesh.refine(mesh.cell_id)
     deep = mesh.refine([mesh.cell_id[0]])
     lvl1 = deep.cell_id[deep.cell_level == 1]
-    after = deep.coarsen(lvl1)
+    after, _ = deep.adapt((), lvl1)
     assert after.balanced()
 
 
@@ -142,7 +148,7 @@ def test_random_adapt_keeps_area_and_balance(picks, n_coarsen_rounds):
         ids = mesh.cell_id[mesh.cell_level > 0]
         if ids.size == 0:
             break
-        mesh = mesh.coarsen(ids[: max(1, ids.size // 2)])
+        mesh, _ = mesh.adapt((), ids[: max(1, ids.size // 2)])
     assert mesh.balanced()
     assert mesh.total_area == pytest.approx(1.0, rel=1e-12)
     assert np.all(mesh.cell_area > 0)
@@ -151,9 +157,11 @@ def test_random_adapt_keeps_area_and_balance(picks, n_coarsen_rounds):
 def test_face_partition_of_boundary():
     # boundary faces of each side tile the side exactly
     mesh = build_refined_corner()
-    for side in ("left", "right", "bottom", "top"):
-        tot = sum(f.h_e for f in mesh.faces() if f.boundary == side)
-        assert tot == pytest.approx(1.0)
+    bnd = mesh.face_neighbor < 0
+    length = np.where(np.isin(mesh.face_dir, (EAST, WEST)),
+                      mesh.cell_hy[mesh.face_owner], mesh.cell_hx[mesh.face_owner])
+    for d in (EAST, NORTH, WEST, SOUTH):
+        assert length[bnd & (mesh.face_dir == d)].sum() == pytest.approx(1.0)
 
 
 def test_refine_closure_matches_adapt_and_keeps_receiver():
@@ -179,7 +187,8 @@ def test_refine_closure_matches_adapt_and_keeps_receiver():
 # refined same-level neighbor gives nothing (its children own the sub-faces);
 # otherwise the neighbor's parent is active and the cell owns a hanging
 # sub-face, LOW or HIGH by the parity of its coordinate along the face.
-# face_h is the owner's side length along the face: its level's cell size.
+# h, the assembly context's face_h_e, is the owner's side length along the
+# face: its level's cell size.
 _STEP = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
 
 
@@ -206,7 +215,7 @@ def _reference_faces(mesh):
 def _face_rows(mesh):
     return list(zip(mesh.face_owner.tolist(), mesh.face_neighbor.tolist(),
                     mesh.face_dir.tolist(), mesh.face_kind.tolist(),
-                    mesh.face_h.tolist()))
+                    AssemblyContext(mesh).face_h_e.tolist()))
 
 
 def _random_mesh(seed):
@@ -236,7 +245,7 @@ def test_face_table_matches_reference_rule(seed):
     mesh = _random_mesh(seed)
     assert _face_rows(mesh) == _reference_faces(mesh)
     for n in range(mesh.n_active):
-        x0, y0, x1, y1 = mesh.cell(mesh.cell_id[n]).bbox
+        x0, y0, x1, y1 = mesh._bbox(mesh.cell_keys[n])
         assert (mesh.cell_x0[n], mesh.cell_y0[n]) == (x0, y0)
         assert (mesh.cell_hx[n], mesh.cell_hy[n]) == (x1 - x0, y1 - y0)
     assert mesh.balanced()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egflow.egspace import AssemblyContext, EGDofMap, interpolate
+from egflow.egspace import AssemblyContext, EGDofMap, gauss_cell, interpolate
 from egflow.flow import flux_from_velocity
 from egflow.mesh import build_uniform
 from egflow.stabilization import (
@@ -12,7 +12,6 @@ from egflow.stabilization import (
     IndicatorField,
     cell_residual,
     entropy_eval,
-    entropy_normalization,
     extrapolate_star,
     face_residual,
     indicator,
@@ -106,7 +105,7 @@ def test_extrapolation_modes():
 def test_linear_viscosity_homogeneous_in_velocity():
     ctx = _context()
     cfg = EntropyConfig()
-    C = interpolate(lambda x, y: x, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: x, ctx)
     for s in (1.0, 3.0):
         flux = _flux(ctx, s, 0.0)
         ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=1)
@@ -118,7 +117,7 @@ def test_linear_viscosity_homogeneous_in_velocity():
 def test_constant_state_disables_stabilization():
     ctx = _context()
     cfg = EntropyConfig()
-    C = interpolate(lambda x, y: 0.7, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: 0.7, ctx)
     flux = _flux(ctx, 1.0, 0.0)
     ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=1)
     mu = viscosity(cfg, ctx, ind, flux, C)
@@ -133,7 +132,7 @@ def test_steady_linear_profile_zero_residual():
     # gradient, no time change, no source: the cell residual must vanish
     ctx = _context()
     cfg = EntropyConfig(kind="power", b=2)
-    C = interpolate(lambda x, y: x, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx, 0.0, 1.0)
     r = cell_residual(cfg, ctx, C, C, C, flux.cell_velocity, None, dt=0.1, m=2)
     assert np.abs(r).max() < 1e-12
@@ -144,7 +143,7 @@ def test_cell_residual_advection_term():
     # the per-cell max is u * (x0 + hx * max xi)
     ctx = _context(2, 2)
     cfg = EntropyConfig(kind="power", b=2)
-    C = interpolate(lambda x, y: x, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx, 2.0, 0.0)
     r = cell_residual(cfg, ctx, C, C, C, flux.cell_velocity, None, dt=0.1, m=2)
     xi_max = (1.0 + np.sqrt(0.6)) / 2.0
@@ -189,10 +188,13 @@ def test_entropy_viscosity_formula():
     # isolate the entropy branch with a huge lambda_lin so the min picks mu_ent
     ctx = _context(4, 4)
     cfg = EntropyConfig(kind="power", b=2, lambda_lin=1e9, lambda_ent=0.7)
-    C = interpolate(lambda x, y: x * x, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: x * x, ctx)
     flux = _flux(ctx, 1.0, 0.0)
     ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=2)
-    norm = entropy_normalization(cfg, ctx, C)
+    # ||E - mean E||_inf over the volume quadrature points
+    E = entropy_eval(cfg, ctx.cell_values(C))[0]
+    mean = (E @ gauss_cell().weights) @ ctx.mesh.cell_area / ctx.mesh.total_area
+    norm = np.abs(E - mean).max()
     mu = viscosity(cfg, ctx, ind, flux, C)
     expect = 0.7 * ctx.cell_hmax**2 * ind.er / norm
     assert np.allclose(mu.mu_ent, expect, rtol=1e-13)
@@ -203,7 +205,7 @@ def test_entropy_viscosity_formula():
 def test_min_switches_to_linear_branch():
     ctx = _context(4, 4)
     cfg = EntropyConfig(kind="power", b=2, lambda_lin=1e-12, lambda_ent=0.5)
-    C = interpolate(lambda x, y: x * x, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: x * x, ctx)
     flux = _flux(ctx, 1.0, 0.0)
     ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=2)
     mu = viscosity(cfg, ctx, ind, flux, C)
@@ -214,7 +216,7 @@ def test_min_switches_to_linear_branch():
 def test_stale_indicator_rejected():
     ctx = _context(2, 2)
     cfg = EntropyConfig()
-    C = interpolate(lambda x, y: x, ctx.mesh, ctx.dofmap)
+    C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx)
     stale = IndicatorField(er=np.zeros(ctx.mesh.n_active),
                            generation=ctx.mesh.generation + 1)

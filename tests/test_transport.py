@@ -69,7 +69,7 @@ def test_constant_state_is_fixed_point():
     ctx = _context(4, 4, refine=(5,))
     dm = ctx.dofmap
     flux = _uniform_flux(ctx)
-    C0 = interpolate(lambda x, y: 0.4, ctx.mesh, dm)
+    C0 = interpolate(lambda x, y: 0.4, ctx)
     params = TransportParams()
     A, b = assemble_transport(ctx, params, TransportBC(c_in=0.4), flux,
                               None, None, C0, C_nm1=C0, dt=0.05, m=2)
@@ -103,7 +103,7 @@ def test_inflow_outflow_budget():
     ctx = _context(4, 4)
     dm = ctx.dofmap
     flux = _uniform_flux(ctx, 1.0, 0.0)
-    C = interpolate(lambda x, y: 1.0, ctx.mesh, dm)
+    C = interpolate(lambda x, y: 1.0, ctx)
     params = TransportParams()
     dt = 0.01
     A, b = assemble_transport(ctx, params, TransportBC(c_in=1.0), flux,
@@ -119,7 +119,7 @@ def test_diffusion_decays_smooth_mode():
     ctx = _context(6, 6)
     dm = ctx.dofmap
     flux = _uniform_flux(ctx, 0.0, 0.0)
-    C = interpolate(lambda x, y: np.cos(np.pi * x), ctx.mesh, dm)
+    C = interpolate(lambda x, y: np.cos(np.pi * x), ctx)
     D = np.broadcast_to(1e-2 * np.eye(2), (ctx.mesh.n_active, 2, 2)).copy()
     params = TransportParams()
     amp0 = np.abs(dm.cell_means(C)).max()
