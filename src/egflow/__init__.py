@@ -8,8 +8,8 @@ adaptation.
 
 from .mesh import (AdaptBounds, AdaptReport, MeshError, QuadMesh,
                    build_uniform)
-from .egspace import (AssemblyContext, AssemblyPlan, EGDofMap, QuadratureRule,
-                      dof_count, gauss_cell, gauss_face, interpolate)
+from .egspace import (AssemblyContext, AssemblyPlan, EGDofMap, dof_count,
+                      interpolate)
 from .linalg import GmresResult, LaggedLU, SolverError
 from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
                       draw_centers, mix_viscosity, mobility,
@@ -23,7 +23,7 @@ from .transport import (SourceField, TransportBC, TransportParams,
 from .stabilization import (EntropyConfig, IndicatorField, ViscosityField,
                             entropy_eval, extrapolate_star, indicator,
                             viscosity)
-from .amr import FieldState, MarkingPolicy, Marks, adapt_and_transfer, mark
+from .amr import MarkingPolicy, Marks, adapt_and_transfer, mark
 from .driver import (ConfigError, RunResult, ScenarioConfig, SCENARIOS,
                      finger_diagnostics, load_config_file, make_config, run,
                      tip_profile, write_csv, write_vtk)

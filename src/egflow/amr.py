@@ -11,8 +11,9 @@ parent's bilinear trace (edge midpoints average the edge endpoints, centers
 average the four corners).  The old-to-new vertex map and these stencils
 are found once per adapt from the dof maps' integer vertex lattices, level
 by level with parents first; each new cell finds its old counterpart by
-key-code lookups of its own key, its parent's and its four children's; and
-every field then applies them as gathers.
+key-code lookups of its own key, its parent's and its four children's.  The
+step's coefficient vectors travel as one stacked array, so every gather,
+stencil, constraint fix and cell-mean target runs once for all of them.
 After re-imposing the hanging constraints (a hanging vertex is the average
 of its coarse edge's endpoints, which 2:1 balance keeps free), each new
 cell's constant is set so the cell mean matches the old function's mean
@@ -32,7 +33,6 @@ from .egspace import EGDofMap, q1_values
 from .mesh import AdaptBounds, MeshError, QuadMesh
 
 __all__ = [
-    "FieldState",
     "MarkingPolicy",
     "Marks",
     "adapt_and_transfer",
@@ -68,23 +68,13 @@ class Marks:
     generation: int
 
 
-@dataclass(frozen=True)
-class FieldState:
-    """A named solution array: kind "eg" (dof vector) or "cell" (per-cell)."""
-
-    name: str
-    kind: str
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.kind not in ("eg", "cell"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-
 def mark(ind, mesh: QuadMesh, policy: MarkingPolicy) -> Marks:
     """Rank cells by indicator and emit budgeted refine/coarsen marks.
 
-    Ties break by cell id, so marking is deterministic.  The refine list is
+    Ties break by cell id, so marking is deterministic.  Ids follow creation
+    order, not key order (a split numbers its children SW, SE, NW, NE), and
+    results depend on it: a key-order tie-break changes adaptive runs'
+    meshes, rect_fingering's final dof count among them.  The refine list is
     cut to its longest high-indicator prefix whose refinement, with the 2:1
     closure included, keeps the active count within the cell budget.  The
     minimal closure grows with the prefix, so one walk over the ranked marks
@@ -116,26 +106,26 @@ def mark(ind, mesh: QuadMesh, policy: MarkingPolicy) -> Marks:
                  generation=mesh.generation)
 
 
-def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
-                       ) -> tuple[QuadMesh, EGDofMap, list]:
-    """Execute the marked adaptation and transfer the given FieldStates.
+def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, eg: np.ndarray,
+                       cell: np.ndarray, marks: Marks):
+    """Execute the marked adaptation and transfer the step state.
 
-    Returns (new_mesh, new_dofmap, new_fields); everything is returned
-    unchanged (same objects) when no cell actually refines or coarsens.
+    `eg` stacks coefficient vectors as rows, (k, n_dofs); `cell` holds
+    per-cell data, (n_cells, ...).  Returns (new_mesh, new_dofmap, new_eg,
+    new_cell); everything is returned unchanged (same objects) when no cell
+    actually refines or coarsens.
     """
     if marks.generation != mesh.generation:
         raise ValueError("marks were computed on a different mesh generation")
-    for f in fields:
-        expected = dofmap.n_dofs if f.kind == "eg" else mesh.n_active
-        if f.data.shape[0] != expected:
-            raise ValueError(
-                f"field {f.name!r} has leading size {f.data.shape[0]}, "
-                f"expected {expected}"
-            )
+    if eg.ndim != 2 or eg.shape[1] != dofmap.n_dofs:
+        raise ValueError(f"eg has shape {eg.shape}, expected (k, {dofmap.n_dofs})")
+    if cell.shape[0] != mesh.n_active:
+        raise ValueError(f"cell has leading size {cell.shape[0]}, "
+                         f"expected {mesh.n_active}")
 
     new_mesh, report = mesh.adapt(marks.refine, marks.coarsen)
     if report.unchanged:
-        return mesh, dofmap, list(fields)
+        return mesh, dofmap, eg, cell
     new_dm = EGDofMap(new_mesh)
 
     # each new cell kept its old key (SAME), split off an old active parent
@@ -151,45 +141,37 @@ def adapt_and_transfer(mesh: QuadMesh, dofmap: EGDofMap, fields, marks: Marks,
     merged = (kids >= 0).all(axis=1)
     if np.any(is_same.astype(int) + child + merged != 1):
         raise MeshError("new mesh is not one adapt away from the old mesh")
-    kids, keep = kids[merged], ~merged
+    kids = kids[merged]
     src = np.maximum(same, parent)              # old cell of a SAME/CHILD cell
-    # center of a child inside its parent, in the parent's reference square
-    anchor = ((i[child] & 1) + 0.5) / 2, ((j[child] & 1) + 0.5) / 2
+
+    new_cell = np.empty((n_new,) + cell.shape[1:], dtype=cell.dtype)
+    new_cell[~merged] = cell[src[~merged]]
+    new_cell[merged] = cell[kids].mean(axis=1)
 
     kept, kept_from, stencils = _vertex_transfer(dofmap, new_dm, sorted(report.refined))
-    new_fields = []
-    for f in fields:
-        if f.kind == "cell":
-            out = np.empty((n_new,) + f.data.shape[1:], dtype=f.data.dtype)
-            out[keep] = f.data[src[keep]]
-            out[merged] = f.data[kids].mean(axis=1)
-            new_fields.append(FieldState(f.name, "cell", out))
-            continue
+    cg = np.zeros((eg.shape[0], new_dm.n_dofs))
+    cg[:, kept] = eg[:, kept_from]
+    for edge, ends, center, corners in stencils:
+        v = cg[:, ends]
+        cg[:, edge] = 0.5 * (v[..., 0] + v[..., 1])
+        v = cg[:, corners]
+        cg[:, center] = 0.25 * (v[..., 0] + v[..., 1] + v[..., 2] + v[..., 3])
+    # distribute works on columns; rows come back contiguous for the solves
+    cg = np.ascontiguousarray(new_dm.distribute(cg.T).T)
 
-        old = f.data
-        cg = np.zeros(new_dm.n_dofs)
-        cg[kept] = old[kept_from]
-        for edge, ends, center, corners in stencils:
-            v = cg[ends]
-            cg[edge] = 0.5 * (v[:, 0] + v[:, 1])
-            v = cg[corners]
-            cg[center] = 0.25 * (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3])
-        cg = new_dm.distribute(cg)
-
-        # constants enforce exact per-region means of the old function
-        old_means = dofmap.cell_means(old)
-        target = np.empty(n_new)
-        target[is_same] = old_means[same[is_same]]
-        if np.any(child):
-            N = q1_values(*anchor)[:, :4]
-            corners = old[dofmap.cell_dofs[src[child], :4]]
-            target[child] = (N * corners).sum(axis=1) \
-                + old[dofmap.cell_dofs[src[child], 4]]
-        target[merged] = old_means[kids].mean(axis=1)
-        cg[new_dm.n_cg:] = target - cg[new_dm.cell_dofs[:, :4]].mean(axis=1)
-        new_fields.append(FieldState(f.name, "eg", cg))
-
-    return new_mesh, new_dm, new_fields
+    # constants enforce exact per-region means of the old function
+    cd = dofmap.cell_dofs
+    old_means = dofmap.cell_means(eg)
+    target = np.empty((eg.shape[0], n_new))
+    target[:, is_same] = old_means[:, same[is_same]]
+    if np.any(child):
+        # center of a child inside its parent, in the parent's reference square
+        N = q1_values(((i[child] & 1) + 0.5) / 2, ((j[child] & 1) + 0.5) / 2)[:, :4]
+        target[:, child] = (N * eg[:, cd[src[child], :4]]).sum(axis=-1) \
+            + eg[:, cd[src[child], 4]]
+    target[:, merged] = old_means[:, kids].mean(axis=-1)
+    cg[:, new_dm.n_cg:] = target - cg[:, new_dm.cell_dofs[:, :4]].mean(axis=-1)
+    return new_mesh, new_dm, cg, new_cell
 
 
 def _vertex_transfer(old_dm: EGDofMap, new_dm: EGDofMap, refined):

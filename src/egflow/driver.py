@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amr import FieldState, MarkingPolicy, adapt_and_transfer, mark
+from .amr import MarkingPolicy, adapt_and_transfer, mark
 from .egspace import AssemblyContext, EGDofMap, interpolate
 from .flow import (FlowBC, FlowParams, assemble_pressure, flux_from_velocity,
                    neutral_pressure_mode, reconstruct_flux, solve_reduced)
@@ -191,7 +191,6 @@ class ScenarioConfig:
     marking: MarkingPolicy
     viscosity: ViscosityModel
     dispersion: DispersionParams
-    ratio: float
     t_period: float
     n_centers: int
     perturb: float
@@ -300,7 +299,6 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
             viscosity=model,
             dispersion=DispersionParams(d_m=f["d_m"], alpha_l=f["alpha_l"],
                                         alpha_t=f["alpha_t"]),
-            ratio=model.mobility_ratio,
             t_period=f["t_period"], n_centers=f["n_centers"],
             perturb=f["perturb"], source_rate=f["source_rate"],
             inflow_speed=f["inflow_speed"],
@@ -707,28 +705,19 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                 })
 
             # adapt and carry the history to the new mesh
-            fields = [FieldState("P", "eg", P_np1),
-                      FieldState("P_n", "eg", P_n),
-                      FieldState("C", "eg", C_np1),
-                      FieldState("C_n", "eg", C_n),
-                      FieldState("u_center", "cell", flux.center_velocity)]
-            mesh2, dm2 = mesh, dm
+            eg = np.stack([P_np1, P_n, C_np1, C_n])
+            u_center = flux.center_velocity
             if config.amr:
                 marks = mark(ind, mesh, config.marking)
-                mesh2, dm2, fields = adapt_and_transfer(mesh, dm, fields, marks)
-            if mesh2 is mesh:
-                # keep factors from here on: this mesh is likely to live on
-                factors["flow"].keep = factors["transport"].keep = True
-            else:
-                # free the old generation before building the new one
-                factors = ctx = None
-                mesh, dm = mesh2, dm2
-                ctx = AssemblyContext(mesh, dm)
-                factors = generation_factors("flow", "transport")
-            by_name = {f.name: f.data for f in fields}
-            P_nm1, P_n = by_name["P_n"], by_name["P"]
-            C_nm1, C_n = by_name["C_n"], by_name["C"]
-            u_center = by_name["u_center"]
+                new_mesh, dm, eg, u_center = adapt_and_transfer(
+                    mesh, dm, eg, u_center, marks)
+                if new_mesh is not mesh:
+                    # free the old generation before building the new one
+                    factors = ctx = None
+                    mesh = new_mesh
+                    ctx = AssemblyContext(mesh, dm)
+                    factors = generation_factors("flow", "transport")
+            P_n, P_nm1, C_n, C_nm1 = eg
     finally:
         if outdir is not None:
             write_csv(records, os.path.join(outdir, "diagnostics.csv"))

@@ -46,43 +46,30 @@ from .mesh import (
 __all__ = [
     "AssemblyContext",
     "AssemblyPlan",
+    "CELL_WEIGHTS",
     "EGDofMap",
-    "QuadratureRule",
+    "FACE_WEIGHTS",
     "cell_field_values",
     "dof_count",
     "face_field_values",
     "fix_gauge",
-    "gauss_cell",
-    "gauss_face",
     "interpolate",
     "q1_grads",
     "q1_values",
 ]
 
-# 3-point Gauss on [0,1]
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+# Gauss rules, read-only: 3 points on [0,1] and their 3x3 tensor product on
+# [0,1]^2, exact through degree 5 per axis; the weights sum to 1
 _G3 = 0.5 + 0.5 * np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
-_W3 = np.array([5.0, 8.0, 5.0]) / 18.0
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Reference-domain quadrature; weights sum to the reference measure 1."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
-def gauss_cell() -> QuadratureRule:
-    """Tensor 3x3 Gauss rule on [0,1]^2 (exact through degree 5 per axis)."""
-    X, Y = np.meshgrid(_G3, _G3, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    w = np.outer(_W3, _W3).ravel()
-    return QuadratureRule(points=pts, weights=w)
-
-
-def gauss_face() -> QuadratureRule:
-    """3-point Gauss rule on [0,1] (exact through degree 5)."""
-    return QuadratureRule(points=_G3.copy(), weights=_W3.copy())
+FACE_WEIGHTS = _frozen(np.array([5.0, 8.0, 5.0]) / 18.0)
+_CELL_PTS = _frozen(np.stack([np.repeat(_G3, 3), np.tile(_G3, 3)], axis=1))  # (9, 2)
+CELL_WEIGHTS = _frozen(np.outer(FACE_WEIGHTS, FACE_WEIGHTS).ravel())
 
 
 def q1_values(xi, eta) -> np.ndarray:
@@ -217,9 +204,11 @@ class EGDofMap:
     # -- layout -------------------------------------------------------------
 
     def cell_means(self, coeffs: np.ndarray) -> np.ndarray:
-        """Exact cell means: corner average of the CG part plus the constant."""
+        """Exact cell means: corner average of the CG part plus the constant.
+
+        Coefficient vectors may be stacked as rows, (..., n_dofs)."""
         cd = self.cell_dofs
-        return coeffs[cd[:, :4]].mean(axis=1) + coeffs[cd[:, 4]]
+        return coeffs[..., cd[:, :4]].mean(axis=-1) + coeffs[..., cd[:, 4]]
 
     def total_integral(self, coeffs: np.ndarray) -> float:
         """Exact integral of the EG function over the domain."""
@@ -278,7 +267,7 @@ def interpolate(f, ctx: AssemblyContext) -> np.ndarray:
         f(dm.vertex_pos[:, 0], dm.vertex_pos[:, 1]), dtype=float
     )
     coeffs = dm.distribute(coeffs)
-    coeffs[dm.n_cg:] = (cell_field_values(ctx, f) - ctx.cell_values(coeffs)) @ _CELL_W
+    coeffs[dm.n_cg:] = (cell_field_values(ctx, f) - ctx.cell_values(coeffs)) @ CELL_WEIGHTS
     return coeffs
 
 
@@ -315,12 +304,6 @@ def _neighbor_ref_coords(d: int, kind: int, g: np.ndarray) -> np.ndarray:
     return np.stack([gc, one], 1)
 
 
-def _frozen(a) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 def _side(a: np.ndarray, side: int) -> np.ndarray:
     """Embed a (3, 5, ...) trace table as the owner (0) or neighbor (1) half
     of the 10-dof interior-face layout."""
@@ -336,8 +319,6 @@ def _transpose(t: np.ndarray, k: int) -> np.ndarray:
 _DIRS = (EAST, NORTH, WEST, SOUTH)
 _INTERIOR_KINDS = (CONFORMING, HANGING_LOW, HANGING_HIGH)
 
-_CELL_PTS = _frozen(gauss_cell().points)                        # (9, 2)
-_CELL_W = _frozen(gauss_cell().weights)
 _CELL_N = _frozen(q1_values(*_CELL_PTS.T))                      # (9, 5)
 _CELL_DN = _frozen(q1_grads(*_CELL_PTS.T))                      # (9, 5, 2)
 _FACE_PTS = {d: _frozen(_face_ref_coords(d, _G3)) for d in _DIRS}
@@ -350,14 +331,14 @@ _NB_N = {dk: _frozen(q1_values(*p.T)) for dk, p in _NB_PTS.items()}
 _NB_DN = {dk: _frozen(q1_grads(*p.T)) for dk, p in _NB_PTS.items()}
 
 # unit-cell integrals; a level's tables scale them by hx, hy
-_REF_MASS = _frozen(np.einsum("q,qa,qb->ab", _CELL_W, _CELL_N, _CELL_N).ravel())
-_REF_DIFF = _frozen(np.einsum("q,qad,qbe->deab", _CELL_W, _CELL_DN,
+_REF_MASS = _frozen(np.einsum("q,qa,qb->ab", CELL_WEIGHTS, _CELL_N, _CELL_N).ravel())
+_REF_DIFF = _frozen(np.einsum("q,qad,qbe->deab", CELL_WEIGHTS, _CELL_DN,
                               _CELL_DN).reshape(2, 2, 25))
-_REF_ADV = _frozen(np.einsum("q,qad,qb->qdab", _CELL_W, _CELL_DN,
+_REF_ADV = _frozen(np.einsum("q,qad,qb->qdab", CELL_WEIGHTS, _CELL_DN,
                              _CELL_N).reshape(9, 2, 25))
-_REF_SINK = _frozen(np.einsum("q,qa,qb->qab", _CELL_W, _CELL_N,
+_REF_SINK = _frozen(np.einsum("q,qa,qb->qab", CELL_WEIGHTS, _CELL_N,
                               _CELL_N).reshape(9, 25))
-_REF_WN = _frozen(_CELL_W[:, None] * _CELL_N)
+_REF_WN = _frozen(CELL_WEIGHTS[:, None] * _CELL_N)
 
 
 def _interior_reference(d: int, kind: int):
@@ -365,10 +346,10 @@ def _interior_reference(d: int, kind: int):
     jump x N_own / jump x N_nb per quadrature point, and jump x grad N per
     side and gradient component."""
     jump = _side(_FACE_N[d], 0) - _side(_NB_N[d, kind], 1)
-    jj = np.einsum("q,qa,qb->ab", _W3, jump, jump).ravel()
-    up = np.stack([np.einsum("q,qa,qb->qab", _W3, jump, _side(N, s)).reshape(3, 100)
+    jj = np.einsum("q,qa,qb->ab", FACE_WEIGHTS, jump, jump).ravel()
+    up = np.stack([np.einsum("q,qa,qb->qab", FACE_WEIGHTS, jump, _side(N, s)).reshape(3, 100)
                    for s, N in enumerate((_FACE_N[d], _NB_N[d, kind]))])
-    flux = np.stack([np.einsum("q,qa,qbe->eab", _W3, jump, _side(dN, s)).reshape(2, 100)
+    flux = np.stack([np.einsum("q,qa,qbe->eab", FACE_WEIGHTS, jump, _side(dN, s)).reshape(2, 100)
                      for s, dN in enumerate((_FACE_DN[d], _NB_DN[d, kind]))])
     return _frozen(jj), _frozen(up), _frozen(flux)
 
@@ -377,10 +358,10 @@ def _boundary_reference(d: int):
     """Unit-face integrals of a boundary face: N x N per quadrature point,
     N x grad N per gradient component, and the weighted traces w N, w grad N."""
     N, dN = _FACE_N[d], _FACE_DN[d]
-    nn = np.einsum("q,qa,qb->qab", _W3, N, N).reshape(3, 25)
-    ndn = np.einsum("q,qa,qbe->eab", _W3, N, dN).reshape(2, 25)
-    return (_frozen(nn), _frozen(ndn), _frozen(_W3[:, None] * N),
-            _frozen(_W3[:, None, None] * dN))
+    nn = np.einsum("q,qa,qb->qab", FACE_WEIGHTS, N, N).reshape(3, 25)
+    ndn = np.einsum("q,qa,qbe->eab", FACE_WEIGHTS, N, dN).reshape(2, 25)
+    return (_frozen(nn), _frozen(ndn), _frozen(FACE_WEIGHTS[:, None] * N),
+            _frozen(FACE_WEIGHTS[:, None, None] * dN))
 
 
 def _trace_table(N: np.ndarray, dN: np.ndarray, h, normal) -> np.ndarray:
@@ -779,7 +760,7 @@ class AssemblyContext:
             table, wN, eval_table = _cell_tables(hx, hy)
             self.cell_groups.append(CellGroup(
                 level=int(lev), idx=idx, dofs=dm.cell_dofs[idx], hx=hx, hy=hy,
-                wq=_CELL_W * hx * hy,
+                wq=CELL_WEIGHTS * hx * hy,
                 qx=mesh.cell_x0[idx, None] + _CELL_PTS[None, :, 0] * hx,
                 qy=mesh.cell_y0[idx, None] + _CELL_PTS[None, :, 1] * hy,
                 table=table, wN=wN, eval_table=eval_table,
@@ -814,7 +795,7 @@ class AssemblyContext:
                 dir=d, kind=kind, level=lev, idx=faces, own=own,
                 nb=None if kind == BOUNDARY else neighbor[s:e],
                 dofs=np.ascontiguousarray(dofs[s:e, :5]) if kind == BOUNDARY else dofs[s:e],
-                wq=_W3 * h_e, h_e=h_e, normal=DIR_NORMAL[d].copy(),
+                wq=FACE_WEIGHTS * h_e, h_e=h_e, normal=DIR_NORMAL[d].copy(),
                 boundary=BOUNDARY_NAME[d] if kind == BOUNDARY else None,
                 qx=qx[s:e], qy=qy[s:e], table=table, eval_table=eval_table,
                 wN=wN, wdN=wdN)

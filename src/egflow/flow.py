@@ -21,12 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egspace import (
+    CELL_WEIGHTS,
+    FACE_WEIGHTS,
     AssemblyContext,
     cell_field_values,
     face_field_values,
     fix_gauge,
-    gauss_cell,
-    gauss_face,
 )
 from .linalg import GmresResult, LaggedLU, SolverError
 
@@ -117,7 +117,7 @@ class FaceFlux:
 
     @property
     def mean_un(self) -> np.ndarray:
-        return self.face_un @ gauss_face().weights
+        return self.face_un @ FACE_WEIGHTS
 
 
 def bdf_coefficients(m: int, dt: float) -> tuple[float, float, float]:
@@ -338,7 +338,7 @@ def reconstruct_flux(ctx: AssemblyContext, P: np.ndarray, kappa_cells, bc: FlowB
     rho0, alpha = params.rho0, params.alpha
 
     cell_velocity = -kappa_cells[:, None, None] * ctx.cell_gradients(P)
-    center_velocity = gauss_cell().weights @ cell_velocity
+    center_velocity = CELL_WEIGHTS @ cell_velocity
 
     vals, ders = ctx.face_traces(P)
     Po, Pn, go, gn = vals[:, 0], vals[:, 1], ders[:, 0], ders[:, 1]

@@ -9,10 +9,13 @@ roundoff, so that meets tol unless the system is too ill-conditioned for it.
 Only a solve that misses tol there, or one on a lagged factor, runs scipy's
 GMRES with the factor as the preconditioner, for at most `RESTART`
 iterations, restarts included.  `LaggedLU` holds one system's factor over
-one mesh generation: later solves on the same mesh reuse it while it keeps
-the Krylov iteration count under `REFACTOR_ITERS`, which is how a factor of
-a matrix that drifts slowly from step to step stays a good preconditioner
-(Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., ch. 9-10).
+one mesh generation: it drops the factor of its first solve, so a mesh that
+lives for one step holds none, and keeps the factor from its second solve
+on, which only a mesh that survived an adapt sees.  Later solves reuse it
+while it keeps the Krylov iteration count under `REFACTOR_ITERS`, which is
+how a factor of a matrix that drifts slowly from step to step stays a good
+preconditioner (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd
+ed., ch. 9-10).
 Convergence is always judged on the true residual ||b - A x||_2 <= tol ||b||_2.
 
 The fill-reducing order is computed once per mesh generation: the first
@@ -144,16 +147,17 @@ class LaggedLU:
     than REFACTOR_ITERS iterations.  On a fresh factor it is one LU solve
     and 0 iterations, continued by GMRES only if the true residual misses
     tol; on a lagged factor it is GMRES, retried once on a fresh factor if
-    it fails.  The factor is dropped after every solve until `keep` is set,
-    which the driver does once the mesh has survived an adapt unchanged, so
-    a mesh that lives for one step holds no factor.  Every factor uses
-    `order`, which generation_factors shares between systems.
+    it fails.  The factor of the first solve is dropped and every later one
+    is kept: a mesh generation gets new LaggedLUs, so a second solve means
+    the mesh survived an adapt and is likely to live on, while a mesh that
+    lives for one step holds no factor.  Every factor uses `order`, which
+    generation_factors shares between systems.
     """
 
-    def __init__(self, keep: bool = False):
-        self.keep = keep
+    def __init__(self):
         self.lu = None
         self.iterations = 0
+        self.solves = 0
         self.order = ColumnOrder()
 
     def _fresh(self, A, b, x0, tol: float) -> GmresResult:
@@ -170,7 +174,8 @@ class LaggedLU:
         else:
             out = self._fresh(A, b, x0, tol)
         self.iterations = out.iterations
-        if not self.keep:
+        self.solves += 1
+        if self.solves == 1:
             self.lu = None
         if not out.converged:
             raise SolverError(

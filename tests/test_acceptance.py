@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import conftest
-from egflow.amr import FieldState, MarkingPolicy, Marks, adapt_and_transfer, mark
+from egflow.amr import MarkingPolicy, Marks, adapt_and_transfer, mark
 from egflow.egspace import AssemblyContext, EGDofMap, dof_count, interpolate
 from egflow.flow import (
     FlowBC,
@@ -276,6 +276,7 @@ def test_criterion_09_amr_invariants():
     mesh = build_uniform(UNIT, 4, 4)
     dm = EGDofMap(mesh)
     C = dm.distribute(rng.standard_normal(dm.n_dofs))
+    cell = np.zeros(mesh.n_active)
     cell_max = 400
     policy = MarkingPolicy(AdaptBounds(r_max=4, r_min=0, cell_max=cell_max),
                            refine_fraction=0.25, coarsen_fraction=0.15)
@@ -289,9 +290,8 @@ def test_criterion_09_amr_invariants():
         total0 = dm.total_integral(C)
         marks = mark(_Ind(rng.random(mesh.n_active), mesh.generation),
                      mesh, policy)
-        mesh, dm, fields = adapt_and_transfer(
-            mesh, dm, [FieldState("c", "eg", C)], marks)
-        C = fields[0].data
+        mesh, dm, eg, cell = adapt_and_transfer(mesh, dm, C[None], cell, marks)
+        C = eg[0]
         total1 = dm.total_integral(C)
         drift = abs(total1 - total0) / max(1.0, abs(total0))
         worst_drift = max(worst_drift, drift)

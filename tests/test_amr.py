@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from egflow.amr import FieldState, MarkingPolicy, Marks, adapt_and_transfer, mark
+from egflow.amr import MarkingPolicy, Marks, adapt_and_transfer, mark
 from egflow.egspace import AssemblyContext, EGDofMap, interpolate, q1_values
 from egflow.mesh import AdaptBounds, MeshError, QuadMesh, _parent_key, build_uniform
 from conftest import cell_bbox, eval_point
@@ -48,6 +48,19 @@ def test_marking_tie_break_by_cell_id():
     marks = mark(_Ind(er, mesh.generation), mesh, _policy(refine=0.4))
     ids = sorted(mesh.cell_id)
     assert sorted(marks.refine) == ids[:2]
+
+
+def test_marking_ties_break_by_creation_order_not_key():
+    # a split numbers its children SW, SE, NW, NE, while key order is SW,
+    # NW, SE, NE: of four tied children the top two by id are SW and SE
+    mesh = build_uniform(UNIT, 4, 4).refine([5])
+    kid = mesh.cell_level == 1
+    sw, nw, se = (np.flatnonzero(kid & (mesh.cell_i == i) & (mesh.cell_j == j))[0]
+                  for i, j in ((2, 2), (2, 3), (3, 2)))
+    marks = mark(_Ind(kid.astype(float), mesh.generation), mesh,
+                 _policy(refine=2.5 / mesh.n_active, coarsen=0.0))
+    assert marks.refine == (mesh.cell_id[sw], mesh.cell_id[se])
+    assert marks.refine != (mesh.cell_id[sw], mesh.cell_id[nw])
 
 
 def test_marking_respects_level_cap():
@@ -140,26 +153,28 @@ def test_stale_indicator_and_marks_rejected():
     stale = Marks(refine=(mesh.cell_id[0],), coarsen=(),
                   generation=mesh.generation + 5)
     with pytest.raises(ValueError):
-        adapt_and_transfer(mesh, dm, [], stale)
+        adapt_and_transfer(mesh, dm, np.zeros((1, dm.n_dofs)), np.zeros(4), stale)
 
 
 def test_field_size_validation():
     mesh = build_uniform(UNIT, 2, 2)
     dm = EGDofMap(mesh)
     marks = Marks(refine=(mesh.cell_id[0],), coarsen=(), generation=mesh.generation)
-    with pytest.raises(ValueError):
-        adapt_and_transfer(mesh, dm, [FieldState("c", "eg", np.zeros(3))], marks)
-    with pytest.raises(ValueError):
-        FieldState("c", "nodal", np.zeros(4))
+    cell = np.zeros(mesh.n_active)
+    for eg in (np.zeros((2, 3)), np.zeros(dm.n_dofs), np.zeros((dm.n_dofs, 2))):
+        with pytest.raises(ValueError, match="eg has shape"):
+            adapt_and_transfer(mesh, dm, eg, cell, marks)
+    with pytest.raises(ValueError, match="cell has leading size"):
+        adapt_and_transfer(mesh, dm, np.zeros((2, dm.n_dofs)), np.zeros(3), marks)
 
 
 def test_noop_returns_same_objects():
     mesh = build_uniform(UNIT, 2, 2)
     dm = EGDofMap(mesh)
-    field = FieldState("c", "eg", np.zeros(dm.n_dofs))
+    eg, cell = np.zeros((2, dm.n_dofs)), np.zeros((mesh.n_active, 2))
     marks = Marks(refine=(), coarsen=(), generation=mesh.generation)
-    m2, dm2, f2 = adapt_and_transfer(mesh, dm, [field], marks)
-    assert m2 is mesh and dm2 is dm and f2[0] is field
+    m2, dm2, eg2, cell2 = adapt_and_transfer(mesh, dm, eg, cell, marks)
+    assert m2 is mesh and dm2 is dm and eg2 is eg and cell2 is cell
 
 
 def test_linear_field_transfers_exactly():
@@ -169,8 +184,8 @@ def test_linear_field_transfers_exactly():
     C = interpolate(f, AssemblyContext(mesh, dm))
     marks = Marks(refine=(mesh.cell_id[0], mesh.cell_id[4]), coarsen=(),
                   generation=mesh.generation)
-    mesh2, dm2, fields = adapt_and_transfer(mesh, dm, [FieldState("c", "eg", C)], marks)
-    C2 = fields[0].data
+    mesh2, dm2, eg, _ = adapt_and_transfer(mesh, dm, C[None], np.zeros(9), marks)
+    C2 = eg[0]
     rng = np.random.default_rng(17)
     for x, y in rng.random((40, 2)):
         cid = mesh2.locate(x, y)
@@ -188,8 +203,8 @@ def test_transfer_preserves_integral_on_refine():
     total0 = dm.total_integral(C)
     marks = Marks(refine=tuple(mesh.cell_id[[2, 7, 11]]), coarsen=(),
                   generation=mesh.generation)
-    mesh2, dm2, fields = adapt_and_transfer(mesh, dm, [FieldState("c", "eg", C)], marks)
-    total1 = dm2.total_integral(fields[0].data)
+    mesh2, dm2, eg, _ = adapt_and_transfer(mesh, dm, C[None], np.zeros(16), marks)
+    total1 = dm2.total_integral(eg[0])
     assert total1 == pytest.approx(total0, abs=1e-12)
     assert mesh2.balanced()
 
@@ -203,9 +218,9 @@ def test_transfer_preserves_integral_on_coarsen():
     kids = tuple(mesh.cell_id[mesh.cell_level == 1])
     assert len(kids) == 4
     marks = Marks(refine=(), coarsen=kids, generation=mesh.generation)
-    mesh2, dm2, fields = adapt_and_transfer(mesh, dm, [FieldState("c", "eg", C)], marks)
+    mesh2, dm2, eg, _ = adapt_and_transfer(mesh, dm, C[None], np.zeros(7), marks)
     assert mesh2.n_active == 4
-    total1 = dm2.total_integral(fields[0].data)
+    total1 = dm2.total_integral(eg[0])
     assert total1 == pytest.approx(total0, abs=1e-12)
 
 
@@ -215,7 +230,8 @@ def test_marking_policy_coarsens_quartet():
     pol = _policy(r_max=2, r_min=0, refine=0.0, coarsen=4.0 / 7.0)
     marks = mark(_Ind(er, mesh.generation), mesh, pol)
     assert sorted(marks.coarsen) == sorted(mesh.cell_id[mesh.cell_level == 1])
-    mesh2, _, _ = adapt_and_transfer(mesh, EGDofMap(mesh), [], marks)
+    dm = EGDofMap(mesh)
+    mesh2, *_ = adapt_and_transfer(mesh, dm, np.zeros((1, dm.n_dofs)), er, marks)
     assert mesh2.n_active == 4
 
 
@@ -224,9 +240,8 @@ def test_cell_kind_field_transfer():
     dm = EGDofMap(mesh)
     data = np.array([1.0, 2.0, 3.0, 4.0])
     marks = Marks(refine=(mesh.cell_id[0],), coarsen=(), generation=mesh.generation)
-    mesh2, dm2, fields = adapt_and_transfer(
-        mesh, dm, [FieldState("kappa", "cell", data)], marks)
-    out = fields[0].data
+    mesh2, dm2, _, out = adapt_and_transfer(
+        mesh, dm, np.zeros((1, dm.n_dofs)), data, marks)
     assert out.shape == (7,)
     # the four children inherit the parent value; survivors keep theirs
     x0, y0 = mesh.cell_x0[0], mesh.cell_y0[0]
@@ -244,14 +259,14 @@ def test_random_adapt_preserves_integral(seed):
     mesh = build_uniform(UNIT, 3, 3)
     dm = EGDofMap(mesh)
     C = dm.distribute(rng.standard_normal(dm.n_dofs))
+    cell = np.zeros(mesh.n_active)
     for _ in range(3):
         total = dm.total_integral(C)
         er = rng.random(mesh.n_active)
         pol = _policy(r_max=3, cell_max=200, refine=0.3, coarsen=0.2)
         marks = mark(_Ind(er, mesh.generation), mesh, pol)
-        mesh, dm, fields = adapt_and_transfer(
-            mesh, dm, [FieldState("c", "eg", C)], marks)
-        C = fields[0].data
+        mesh, dm, eg, cell = adapt_and_transfer(mesh, dm, C[None], cell, marks)
+        C = eg[0]
         assert mesh.balanced()
         assert mesh.n_active <= 200
         assert dm.total_integral(C) == pytest.approx(
@@ -260,7 +275,8 @@ def test_random_adapt_preserves_integral(seed):
 
 # ----------------------------------------------------------------------
 # the transfer against a dict-based oracle: vertices keyed by (X, Y) tuples
-# on the level-30 lattice, filled field by field and parent by parent
+# on the level-30 lattice, filled one coefficient vector at a time and parent
+# by parent
 
 def _vertex_index(mesh):
     keys = set()
@@ -272,10 +288,11 @@ def _vertex_index(mesh):
     return {k: n for n, k in enumerate(sorted(keys))}
 
 
-def _dict_transfer(mesh, dofmap, fields, marks):
+def _dict_transfer(mesh, dofmap, old, cell, marks):
+    """(new coefficient vector, new cell data) for one vector `old`."""
     new_mesh, report = mesh.adapt(marks.refine, marks.coarsen)
     if report.unchanged:
-        return list(fields)
+        return old, cell
     new_dm = EGDofMap(new_mesh)
     old_index, new_index = _vertex_index(mesh), _vertex_index(new_mesh)
     cell_index = {k: n for n, k in enumerate(mesh.cell_keys)}
@@ -307,73 +324,69 @@ def _dict_transfer(mesh, dofmap, fields, marks):
             anchor_ref[idx, 0] = (key[1] - (a[1] << d) + 0.5) / (1 << d)
             anchor_ref[idx, 1] = (key[2] - (a[2] << d) + 0.5) / (1 << d)
 
-    out_fields = []
-    for f in fields:
-        if f.kind == "cell":
-            out = np.empty((n_new,) + f.data.shape[1:], dtype=f.data.dtype)
-            same_or_child = tag != MERGED
-            out[same_or_child] = f.data[src[same_or_child]]
-            for idx, kids in merged_children.items():
-                out[idx] = f.data[kids].mean(axis=0)
-            out_fields.append(FieldState(f.name, "cell", out))
-            continue
+    same_or_child = tag != MERGED
+    out = np.empty((n_new,) + cell.shape[1:], dtype=cell.dtype)
+    out[same_or_child] = cell[src[same_or_child]]
+    for idx, kids in merged_children.items():
+        out[idx] = cell[kids].mean(axis=0)
 
-        old = f.data
-        cg = np.zeros(new_dm.n_dofs)
-        filled = np.zeros(new_dm.n_cg, dtype=bool)
-        for vk, vi in new_index.items():
-            oi = old_index.get(vk)
-            if oi is not None:
-                cg[vi] = old[oi]
+    cg = np.zeros(new_dm.n_dofs)
+    filled = np.zeros(new_dm.n_cg, dtype=bool)
+    for vk, vi in new_index.items():
+        oi = old_index.get(vk)
+        if oi is not None:
+            cg[vi] = old[oi]
+            filled[vi] = True
+    for lev, i, j in refined:
+        s = 30 - (lev + 1)
+        X = [(2 * i) << s, (2 * i + 1) << s, (2 * i + 2) << s]
+        Y = [(2 * j) << s, (2 * j + 1) << s, (2 * j + 2) << s]
+        v00, v10 = cg[new_index[(X[0], Y[0])]], cg[new_index[(X[2], Y[0])]]
+        v01, v11 = cg[new_index[(X[0], Y[2])]], cg[new_index[(X[2], Y[2])]]
+        for (kx, ky), val in (
+            ((X[1], Y[0]), 0.5 * (v00 + v10)),
+            ((X[0], Y[1]), 0.5 * (v00 + v01)),
+            ((X[2], Y[1]), 0.5 * (v10 + v11)),
+            ((X[1], Y[2]), 0.5 * (v01 + v11)),
+            ((X[1], Y[1]), 0.25 * (v00 + v10 + v01 + v11)),
+        ):
+            vi = new_index[(kx, ky)]
+            if not filled[vi]:
+                cg[vi] = val
                 filled[vi] = True
-        for lev, i, j in refined:
-            s = 30 - (lev + 1)
-            X = [(2 * i) << s, (2 * i + 1) << s, (2 * i + 2) << s]
-            Y = [(2 * j) << s, (2 * j + 1) << s, (2 * j + 2) << s]
-            v00, v10 = cg[new_index[(X[0], Y[0])]], cg[new_index[(X[2], Y[0])]]
-            v01, v11 = cg[new_index[(X[0], Y[2])]], cg[new_index[(X[2], Y[2])]]
-            for (kx, ky), val in (
-                ((X[1], Y[0]), 0.5 * (v00 + v10)),
-                ((X[0], Y[1]), 0.5 * (v00 + v01)),
-                ((X[2], Y[1]), 0.5 * (v10 + v11)),
-                ((X[1], Y[2]), 0.5 * (v01 + v11)),
-                ((X[1], Y[1]), 0.25 * (v00 + v10 + v01 + v11)),
-            ):
-                vi = new_index[(kx, ky)]
-                if not filled[vi]:
-                    cg[vi] = val
-                    filled[vi] = True
-        cg = new_dm.distribute(cg)
+    cg = new_dm.distribute(cg)
 
-        cd = dofmap.cell_dofs
-        old_means = old[cd[:, :4]].mean(axis=1) + old[cd[:, 4]]
-        target = np.empty(n_new)
-        same = tag == SAME
-        target[same] = old_means[src[same]]
-        child = tag == CHILD
-        if np.any(child):
-            N = q1_values(anchor_ref[child, 0], anchor_ref[child, 1])[:, :4]
-            corners = old[cd[src[child], :4]]
-            target[child] = (N * corners).sum(axis=1) + old[cd[src[child], 4]]
-        for idx, kids in merged_children.items():
-            target[idx] = old_means[kids].mean()
-        cg[new_dm.n_cg:] = target - cg[new_dm.cell_dofs[:, :4]].mean(axis=1)
-        out_fields.append(FieldState(f.name, "eg", cg))
-    return out_fields
+    cd = dofmap.cell_dofs
+    old_means = old[cd[:, :4]].mean(axis=1) + old[cd[:, 4]]
+    target = np.empty(n_new)
+    same = tag == SAME
+    target[same] = old_means[src[same]]
+    child = tag == CHILD
+    if np.any(child):
+        N = q1_values(anchor_ref[child, 0], anchor_ref[child, 1])[:, :4]
+        corners = old[cd[src[child], :4]]
+        target[child] = (N * corners).sum(axis=1) + old[cd[src[child], 4]]
+    for idx, kids in merged_children.items():
+        target[idx] = old_means[kids].mean()
+    cg[new_dm.n_cg:] = target - cg[new_dm.cell_dofs[:, :4]].mean(axis=1)
+    return cg, out
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
-def test_transfer_matches_dict_oracle(nx, ny, seed):
+def _oracle_rounds(nx, ny, seed):
+    """Six adapts of a stacked state, each row checked bitwise against the
+    dict oracle applied to that row alone; returns how many rounds split,
+    merged and left hanging vertices."""
     rng = np.random.default_rng(seed)
     mesh = build_uniform((-0.3, 0.1, 1.4, 0.77), nx, ny)
     mesh = mesh.refine(mesh.cell_id)
     dm = EGDofMap(mesh)
-    fields = [FieldState("C", "eg", dm.distribute(rng.standard_normal(dm.n_dofs))),
-              FieldState("P", "eg", rng.standard_normal(dm.n_dofs)),
-              FieldState("u", "cell", rng.standard_normal((mesh.n_active, 2)))]
+    # rows: two fields on their constraints and one off them
+    eg = np.stack([dm.distribute(rng.standard_normal(dm.n_dofs)),
+                   dm.distribute(rng.standard_normal(dm.n_dofs)),
+                   rng.standard_normal(dm.n_dofs)])
+    cell = rng.standard_normal((mesh.n_active, 2))
     pol = _policy(r_max=4, cell_max=300, refine=0.3, coarsen=0.3)
-    changed = 0
+    splits = merges = hanging = 0
     for k in range(6):
         pick = rng.random(mesh.n_active)
         if k % 2:
@@ -382,17 +395,31 @@ def test_transfer_matches_dict_oracle(nx, ny, seed):
             marks = Marks(refine=tuple(mesh.cell_id[(pick < 0.1) & (mesh.cell_level < 4)]),
                           coarsen=tuple(mesh.cell_id[pick > 0.3]),
                           generation=mesh.generation)
-        # P off its constraints: hanging vertices that a split frees keep
-        # their own old value
-        fields[1] = FieldState("P", "eg", fields[1].data + rng.random(dm.n_dofs))
-        expect = _dict_transfer(mesh, dm, fields, marks)
-        mesh2, dm, fields = adapt_and_transfer(mesh, dm, fields, marks)
-        changed += mesh2 is not mesh
-        mesh = mesh2
-        for got, want in zip(fields, expect):
-            assert got.name == want.name and got.data.shape == want.data.shape
-            assert np.array_equal(got.data, want.data)
-    assert changed > 0
+        # the last row off its constraints: hanging vertices that a split
+        # frees keep their own old value
+        eg[-1] += rng.random(dm.n_dofs)
+        expect = [_dict_transfer(mesh, dm, row, cell, marks) for row in eg]
+        report = mesh.adapt(marks.refine, marks.coarsen)[1]
+        splits += bool(report.refined)
+        merges += bool(report.coarsened)
+        mesh, dm, eg, cell = adapt_and_transfer(mesh, dm, eg, cell, marks)
+        hanging += dm.constrained.size > 0
+        assert eg.shape == (3, dm.n_dofs)
+        for got, (want, want_cell) in zip(eg, expect):
+            assert np.array_equal(got, want)
+            assert np.array_equal(cell, want_cell)
+    return splits, merges, hanging
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_transfer_matches_dict_oracle(nx, ny, seed):
+    splits, merges, _ = _oracle_rounds(nx, ny, seed)
+    assert splits + merges > 0
+
+
+def test_transfer_oracle_rounds_cover_hanging_splits_and_merges():
+    assert all(_oracle_rounds(3, 2, 0))
 
 
 def test_transfer_rejects_a_mesh_two_refinements_below(monkeypatch):
@@ -406,5 +433,4 @@ def test_transfer_rejects_a_mesh_two_refinements_below(monkeypatch):
     monkeypatch.setattr(QuadMesh, "adapt", lambda self, r, c: (deep, report))
     marks = Marks(refine=tuple(mesh.cell_id), coarsen=(), generation=mesh.generation)
     with pytest.raises(MeshError, match="one adapt"):
-        adapt_and_transfer(mesh, dm, [FieldState("c", "eg", np.zeros(dm.n_dofs))],
-                           marks)
+        adapt_and_transfer(mesh, dm, np.zeros((1, dm.n_dofs)), np.zeros(4), marks)

@@ -26,8 +26,6 @@ from egflow.egspace import (
     _unique_inverse,
     cell_field_values,
     face_field_values,
-    gauss_cell,
-    gauss_face,
     interpolate,
     q1_grads,
     q1_values,
@@ -63,15 +61,15 @@ def _shaped(ctx, groups):
     a cell group; N_o, dN_o on a face group and N_n, dN_n on interior ones."""
     for g in groups:
         if isinstance(g, CellGroup):
-            pts = gauss_cell().points
+            pts = egspace._CELL_PTS
             yield SimpleNamespace(**vars(g), N=q1_values(*pts.T),
                                   dN=q1_grads(*pts.T) / np.array([g.hx, g.hy]))
             continue
         h = np.array(ctx.mesh._cell_size(g.level))
-        pts = egspace._face_ref_coords(g.dir, gauss_face().points)
+        pts = egspace._face_ref_coords(g.dir, egspace._G3)
         shapes = dict(N_o=q1_values(*pts.T), dN_o=q1_grads(*pts.T) / h)
         if g.nb is not None:
-            pts = egspace._neighbor_ref_coords(g.dir, g.kind, gauss_face().points)
+            pts = egspace._neighbor_ref_coords(g.dir, g.kind, egspace._G3)
             scale = 1.0 if g.kind == CONFORMING else 2.0
             shapes.update(N_n=q1_values(*pts.T), dN_n=q1_grads(*pts.T) / (h * scale))
         yield SimpleNamespace(**vars(g), **shapes)

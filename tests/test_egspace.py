@@ -7,13 +7,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from egflow import egspace
 from egflow.egspace import (
     AssemblyContext,
+    CELL_WEIGHTS,
+    FACE_WEIGHTS,
     EGDofMap,
     dof_count,
     fix_gauge,
-    gauss_cell,
-    gauss_face,
     interpolate,
     q1_grads,
     q1_values,
@@ -54,17 +55,17 @@ def test_hanging_mesh_dof_count():
 
 def test_cell_quadrature_exactness():
     # 3x3 Gauss on the reference square integrates x^4 y^2 exactly: 1/15
-    rule = gauss_cell()
-    x, y = rule.points[:, 0], rule.points[:, 1]
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    assert rule.weights @ (x**4 * y**2) == pytest.approx(1.0 / 15.0, abs=1e-15)
+    x, y = egspace._CELL_PTS.T
+    assert CELL_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+    assert CELL_WEIGHTS @ (x**4 * y**2) == pytest.approx(1.0 / 15.0, abs=1e-15)
+    assert not CELL_WEIGHTS.flags.writeable
 
 
 def test_face_quadrature_exactness():
-    rule = gauss_face()
-    t = rule.points.ravel()
-    assert rule.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    assert rule.weights @ t**5 == pytest.approx(1.0 / 6.0, abs=1e-15)
+    t = egspace._G3
+    assert FACE_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+    assert FACE_WEIGHTS @ t**5 == pytest.approx(1.0 / 6.0, abs=1e-15)
+    assert not FACE_WEIGHTS.flags.writeable
 
 
 def test_q1_partition_of_unity():
@@ -168,12 +169,11 @@ def test_context_values_match_eval_point(i, j):
     rng = np.random.default_rng(i * 7 + j)
     coeffs = dm.distribute(rng.standard_normal(dm.n_dofs))
     vals = ctx.cell_values(coeffs)
-    rule = gauss_cell()
     for g in ctx.cell_groups:
         for row, idx in enumerate(g.idx[:2]):
             cid = mesh.cell_id[idx]
             for q in range(9):
-                xi, eta = rule.points[q]
+                xi, eta = egspace._CELL_PTS[q]
                 assert vals[idx, q] == pytest.approx(
                     eval_point(mesh, dm, coeffs, cid, xi, eta), abs=1e-12)
 

@@ -115,47 +115,56 @@ def _perturbed_pair(n, seed, eps):
 def test_lagged_factor_accelerates(monkeypatch):
     calls = _counting_factor(monkeypatch)
     A, A2, b = _perturbed_pair(60, 7, 0.5)
-    lu = LaggedLU(keep=True)
-    lu.solve(A, b)
+    lu = _keeping(A, b)
     plain = sp.linalg.gmres(A2, b, rtol=1e-10, atol=0.0, restart=20)[0]
     out = lu.solve(A2, b)
-    assert len(calls) == 1                    # the second solve reused the factor
+    assert len(calls) == 2                    # the third solve reused the factor
     assert 0 < out.iterations <= linalg.REFACTOR_ITERS
     assert np.linalg.norm(b - A2 @ out.x) <= 1e-10 * np.linalg.norm(b)
     assert np.allclose(out.x, plain, atol=1e-8)
 
 
-def test_factor_dropped_unless_kept(monkeypatch):
-    calls = _counting_factor(monkeypatch)
-    A, _, b = _perturbed_pair(30, 3, 0.1)
+def _keeping(A, b):
+    """A LaggedLU that has solved A x = b twice, so it holds a kept factor."""
     lu = LaggedLU()
     lu.solve(A, b)
-    assert lu.lu is None
     lu.solve(A, b)
-    assert len(calls) == 2
+    return lu
+
+
+def test_factor_kept_from_the_second_solve(monkeypatch):
+    calls = _counting_factor(monkeypatch)
+    A, A2, b = _perturbed_pair(30, 3, 0.1)
+    lu = LaggedLU()
+    lu.solve(A, b)
+    assert lu.lu is None and len(calls) == 1     # the first factor is dropped
+    lu.solve(A, b)
+    assert lu.lu is not None and len(calls) == 2
+    kept = lu.lu
+    out = lu.solve(A2, b)
+    assert lu.lu is kept and len(calls) == 2     # the third reuses it
+    assert out.converged and out.iterations > 0
 
 
 def test_iteration_cap_triggers_refactor(monkeypatch):
     calls = _counting_factor(monkeypatch)
     A, A2, b = _perturbed_pair(60, 11, 6.0)
-    lu = LaggedLU(keep=True)
-    lu.solve(A, b)
+    lu = _keeping(A, b)
     lu.solve(A2, b)                           # lagged, over the cap
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert lu.iterations > linalg.REFACTOR_ITERS
     out = lu.solve(A2, b)                     # so this one refactors first
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert out.iterations == 0
 
 
 def test_failed_lagged_solve_refactors(monkeypatch):
     calls = _counting_factor(monkeypatch)
     A, A2, b = _perturbed_pair(60, 13, 20.0)
-    lu = LaggedLU(keep=True)
-    lu.solve(A, b)
+    lu = _keeping(A, b)
     monkeypatch.setattr(linalg, "RESTART", 2)
     out = lu.solve(A2, b)                     # the stale factor stalls: retry
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert np.linalg.norm(b - A2 @ out.x) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -276,14 +285,13 @@ def test_second_system_reuses_the_order(monkeypatch):
     A_f, b_f, A_t, b_t = _last_pair(monkeypatch)
     specs = _spy_orders(monkeypatch)
     factors = generation_factors("flow", "transport")
-    for f in factors.values():
-        f.keep = True
     factors["flow"].solve(A_f, b_f)
     order = factors["flow"].order
     assert factors["transport"].order is order and order.q is not None
     q = order.q.copy()
+    factors["transport"].solve(A_t, b_t, tol=1e-10)      # its factor is dropped
     out = factors["transport"].solve(A_t, b_t, tol=1e-10)
-    assert specs == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert specs == ["MMD_AT_PLUS_A", "NATURAL", "NATURAL"]
     assert np.array_equal(order.q, q) and factors["transport"].lu.q is order.q
     assert np.linalg.norm(b_t - A_t @ out.x) <= 1e-10 * np.linalg.norm(b_t)
     own = linalg._factor(A_t, ColumnOrder())
