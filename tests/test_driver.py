@@ -275,9 +275,13 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_cli_solver_failure_exits_3(capsys):
+    # the message names the system that failed
     code = main(["--scenario", "manufactured", "--flow-tol", "1e-30"])
     assert code == 3
-    assert "solver failure" in capsys.readouterr().err
+    assert "solver failure: flow solve stalled at residual" in capsys.readouterr().err
+    code = main(["--scenario", "single_vortex", "--transport-tol", "1e-30", "--t-end", "0.05"])
+    assert code == 3
+    assert "solver failure: transport solve stalled at residual" in capsys.readouterr().err
 
 
 def test_cli_singular_system_exits_3(monkeypatch, capsys):
@@ -289,7 +293,7 @@ def test_cli_singular_system_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(driver, "assemble_pressure", singular)
     assert main(["--scenario", "manufactured"]) == 3
-    assert "singular" in capsys.readouterr().err
+    assert "flow solve failed: singular" in capsys.readouterr().err
 
 
 def test_factor_dies_with_its_generation(monkeypatch):

@@ -1,6 +1,7 @@
 """The LU solve on a fresh factor, LU-preconditioned GMRES on a lagged one or
-after a miss, the factor kept over a mesh generation and the column order
-its two systems share."""
+after a miss, started from the projection onto the generation's recent
+solutions, the factor kept over a mesh generation and the column order its
+two systems share."""
 
 import numpy as np
 import pytest
@@ -59,13 +60,13 @@ def test_gmres_nonconvergence_flag():
 
 def _spy_gmres(monkeypatch):
     calls = []
-    gmres = linalg.gmres
+    gmres = linalg._gmres
 
     def spy(*args, **kwargs):
         calls.append(1)
         return gmres(*args, **kwargs)
 
-    monkeypatch.setattr(linalg, "gmres", spy)
+    monkeypatch.setattr(linalg, "_gmres", spy)
     return calls
 
 
@@ -186,6 +187,145 @@ def test_gmres_matches_dense_solve(n, seed):
     assert np.allclose(out.x, np.linalg.solve(A, b), atol=1e-7)
 
 
+def _nonsymmetric(n, seed):
+    A = sp.random(n, n, density=0.1, random_state=seed) + 4.0 * sp.identity(n)
+    return A.tocsr()
+
+
+def _scipy_gmres(A, b, x0, lu, tol):
+    """scipy's GMRES with the same preconditioner, cap and true-residual target."""
+    count = []
+    M = sp.linalg.LinearOperator(A.shape, lu.solve, dtype=float)
+    x, info = sp.linalg.gmres(A, b, x0=x0, rtol=tol, atol=0.0, restart=linalg.RESTART,
+                              maxiter=linalg.RESTART, M=M, callback=count.append,
+                              callback_type="legacy")
+    return x, info, len(count)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_agrees_with_scipy_gmres(seed):
+    # a preconditioner off by a perturbation of A, as a lagged factor is:
+    # both meet tol on the true residual, in about as many iterations
+    rng = np.random.default_rng(seed)
+    n, tol = 80, 1e-10
+    A = _nonsymmetric(n, seed)
+    E = sp.random(n, n, density=0.05, random_state=seed + 100)
+    lu = linalg._factor((A + 0.3 * E).tocsr(), ColumnOrder())
+    b, x0 = rng.standard_normal(n), rng.standard_normal(n)
+    out = linalg._gmres(A, b, x0, lu, tol)
+    x, info, iterations = _scipy_gmres(A, b, x0, lu, tol)
+    assert info == 0 and out.converged and out.iterations > 2
+    assert out.residual == np.linalg.norm(b - A @ out.x)
+    assert out.residual <= tol * np.linalg.norm(b)
+    assert np.linalg.norm(A @ (out.x - x)) <= 2.0 * tol * np.linalg.norm(b)
+    assert abs(out.iterations - iterations) <= 1
+
+
+class _Jacobi:
+    def __init__(self, d):
+        self.d = d
+
+    def solve(self, v):
+        return v / self.d
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_goes_on_when_the_estimate_misleads(seed):
+    # with a diagonal preconditioner on a widely scaled matrix the ratio of
+    # true to preconditioned residual drifts within the cycle: the scaled
+    # estimate meets tol before the true residual does, and the cycle goes on
+    rng = np.random.default_rng(seed)
+    d = np.geomspace(1.0, 1e4, 40)
+    A = (sp.diags(d) + 7.0 * sp.random(40, 40, density=0.1, random_state=seed)).tocsr()
+    b = rng.standard_normal(40)
+    out = linalg._gmres(A, b, None, _Jacobi(A.diagonal()), 1e-10)
+    assert out.converged and out.iterations <= linalg.RESTART
+    assert np.linalg.norm(b - A @ out.x) <= 1e-10 * np.linalg.norm(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 2**31 - 1),
+       st.sampled_from(["none", "random", "near", "exact"]))
+def test_projected_start_never_raises_the_residual(n, k, seed, start):
+    # histories with repeated, scaled and exact solutions make W rank-deficient
+    rng = np.random.default_rng(seed)
+    A = _nonsymmetric(n, seed % 1000)
+    b = rng.standard_normal(n)
+    x = np.linalg.solve(A.toarray(), b)
+    pool = [rng.standard_normal(n), x, 2.0 * x, x + 1e-9 * rng.standard_normal(n)]
+    history = [pool[i] for i in rng.integers(0, len(pool), k)]
+    x0 = {"none": None, "random": rng.standard_normal(n),
+          "near": x + 1e-14 * rng.standard_normal(n), "exact": x}[start]
+    r0 = np.linalg.norm(b if x0 is None else b - A @ x0)
+    assert np.linalg.norm(b - A @ linalg._projected(A, b, x0, history)) <= r0
+
+
+def test_projection_finds_a_solution_in_the_span():
+    rng = np.random.default_rng(4)
+    A = _nonsymmetric(50, 4)
+    b = rng.standard_normal(50)
+    x = np.linalg.solve(A.toarray(), b)
+    u = rng.standard_normal(50)
+    start = linalg._projected(A, b, rng.standard_normal(50), [x + u, 3.0 * u])
+    assert np.linalg.norm(b - A @ start) <= 1e-12 * np.linalg.norm(b)
+    assert linalg._projected(A, b, u, []) is u        # nothing to project onto
+
+
+def test_history_keeps_the_last_solutions():
+    factors = generation_factors("flow", "transport")
+    assert all(len(f.history) == 0 for f in factors.values())
+    A, _, b = _perturbed_pair(30, 3, 0.1)
+    flow = factors["flow"]
+    xs = [flow.solve(A + 0.01 * k * sp.identity(30, format="csr"), b).x
+          for k in range(linalg.HISTORY + 3)]
+    assert len(flow.history) == linalg.HISTORY
+    assert all(h is x for h, x in zip(flow.history, xs[-linalg.HISTORY:]))
+    assert len(factors["transport"].history) == 0
+    assert all(len(f.history) == 0
+               for f in generation_factors("flow", "transport").values())
+
+
+def test_lagged_solves_start_from_the_history(monkeypatch):
+    # a system drifting along one direction: its last solutions span most of
+    # the next one, so a lagged solve from their projection takes fewer
+    # iterations than one from the previous solution alone
+    A, A2, b = _perturbed_pair(60, 7, 0.5)
+    E = A2 - A
+
+    def iterations(history):
+        monkeypatch.setattr(linalg, "HISTORY", history)
+        lu, x, counts = LaggedLU(), None, []
+        for t in np.linspace(0.0, 0.3, 8):
+            out = lu.solve((A + t * E).tocsr(), b, x0=x)
+            x, counts = out.x, counts + [out.iterations]
+        return sum(counts)
+
+    assert iterations(4) < iterations(0)
+
+
+def test_fresh_factor_solve_is_not_projected():
+    rng = np.random.default_rng(8)
+    A, A2, b = _perturbed_pair(60, 11, 6.0)
+    lu = _keeping(A, b)
+    lu.iterations = linalg.REFACTOR_ITERS + 1       # so the next solve refactors
+    x0 = rng.standard_normal(60)
+    out = lu.solve(A2, b, x0=x0)
+    direct = linalg._direct(A2, b, x0, linalg._factor(A2, lu.order), 1e-10)
+    assert out.iterations == 0 and direct.converged
+    assert np.array_equal(out.x, direct.x)
+
+
+def test_failures_name_the_system():
+    A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    with pytest.raises(SolverError, match="^transport solve failed: singular"):
+        generation_factors("flow", "transport")["transport"].solve(A, np.ones(2))
+    rng = np.random.default_rng(6)
+    Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+    A = sp.csr_matrix(Q @ np.diag(np.geomspace(1e-6, 1.0, 40)) @ Q.T)
+    with pytest.raises(SolverError, match="^flow solve stalled at residual"):
+        LaggedLU("flow").solve(A, rng.standard_normal(40), tol=1e-30)
+
+
 # ---------------------------------------------------------------------------
 # one fill-reducing order per mesh generation
 
@@ -246,7 +386,7 @@ def test_budget_bound_run_pays_once_per_generation(monkeypatch):
     # a fresh factor solves without GMRES
     specs = _spy_orders(monkeypatch)
     contexts, solves = [], []
-    init, solve, gmres = driver.AssemblyContext.__init__, LaggedLU.solve, linalg.gmres
+    init, solve, gmres = driver.AssemblyContext.__init__, LaggedLU.solve, linalg._gmres
 
     def counting_init(self, mesh, *args, **kwargs):
         contexts.append(mesh.generation)
@@ -263,7 +403,7 @@ def test_budget_bound_run_pays_once_per_generation(monkeypatch):
 
     monkeypatch.setattr(driver.AssemblyContext, "__init__", counting_init)
     monkeypatch.setattr(LaggedLU, "solve", spying_solve)
-    monkeypatch.setattr(linalg, "gmres", spying_gmres)
+    monkeypatch.setattr(linalg, "_gmres", spying_gmres)
     systems = _driver_systems(monkeypatch, r_max=4, cell_max=1500, t_end=0.15)
     generations = [g for g, _, _ in systems]
     assert len(set(generations)) >= 6                   # the mesh kept changing

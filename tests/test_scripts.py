@@ -15,6 +15,7 @@ SHORTEST = {
     "convergence_vortex.py": ["--levels", "1", "--dt0", "2.0"],
     "fingering_sweep.py": ["--ratios", "1", "--t-end", "0.04"],
     "radial_injection.py": ["--t-end", "1e-4"],
+    "solve_replay.py": ["--t-end", "0.03", "--repeat", "1"],
 }
 
 
