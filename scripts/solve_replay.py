@@ -9,7 +9,7 @@ per step of the run.  Only the solve layer runs on fixed inputs, so a
 solver change is measured apart from the rest of the step.
 
     python3 scripts/solve_replay.py --t-end 1.0 --repeat 5     # rect_fingering
-    python3 scripts/solve_replay.py --history 0     # no projected start
+    python3 scripts/solve_replay.py --history 1     # the previous solution alone
 """
 
 import argparse
@@ -80,6 +80,8 @@ def main():
     ap.add_argument("--repeat", type=int, default=3,
                     help="replays; the median time is printed")
     args = ap.parse_args()
+    if args.history < 1:
+        ap.error("--history must be at least 1: a lagged solve starts from it")
 
     cfg = make_config(args.scenario, t_end=args.t_end, seed=args.seed)
     solves, steps = record(cfg)

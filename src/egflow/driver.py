@@ -80,7 +80,7 @@ _SCHEMA = {
     "alpha": (float, "pressure penalty coefficient"),
     "alpha_c": (float, "transport jump penalty coefficient"),
     "alpha_s": (float, "stabilization jump penalty coefficient"),
-    "bdf_order": (int, "backward-difference order (1 or 2)"),
+    "bdf_order": (int, "backward-difference order of both systems (1 or 2)"),
     "entropy": (str, "entropy kind: power, log, kruzkov"),
     "entropy_b": (int, "exponent of the power entropy"),
     "entropy_eps": (float, "regularization of the log entropy"),
@@ -185,6 +185,7 @@ class ScenarioConfig:
     ny: int
     dt: float
     t_end: float
+    bdf_order: int
     flow: FlowParams
     transport: TransportParams
     entropy: EntropyConfig
@@ -223,8 +224,14 @@ class ScenarioConfig:
             raise ValueError("flow_tol and transport_tol must be positive")
         if self.n_steps < 1:
             raise ValueError("t_end shorter than one step")
+        if self.bdf_order not in (1, 2):
+            raise ValueError(f"bdf_order must be 1 or 2, got {self.bdf_order}")
         if self.scenario.startswith("hele_shaw") and self.viscosity.mobility_ratio < 1.0:
             raise ValueError("displacement scenarios need mu_0 >= mu_s")
+        if (self.scenario == "hele_shaw_radial" and self.flow.c_F == 0.0
+                and self.source_rate != 0.0):
+            raise ValueError("hele_shaw_radial is a sealed box: a nonzero "
+                             "source_rate needs c_f > 0")
 
     @property
     def n_steps(self) -> int:
@@ -280,12 +287,11 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
             scenario=scenario,
             domain=(f["x0"], f["y0"], f["x1"], f["y1"]),
             nx=f["nx"], ny=f["ny"], dt=f["dt"], t_end=f["t_end"],
+            bdf_order=f["bdf_order"],
             flow=FlowParams(phi=f["phi"], rho0=f["rho0"], c_F=f["c_f"],
-                            theta=f["theta"], alpha=f["alpha"],
-                            bdf_order=f["bdf_order"]),
+                            theta=f["theta"], alpha=f["alpha"]),
             transport=TransportParams(phi=f["phi"], rho0=f["rho0"],
-                                      alpha_c=f["alpha_c"], alpha_s=f["alpha_s"],
-                                      bdf_order=f["bdf_order"]),
+                                      alpha_c=f["alpha_c"], alpha_s=f["alpha_s"]),
             entropy=EntropyConfig(kind=f["entropy"], b=f["entropy_b"],
                                   eps=f["entropy_eps"], r=f["entropy_r"],
                                   lambda_lin=f["lambda_lin"],
@@ -599,15 +605,14 @@ def run(config: ScenarioConfig, outdir: str | None = None,
     try:
         for step in range(1, config.n_steps + 1):
             t = step * config.dt
-            m = 1 if C_nm1 is None else config.transport.bdf_order
+            m = 1 if C_nm1 is None else config.bdf_order
+            C_star = extrapolate_star(config.entropy, C_n, C_nm1)
 
-            # mobility from the extrapolated concentration, then pressure
+            # mobility from the sensed concentration, then pressure
             K_cells = prob.rock_permeability(ctx)
             q_qp = prob.source_q(ctx)
             if prob.uses_pressure:
-                c_guess = np.clip(
-                    dm.cell_means(extrapolate_star(config.entropy, C_n, C_nm1)),
-                    0.0, 1.0)
+                c_guess = np.clip(dm.cell_means(C_star), 0.0, 1.0)
                 kappa = mobility(K_cells, config.viscosity, c_guess)
                 A, b = assemble_pressure(ctx, config.flow, prob.flow_bc, kappa,
                                          P_n=P_n, P_nm1=P_nm1, q_field=q_qp,
@@ -630,7 +635,6 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                 flux = flux_from_velocity(ctx, prob.velocity(t))
 
             # entropy indicator and stabilization viscosity
-            C_star = extrapolate_star(config.entropy, C_n, C_nm1)
             if prob.has_source:
                 # injected concentration is 1, produced is the resident state
                 q_tilde = np.maximum(q_qp, 0.0) + \
@@ -640,14 +644,11 @@ def run(config: ScenarioConfig, outdir: str | None = None,
             ind = indicator(config.entropy, ctx, C_star, C_n, C_nm1, flux,
                             q_tilde, config.dt, m)
             visc = viscosity(config.entropy, ctx, ind, flux, C_star)
-            mu_cells = visc.mu_stab if config.stab else None
+            mu_cells = visc.mu_stab if config.stab else np.zeros(mesh.n_active)
 
             # dispersion lags one step; the first step uses its own flux
-            if config.dispersion.pure_advection:
-                D_cells = None
-            else:
-                u_src = flux.center_velocity if step == 1 else u_center
-                D_cells = dispersion_tensor(config.dispersion, u_src)
+            D_cells = dispersion_tensor(
+                config.dispersion, flux.center_velocity if step == 1 else u_center)
 
             sources = SourceField(q=q_qp, c_q=1.0) if prob.has_source \
                 else SourceField()
@@ -680,11 +681,9 @@ def run(config: ScenarioConfig, outdir: str | None = None,
 
             if outdir is not None and (step % config.stride == 0
                                        or step == config.n_steps):
-                mu_used = mu_cells if mu_cells is not None \
-                    else np.zeros(mesh.n_active)
                 write_vtk(mesh, dm,
                           cell_data={"c_const": C_np1[dm.cell_dofs[:, 4]],
-                                     "mu_stab": mu_used,
+                                     "mu_stab": mu_cells,
                                      "entropy_residual": ind.er,
                                      "level": mesh.cell_level.astype(float),
                                      "permeability": K_cells},

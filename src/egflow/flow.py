@@ -12,6 +12,11 @@ Face normal fluxes are stored in the owner orientation at the three face
 quadrature points.  The reconstruction applies the same weighted average as
 the bilinear form so that the per-cell conservation residual vanishes to
 solver tolerance, heterogeneous permeability included.
+
+The compressible mass term takes its BDF order m from the caller: the step
+loop hands the transport the same m, since a constant state survives only
+when both use one discrete time derivative (the compatibility condition of
+Dawson, Sun & Wheeler, *CMAME* 193 (2004) 2565).
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ class FlowParams:
     c_F: float = 0.0          # fluid compressibility
     theta: float = 0.0        # 0 nonsymmetric, -1 symmetric, +1 antisymmetric
     alpha: float = 8.0        # face penalty
-    bdf_order: int = 2
 
     def __post_init__(self):
         if not (0.0 < self.phi <= 1.0):
@@ -68,8 +72,6 @@ class FlowParams:
             raise ValueError(f"penalty must be positive, got {self.alpha}")
         if self.theta not in (-1.0, 0.0, 1.0):
             raise ValueError(f"theta must be -1, 0, or 1, got {self.theta}")
-        if self.bdf_order not in (1, 2):
-            raise ValueError(f"time stepping order must be 1 or 2, got {self.bdf_order}")
         if self.rho0 <= 0.0:
             raise ValueError(f"reference density must be positive, got {self.rho0}")
 
@@ -168,7 +170,7 @@ def _per_cell(mesh, kappa_cells) -> np.ndarray:
 
 
 def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
-                          m: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+                          m: int) -> tuple[np.ndarray, np.ndarray]:
     """Constant-pressure mode and its image under the sealed-box operator.
 
     With mass-flux data on every side the stiffness, consistency, and penalty
@@ -181,8 +183,7 @@ def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
     which grows without bound under net injection and otherwise drowns the
     pressure gradients in roundoff.
     """
-    m_eff = params.bdf_order if m is None else m
-    a0, _, _ = bdf_coefficients(m_eff, dt)
+    a0, _, _ = bdf_coefficients(m, dt)
     mass_coef = params.rho0 * params.phi * params.c_F
     if mass_coef <= 0.0:
         raise ValueError("constant-mode deflation needs a compressible mass term")
@@ -195,7 +196,7 @@ def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
 
 def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
                       kappa_cells, P_n=None, P_nm1=None, q_field=0.0,
-                      dt: float = 1.0, m: int | None = None):
+                      dt: float = 1.0, *, m: int):
     """Assemble the reduced, pinned pressure system (see AssemblyContext.assemble).
 
     kappa_cells: (n_cells,) mobility kappa = K/mu evaluated per cell.
@@ -207,8 +208,7 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     consistency rows.
     """
     mesh = ctx.mesh
-    m_eff = params.bdf_order if m is None else m
-    a0, a1, a2 = bdf_coefficients(m_eff, dt)
+    a0, a1, a2 = bdf_coefficients(m, dt)
     rho0, alpha, theta = params.rho0, params.alpha, params.theta
     kappa_cells = _per_cell(mesh, kappa_cells)
 
@@ -228,7 +228,7 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
         r = q_qp[g.idx] @ g.wN
         if mass_coef != 0.0:
             hist = -a1 * P_n[g.dofs]
-            if m_eff == 2:
+            if m == 2:
                 hist -= a2 * P_nm1[g.dofs]
             r += mass_coef * (hist @ g.table[0].reshape(5, 5))
         rhs.append(r)
@@ -380,8 +380,8 @@ def flux_from_velocity(ctx: AssemblyContext, velocity) -> FaceFlux:
 
 def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_field,
                                 params: FlowParams, dt: float,
-                                P_np1=None, P_n=None, P_nm1=None,
-                                m: int | None = None) -> np.ndarray:
+                                P_np1=None, P_n=None, P_nm1=None, *,
+                                m: int) -> np.ndarray:
     """Per-cell mass balance of the reconstructed flux.
 
     r_T = int_T rho0 phi c_F dP/dt + rho0 sum_faces sign int_e U.n - int_T q,
@@ -392,8 +392,7 @@ def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_field,
 
     mass_coef = params.rho0 * params.phi * params.c_F
     if mass_coef != 0.0:
-        m_eff = params.bdf_order if m is None else m
-        dPdt = bdf_apply(m_eff, dt, P_np1, P_n, P_nm1)
+        dPdt = bdf_apply(m, dt, P_np1, P_n, P_nm1)
         res += mass_coef * ctx.dofmap.cell_means(dPdt) * mesh.cell_area
 
     q_qp = cell_field_values(ctx, q_field)

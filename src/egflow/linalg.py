@@ -16,10 +16,11 @@ sees.  Later solves reuse it while it keeps the Krylov iteration count under
 `REFACTOR_ITERS`, which is how a factor of a matrix that drifts slowly from
 step to step stays a good preconditioner (Saad, *Iterative Methods for
 Sparse Linear Systems*, 2nd ed., ch. 9-10).  It also keeps the generation's
-last `HISTORY` solutions: a solve on a lagged factor starts from the
-combination of them and the given start with the least residual, which
-holds most of the next solution of a slowly drifting system, while a solve
-on a fresh factor starts from the given start alone.
+last `HISTORY` solutions: a solve on a lagged factor starts from their
+combination with the least residual, which holds most of the next solution
+of a slowly drifting system, while a solve on a fresh factor starts from the
+given start (zero without one).  The lagged path ignores the given start:
+the caller's start is the previous solution, which the history holds.
 Convergence is always judged on the true residual ||b - A x||_2 <= tol ||b||_2.
 
 The fill-reducing order is computed once per mesh generation: the first
@@ -45,7 +46,7 @@ __all__ = ["ColumnOrder", "GmresResult", "LaggedLU", "SolverError",
 
 RESTART = 20          # GMRES basis size and iteration cap of a solve
 REFACTOR_ITERS = 10   # refactor once a solve on a lagged factor takes more
-HISTORY = 4           # solutions of a mesh generation a lagged solve starts from
+HISTORY = 4           # solutions a lagged solve starts from (at least 1)
 
 
 class SolverError(Exception):
@@ -114,23 +115,23 @@ def _factor(A, order: ColumnOrder) -> _LU:
     return _LU(lu, q)
 
 
-def _projected(A, b, x0, history):
-    """The combination of x0 and the kept solutions with the least residual.
+def _projected(A, b, history):
+    """The combination of the kept solutions with the least residual.
 
     The successive-solution projection of Fischer (*CMAME* 163 (1998) 193):
-    with x0 and the history as the columns of V, c minimizes
-    ||b - A V c||_2 by a least-squares solve on W = A V that drops the
-    directions below 1e-12 of its largest singular value, since successive
-    solutions are close to dependent.  The combination is returned only if
-    its true residual is no larger than x0's, so the start never gets worse
-    by rounding either.
+    with the history as the columns of V, c minimizes ||b - A V c||_2 by a
+    least-squares solve on W = A V that drops the directions below 1e-12 of
+    its largest singular value, since successive solutions are close to
+    dependent.  The combination is returned only if its true residual is no
+    larger than that of the newest solution, read off W, so the start is
+    never worse than the previous solution, by rounding either.
     """
-    if not history:
-        return x0
-    V = np.stack(list(history) if x0 is None else [x0, *history], axis=1)
-    x = V @ np.linalg.lstsq(A @ V, b, rcond=1e-12)[0]
-    r0 = np.linalg.norm(b if x0 is None else b - A @ x0)
-    return x if np.linalg.norm(b - A @ x) <= r0 else x0
+    V = np.stack(history, axis=1)
+    W = A @ V
+    x = V @ np.linalg.lstsq(W, b, rcond=1e-12)[0]
+    if np.linalg.norm(b - A @ x) <= np.linalg.norm(b - W[:, -1]):
+        return x
+    return history[-1]
 
 
 def _gmres(A, b, x0, lu, tol: float) -> GmresResult:
@@ -151,7 +152,6 @@ def _gmres(A, b, x0, lu, tol: float) -> GmresResult:
     true residual of its x.
     """
     target = tol * float(np.linalg.norm(b))
-    x0 = np.zeros_like(b) if x0 is None else x0
     r = b - A @ x0
     rnorm = float(np.linalg.norm(r))
     if rnorm <= target:
@@ -192,8 +192,8 @@ def _gmres(A, b, x0, lu, tol: float) -> GmresResult:
 
 
 def _direct(A, b, x0, lu, tol: float) -> GmresResult:
-    """One LU solve for the correction to x0 (to 0 without one), 0 iterations."""
-    x = lu.solve(b) if x0 is None else x0 + lu.solve(b - A @ x0)
+    """One LU solve for the correction to x0, 0 iterations."""
+    x = x0 + lu.solve(b - A @ x0)
     r = float(np.linalg.norm(b - A @ x))
     return GmresResult(x, 0, r, r <= tol * np.linalg.norm(b))
 
@@ -204,12 +204,12 @@ class LaggedLU:
     A solve reuses the held factor unless the previous solve on it took more
     than REFACTOR_ITERS iterations.  On a fresh factor it is one LU solve
     and 0 iterations, continued by GMRES only if the true residual misses
-    tol; on a lagged factor it is GMRES from the projection of x0 onto
-    `history`, the last HISTORY solutions, retried once on a fresh factor
-    from x0 if it fails.  The factor of the first solve is dropped and every
-    later one is kept: a mesh generation gets new LaggedLUs, so a second
-    solve means the mesh survived an adapt and is likely to live on, while a
-    mesh that lives for one step holds no factor.  Every factor uses
+    tol; on a lagged factor it is GMRES from the projection onto `history`,
+    the last HISTORY solutions, retried once on a fresh factor from x0 if it
+    fails.  A missing x0 is zero.  The factor of the first solve is dropped
+    and every later one is kept: a mesh generation gets new LaggedLUs, so a
+    second solve means the mesh survived an adapt and is likely to live on,
+    while a mesh that lives for one step holds no factor.  Every factor uses
     `order`, which generation_factors shares between systems.  `name` names
     the system in a SolverError.
     """
@@ -232,8 +232,9 @@ class LaggedLU:
         return out if out.converged else _gmres(A, b, out.x, self.lu, tol)
 
     def solve(self, A, b, x0=None, tol: float = 1e-10) -> GmresResult:
+        x0 = np.zeros(b.shape) if x0 is None else x0
         if self.lu is not None and self.iterations <= REFACTOR_ITERS:
-            out = _gmres(A, b, _projected(A, b, x0, self.history), self.lu, tol)
+            out = _gmres(A, b, _projected(A, b, self.history), self.lu, tol)
             if not out.converged:
                 out = self._fresh(A, b, x0, tol)
         else:

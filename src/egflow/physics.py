@@ -42,10 +42,6 @@ class DispersionParams:
                 f"dispersion coefficients must be all positive or all zero, got {vals}"
             )
 
-    @property
-    def pure_advection(self) -> bool:
-        return self.d_m == 0.0
-
 
 def dispersion_tensor(params: DispersionParams, u) -> np.ndarray:
     """D(u) = d_m I + |u| (alpha_l E(u) + alpha_t (I - E(u))), E_ij = u_i u_j / |u|^2.

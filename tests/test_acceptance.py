@@ -110,13 +110,13 @@ def test_criterion_04_manufactured_darcy_hanging():
                 neumann={"bottom": 0.0, "top": 0.0})
     params = FlowParams()
     kappa = np.ones(mesh.n_active)
-    A, b = assemble_pressure(ctx, params, bc, kappa)
+    A, b = assemble_pressure(ctx, params, bc, kappa, m=2)
     P, _ = solve_reduced(dm, A, b, tol=1e-13)
 
     nodal = np.abs(P[: dm.n_cg] - (1.0 - dm.vertex_pos[:, 0])).max()
     const = np.abs(P[dm.n_cg:]).max()
     flux = reconstruct_flux(ctx, P, kappa, bc, params)
-    resid = np.abs(local_conservation_residual(ctx, flux, 0.0, params, 1.0)).max()
+    resid = np.abs(local_conservation_residual(ctx, flux, 0.0, params, 1.0, m=2)).max()
     ok = nodal <= 1e-9 and const <= 1e-9 and resid <= 1e-9
     _report(4, "hanging-node pressure", ok,
             f"nodal {nodal:.2e}, const {const:.2e}, conservation {resid:.2e}, all <= 1e-9")
@@ -185,7 +185,9 @@ def test_criterion_06_compatibility_constant_state():
                                  dt=cfg.dt, m=m)
         P_new, _ = solve_reduced(dm, A, b, x0_full=P, tol=1e-12)
         flux = reconstruct_flux(ctx, P_new, kappa, bc, fparams)
-        A_t, b_t = assemble_transport(ctx, tparams, tbc, flux, None, None,
+        A_t, b_t = assemble_transport(ctx, tparams, tbc, flux,
+                                      np.zeros((mesh.n_active, 2, 2)),
+                                      np.zeros(mesh.n_active),
                                       C, C_prev, dt=cfg.dt, m=m)
         C_new, _ = solve_reduced(dm, A_t, b_t, x0_full=C, tol=1e-12)
         P_prev, P = P, P_new

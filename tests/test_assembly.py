@@ -88,10 +88,9 @@ def _push(rows, cols, vals, dofs, contrib):
 
 
 def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
-                     q_field=0.0, dt=1.0, m=None):
+                     q_field=0.0, dt=1.0, *, m):
     dm = ctx.dofmap
-    m_eff = params.bdf_order if m is None else m
-    a0, a1, a2 = bdf_coefficients(m_eff, dt)
+    a0, a1, a2 = bdf_coefficients(m, dt)
     rho0, alpha, theta = params.rho0, params.alpha, params.theta
     n = dm.n_dofs
     rows, cols, vals = [], [], []
@@ -107,7 +106,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
         rhs = np.einsum("q,qa,mq->ma", g.wq, g.N, q_qp[g.idx])
         if mass_coef != 0.0:
             hist = -a1 * P_n[g.dofs]
-            if m_eff == 2:
+            if m == 2:
                 hist -= a2 * P_nm1[g.dofs]
             rhs += mass_coef * np.einsum("ab,mb->ma", mloc, hist)
         np.add.at(b, g.dofs.ravel(), rhs.ravel())
@@ -147,10 +146,9 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
 
 
 def _oracle_transport(ctx, params, bc, flux, D_cells, mu_cells, C_n,
-                      C_nm1=None, sources=SourceField(), dt=1.0, m=None):
+                      C_nm1=None, sources=SourceField(), dt=1.0, *, m):
     dm = ctx.dofmap
-    m_eff = params.bdf_order if m is None else m
-    a0, a1, a2 = bdf_coefficients(m_eff, dt)
+    a0, a1, a2 = bdf_coefficients(m, dt)
     rho0 = params.rho0
     mass_coef = params.phi * rho0
     qp_pos, qp_neg = source_split(cell_field_values(ctx, sources.q))
@@ -171,7 +169,7 @@ def _oracle_transport(ctx, params, bc, flux, D_cells, mu_cells, C_n,
         contrib -= np.einsum("q,qa,qb,mq->mab", g.wq, g.N, g.N, qp_neg[g.idx])
         _push(rows, cols, vals, g.dofs, contrib)
         hist = -a1 * C_n[g.dofs]
-        if m_eff == 2:
+        if m == 2:
             hist -= a2 * C_nm1[g.dofs]
         rhs = mass_coef * np.einsum("ab,mb->ma", mloc, hist)
         rhs += np.einsum("q,qa,mq->ma", g.wq, g.N, sources.c_q * qp_pos[g.idx])
@@ -396,6 +394,7 @@ SIDE_DATA = {"left": lambda x, y: 1.0 + 0.3 * y, "right": 0.2,
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("c_F,m", [(0.0, None), (0.05, 1), (0.05, 2)])
 def test_pressure_matches_oracle(seed, theta, c_F, m):
+    # without compressibility no time derivative enters (m None): both orders
     ctx, rng = _random_context(seed)
     nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
     kappa = np.exp(rng.standard_normal(nc))
@@ -403,9 +402,11 @@ def test_pressure_matches_oracle(seed, theta, c_F, m):
                 neumann={s: SIDE_DATA[s] for s in ("right", "top")})
     params = FlowParams(theta=theta, c_F=c_F, phi=0.3, rho0=2.0)
     args = dict(P_n=rng.standard_normal(n), P_nm1=rng.standard_normal(n),
-                q_field=rng.standard_normal((nc, 9)), dt=0.1, m=m)
-    A, b = assemble_pressure(ctx, params, bc, kappa, **args)
-    _close(A, b, *_pinned(ctx.dofmap, *_oracle_pressure(ctx, params, bc, kappa, **args)))
+                q_field=rng.standard_normal((nc, 9)), dt=0.1)
+    for order in (1, 2) if m is None else (m,):
+        A, b = assemble_pressure(ctx, params, bc, kappa, **args, m=order)
+        ref = _oracle_pressure(ctx, params, bc, kappa, **args, m=order)
+        _close(A, b, *_pinned(ctx.dofmap, *ref))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -424,7 +425,10 @@ def test_transport_matches_oracle(seed, with_D, with_mu, m):
     src = SourceField(q=rng.standard_normal((nc, 9)), c_q=0.7)
     args = dict(C_n=rng.standard_normal(n), C_nm1=rng.standard_normal(n),
                 sources=src, dt=0.05, m=m)
-    A, b = assemble_transport(ctx, params, bc, flux, D, mu, **args)
+    # zero coefficients assemble the system the oracle builds without the terms
+    A, b = assemble_transport(ctx, params, bc, flux,
+                              np.zeros((nc, 2, 2)) if D is None else D,
+                              np.zeros(nc) if mu is None else mu, **args)
     _close(A, b, *_pinned(ctx.dofmap,
                           *_oracle_transport(ctx, params, bc, flux, D, mu, **args)))
 
@@ -680,10 +684,10 @@ def test_pressure_and_transport_share_the_pattern():
     ctx, rng = _random_context(5)
     nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
     bc = FlowBC(dirichlet={"left": 1.0}, neumann={"right": 0.0, "bottom": 0.0, "top": 0.0})
-    A_p, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(nc))
+    A_p, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(nc), m=2)
     A_t, _ = assemble_transport(ctx, TransportParams(), TransportBC(),
-                                _random_flux(ctx, rng), None, None,
-                                np.zeros(n), m=1)
+                                _random_flux(ctx, rng), np.zeros((nc, 2, 2)),
+                                np.zeros(nc), np.zeros(n), m=1)
     assert np.array_equal(A_p.indptr, A_t.indptr)
     assert np.array_equal(A_p.indices, A_t.indices)
     assert A_p.has_canonical_format and A_t.has_canonical_format
@@ -708,12 +712,12 @@ def test_assembled_pattern_is_read_only():
     # change to one must fail instead of corrupting the next assembly
     ctx, rng = _random_context(7)
     bc = FlowBC(dirichlet={"left": 1.0}, neumann={"right": 0.0, "bottom": 0.0, "top": 0.0})
-    A, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(ctx.mesh.n_active))
+    A, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(ctx.mesh.n_active), m=2)
     data = A.data.copy()
     A.data[:5] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         A.eliminate_zeros()
-    A2, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(ctx.mesh.n_active))
+    A2, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(ctx.mesh.n_active), m=2)
     assert A2.nnz == data.size and np.array_equal(A2.data, data)
 
 
@@ -760,9 +764,9 @@ def test_replaced_context_is_freed_without_gc():
     ctx, rng = _random_context(6)
     nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
     bc = FlowBC(dirichlet={"left": 1.0}, neumann={"right": 0.0, "bottom": 0.0, "top": 0.0})
-    assemble_pressure(ctx, FlowParams(), bc, np.ones(nc))
+    assemble_pressure(ctx, FlowParams(), bc, np.ones(nc), m=2)
     assemble_transport(ctx, TransportParams(), TransportBC(), _random_flux(ctx, rng),
-                       None, None, np.zeros(n), m=1)
+                       np.zeros((nc, 2, 2)), np.zeros(nc), np.zeros(n), m=1)
     ref = weakref.ref(ctx)
     gc.disable()
     try:

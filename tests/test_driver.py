@@ -208,7 +208,7 @@ def test_manufactured_single_step():
                        [1.0, 0.0], atol=1e-9)
     from egflow.flow import local_conservation_residual
     r = local_conservation_residual(ctx, seen["flux"], seen["q_qp"],
-                                    cfg.flow, cfg.dt)
+                                    cfg.flow, cfg.dt, m=seen["m"])
     assert np.abs(r).max() < 1e-10
     assert len(res.records) == 1
     # the pressure solve ran, as one LU solve on the step's fresh factor
@@ -353,6 +353,44 @@ def test_refinement_levels_outside_the_quadtree_are_config_errors(capsys):
         make_config("perm_block", r_min=-3)
     assert main(["--scenario", "perm_block", "--r-max", "31"]) == 2
     assert "level cap" in capsys.readouterr().err
+
+
+def test_bdf_order_outside_1_and_2_exits_2(capsys):
+    assert make_config("perm_block", bdf_order=1).bdf_order == 1
+    assert main(["--scenario", "perm_block", "--bdf-order", "3"]) == 2
+    assert "bdf_order must be 1 or 2" in capsys.readouterr().err
+
+
+def test_step_order_follows_the_config():
+    # the first step has one history level, so it is first order either way
+    def orders(**overrides):
+        seen = []
+        run(make_config("hele_shaw_rect", t_end=0.05, **overrides),
+            step_hook=lambda state: seen.append(state["m"]))
+        return seen
+
+    assert orders(bdf_order=1) == [1] * 5
+    assert orders() == [1, 2, 2, 2, 2]
+
+
+def test_sealed_incompressible_box_with_a_source_exits_2(capsys):
+    # with c_f = 0 the sealed box cannot store a net source: no solution exists
+    with pytest.raises(ConfigError, match="c_f"):
+        make_config("hele_shaw_radial", c_f=0.0)
+    assert main(["--scenario", "hele_shaw_radial", "--c-f", "0"]) == 2
+    assert "c_f" in capsys.readouterr().err
+    # without a source the incompressible box is well posed, and runs
+    res = run(make_config("hele_shaw_radial", c_f=0.0, source_rate=0.0, t_end=2e-4))
+    assert len(res.records) == 2
+
+
+def test_no_stabilization_is_zero_viscosity():
+    # stab off assembles zero viscosity: the same records as a first-order
+    # viscosity of zero, which wins the min in every cell
+    base = dict(nx=4, ny=4, dt=0.05, t_end=0.2, r_max=1)
+    off = run(make_config("perm_block", stab=False, **base)).records
+    assert off == run(make_config("perm_block", lambda_lin=0.0, **base)).records
+    assert off != run(make_config("perm_block", **base)).records
 
 
 def test_radial_preset_short_run():

@@ -77,7 +77,7 @@ def test_weights_reject_nonpositive():
 def test_linear_pressure_exact_uniform():
     ctx = _context(4, 4)
     kappa = np.ones(ctx.mesh.n_active)
-    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa, m=2)
     P, rep = solve_reduced(ctx.dofmap, A, b, tol=1e-13)
     exact = interpolate(lambda x, y: 1.0 - x, ctx)
     from egflow.egspace import fix_gauge
@@ -89,7 +89,7 @@ def test_linear_pressure_exact_hanging():
     # refining two cells leaves hanging faces; linears must survive untouched
     ctx = _context(4, 4, refine=(0, 9))
     kappa = np.ones(ctx.mesh.n_active)
-    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa, m=2)
     P, _ = solve_reduced(ctx.dofmap, A, b, tol=1e-13)
     vals = ctx.cell_values(P)
     for g in ctx.cell_groups:
@@ -101,9 +101,9 @@ def test_pressure_invariant_under_mobility_scaling():
     ctx = _context(4, 4, refine=(5,))
     kappa = np.ones(ctx.mesh.n_active)
     params = FlowParams()
-    A1, b1 = assemble_pressure(ctx, params, LEFT_RIGHT_FLOW, kappa)
+    A1, b1 = assemble_pressure(ctx, params, LEFT_RIGHT_FLOW, kappa, m=2)
     P1, _ = solve_reduced(ctx.dofmap, A1, b1, tol=1e-13)
-    A2, b2 = assemble_pressure(ctx, params, LEFT_RIGHT_FLOW, 10.0 * kappa)
+    A2, b2 = assemble_pressure(ctx, params, LEFT_RIGHT_FLOW, 10.0 * kappa, m=2)
     P2, _ = solve_reduced(ctx.dofmap, A2, b2, tol=1e-13)
     assert np.allclose(P1, P2, atol=1e-9)
     U1 = reconstruct_flux(ctx, P1, kappa, LEFT_RIGHT_FLOW, params)
@@ -114,7 +114,7 @@ def test_pressure_invariant_under_mobility_scaling():
 def test_symmetric_variant_yields_symmetric_matrix():
     ctx = _context(3, 3)
     kappa = np.full(ctx.mesh.n_active, 0.7)
-    A, _ = assemble_pressure(ctx, FlowParams(theta=-1.0), LEFT_RIGHT_FLOW, kappa)
+    A, _ = assemble_pressure(ctx, FlowParams(theta=-1.0), LEFT_RIGHT_FLOW, kappa, m=2)
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
 
 
@@ -122,10 +122,10 @@ def test_reconstructed_flux_locally_conservative():
     ctx = _context(4, 4, refine=(3, 12))
     kappa = np.ones(ctx.mesh.n_active)
     params = FlowParams()
-    A, b = assemble_pressure(ctx, params, LEFT_RIGHT_FLOW, kappa)
+    A, b = assemble_pressure(ctx, params, LEFT_RIGHT_FLOW, kappa, m=2)
     P, _ = solve_reduced(ctx.dofmap, A, b, tol=1e-13)
     flux = reconstruct_flux(ctx, P, kappa, LEFT_RIGHT_FLOW, params)
-    r = local_conservation_residual(ctx, flux, 0.0, params, dt=1.0)
+    r = local_conservation_residual(ctx, flux, 0.0, params, dt=1.0, m=2)
     assert np.abs(r).max() < 1e-10
 
 
@@ -141,7 +141,7 @@ def test_conservation_detects_imbalance():
     # an analytic field with nonzero divergence must show up in the residual
     ctx = _context(4, 4)
     flux = flux_from_velocity(ctx, lambda x, y: np.stack([x, np.zeros_like(y)], axis=-1))
-    r = local_conservation_residual(ctx, flux, 0.0, FlowParams(), dt=1.0)
+    r = local_conservation_residual(ctx, flux, 0.0, FlowParams(), dt=1.0, m=2)
     # div u = 1, so each cell should report its own area
     assert np.allclose(r, ctx.mesh.cell_area, atol=1e-12)
 
@@ -152,14 +152,14 @@ def test_flux_from_velocity_divergence_free():
         [np.sin(np.pi * y) ** 2, np.cos(np.pi * x) ** 2], axis=-1))
     # quadrature-exactness is not expected for transcendental data, but the
     # per-cell imbalance of a divergence-free field must vanish fast
-    r = local_conservation_residual(ctx, flux, 0.0, FlowParams(), dt=1.0)
+    r = local_conservation_residual(ctx, flux, 0.0, FlowParams(), dt=1.0, m=2)
     assert np.abs(r).max() < 1e-4
 
 
 def test_gauge_independent_of_initial_guess():
     ctx = _context(3, 3)
     kappa = np.ones(ctx.mesh.n_active)
-    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa, m=2)
     P1, _ = solve_reduced(ctx.dofmap, A, b, tol=1e-13)
     rng = np.random.default_rng(8)
     P2, _ = solve_reduced(ctx.dofmap, A, b,
@@ -173,7 +173,7 @@ def test_start_at_the_solution_takes_no_iteration():
     # vector onto the pinned gauge it still solves the system
     ctx = _context(4, 4, refine=(5,))
     A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW,
-                             np.linspace(1.0, 2.0, ctx.mesh.n_active))
+                             np.linspace(1.0, 2.0, ctx.mesh.n_active), m=2)
     P, _ = solve_reduced(ctx.dofmap, A, b, tol=1e-13)
     assert abs(P[-1]) > 1e-6                   # not already in the pinned gauge
     P2, rep = solve_reduced(ctx.dofmap, A, b, x0_full=P, tol=1e-10)
@@ -184,7 +184,7 @@ def test_start_at_the_solution_takes_no_iteration():
 def test_solver_failure_raises():
     ctx = _context(3, 3)
     kappa = np.ones(ctx.mesh.n_active)
-    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa, m=2)
     with pytest.raises(SolverError):
         solve_reduced(ctx.dofmap, A, b, tol=1e-30)
 
@@ -240,11 +240,11 @@ def test_lagged_factor_reused_within_generation(monkeypatch):
     ctx = _context(4, 4, refine=(5,))
     kappa = np.linspace(1.0, 3.0, ctx.mesh.n_active)
     lu = LaggedLU()
-    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    A, b = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa, m=2)
     solve_reduced(ctx.dofmap, A, b, factor=lu)  # the first factor is dropped
     P1, _ = solve_reduced(ctx.dofmap, A, b, factor=lu)
     kappa[::2] *= 1.01                          # mobility drift of one step
-    A2, b2 = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa)
+    A2, b2 = assemble_pressure(ctx, FlowParams(), LEFT_RIGHT_FLOW, kappa, m=2)
     P2, rep = solve_reduced(ctx.dofmap, A2, b2, x0_full=P1, factor=lu)
     assert len(calls) == 2
     assert rep.iterations > 0
@@ -261,7 +261,7 @@ def test_compressible_needs_history():
     ctx = _context(2, 2)
     kappa = np.ones(ctx.mesh.n_active)
     with pytest.raises(ValueError):
-        assemble_pressure(ctx, FlowParams(c_F=1e-8), LEFT_RIGHT_FLOW, kappa)
+        assemble_pressure(ctx, FlowParams(c_F=1e-8), LEFT_RIGHT_FLOW, kappa, m=2)
 
 
 ALL_NEUMANN = FlowBC(dirichlet={},
@@ -321,4 +321,4 @@ def test_sealed_box_deflated_solve():
 def test_neutral_mode_needs_compressibility():
     ctx = _context(2, 2)
     with pytest.raises(ValueError):
-        neutral_pressure_mode(ctx, FlowParams(), dt=0.1)
+        neutral_pressure_mode(ctx, FlowParams(), dt=0.1, m=2)

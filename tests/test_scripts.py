@@ -13,6 +13,7 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 SHORTEST = {
     "block_stabilization.py": ["--t-end", "0.02"],
     "convergence_vortex.py": ["--levels", "1", "--dt0", "2.0"],
+    "diag_digest.py": ["--short"],
     "fingering_sweep.py": ["--ratios", "1", "--t-end", "0.04"],
     "radial_injection.py": ["--t-end", "1e-4"],
     "solve_replay.py": ["--t-end", "0.03", "--repeat", "1"],

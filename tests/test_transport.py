@@ -32,6 +32,12 @@ def _uniform_flux(ctx, ux=1.0, uy=0.0):
          np.full_like(np.asarray(y, dtype=float), uy)], axis=-1))
 
 
+def _zero_coefficients(ctx):
+    """Dispersion and stabilization viscosity that vanish in every cell."""
+    nc = ctx.mesh.n_active
+    return np.zeros((nc, 2, 2)), np.zeros(nc)
+
+
 def test_upwind_picks_upstream_side():
     C_plus, C_minus = np.array([1.0, 1.0]), np.array([0.0, 0.0])
     un = np.array([-0.5, 0.5])
@@ -61,7 +67,8 @@ def test_second_order_needs_history():
     flux = _uniform_flux(ctx)
     with pytest.raises(ValueError):
         assemble_transport(ctx, TransportParams(), TransportBC(), flux,
-                           None, None, np.zeros(ctx.dofmap.n_dofs), dt=0.1, m=2)
+                           *_zero_coefficients(ctx), np.zeros(ctx.dofmap.n_dofs),
+                           dt=0.1, m=2)
 
 
 def test_constant_state_is_fixed_point():
@@ -72,7 +79,7 @@ def test_constant_state_is_fixed_point():
     C0 = interpolate(lambda x, y: 0.4, ctx)
     params = TransportParams()
     A, b = assemble_transport(ctx, params, TransportBC(c_in=0.4), flux,
-                              None, None, C0, C_nm1=C0, dt=0.05, m=2)
+                              *_zero_coefficients(ctx), C0, C_nm1=C0, dt=0.05, m=2)
     C1, rep = solve_reduced(dm, A, b, tol=1e-13)
     assert rep.converged
     assert np.abs(ctx.cell_values(C1) - 0.4).max() < 1e-10
@@ -90,7 +97,7 @@ def test_global_mass_balance_pure_advection():
     Cp = C
     for k in range(5):
         A, b = assemble_transport(ctx, params, TransportBC(), flux,
-                                  None, None, C, C_nm1=Cp, dt=0.02,
+                                  *_zero_coefficients(ctx), C, C_nm1=Cp, dt=0.02,
                                   m=1 if k == 0 else 2)
         Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
         Cp, C = C, Cn
@@ -107,7 +114,7 @@ def test_inflow_outflow_budget():
     params = TransportParams()
     dt = 0.01
     A, b = assemble_transport(ctx, params, TransportBC(c_in=1.0), flux,
-                              None, None, C, C_nm1=C, dt=dt, m=2)
+                              *_zero_coefficients(ctx), C, C_nm1=C, dt=dt, m=2)
     C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # steady constant state: in = out, so the mass stays put
     assert dm.total_integral(C1) == pytest.approx(dm.total_integral(C), abs=1e-11)
@@ -126,7 +133,7 @@ def test_diffusion_decays_smooth_mode():
     Cp = C
     for k in range(10):
         A, b = assemble_transport(ctx, params, TransportBC(), flux,
-                                  D, None, C, C_nm1=Cp, dt=0.05,
+                                  D, np.zeros(ctx.mesh.n_active), C, C_nm1=Cp, dt=0.05,
                                   m=1 if k == 0 else 2)
         Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
         Cp, C = C, Cn
@@ -150,7 +157,7 @@ def test_injection_source_fills_domain():
     src = SourceField(q=1.0, c_q=1.0)
     C = np.zeros(dm.n_dofs)
     params = TransportParams()
-    A, b = assemble_transport(ctx, params, TransportBC(), flux, None, None,
+    A, b = assemble_transport(ctx, params, TransportBC(), flux, *_zero_coefficients(ctx),
                               C, C_nm1=C, dt=0.5, m=1, sources=src)
     C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # phi dc/dt = q^+ c_q with c(0) = 0: one backward-Euler step lands on
@@ -164,4 +171,5 @@ def test_mu_cells_shape_validation():
     C = np.zeros(ctx.dofmap.n_dofs)
     with pytest.raises(ValueError):
         assemble_transport(ctx, TransportParams(), TransportBC(), flux,
-                           None, np.zeros(3), C, C_nm1=C, dt=0.1)
+                           _zero_coefficients(ctx)[0], np.zeros(3), C, C_nm1=C,
+                           dt=0.1, m=2)
