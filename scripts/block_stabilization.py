@@ -27,7 +27,7 @@ def main():
     runs = {}
     for label, extra in (
         ("stab", {}),
-        ("raw", {"lambda_lin": 0.0, "lambda_ent": 0.0, "stab": False}),
+        ("raw", {"lambda_lin": 0.0, "lambda_ent": 0.0}),
     ):
         cfg = make_config("perm_block", dt=args.dt, t_end=args.t_end,
                           r_max=args.r_max, **extra)

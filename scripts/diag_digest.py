@@ -9,9 +9,14 @@ byte-identity check of a change is one `diff`:
     PYTHONPATH=src python3 scripts/diag_digest.py > new.txt
     diff old.txt new.txt
 
+When a change renames or removes config keys, run each tree's own copy of
+this script (`python3 old/scripts/diag_digest.py` with `PYTHONPATH=old/src`),
+so each side spells the same runs in the keys it knows; the config names
+stay, and the diff still lines them up.
+
 The list covers every scenario with a transport, both BDF orders, both
-stabilization settings, lagged and fresh-factor solves, and the
-benchmark's two workloads (rect_fingering and block_budget).
+stabilization settings, adaptive and frozen meshes, lagged and fresh-factor
+solves, and the benchmark's two workloads (rect_fingering and block_budget).
 """
 
 import argparse
@@ -26,15 +31,16 @@ CONFIGS = [
     ("rect_fingering_seed0", "hele_shaw_rect", dict(ratio=100.0, t_end=1.0, seed=0)),
     ("block_budget", "perm_block", dict(r_max=4, cell_max=2500, t_end=0.3)),
     ("block", "perm_block", dict(t_end=0.3)),
-    ("block_nostab", "perm_block", dict(t_end=0.3, stab=False)),
+    ("block_nostab", "perm_block", dict(t_end=0.3, lambda_lin=0.0)),
     ("block_nostab_lambda0", "perm_block",
-     dict(t_end=0.3, stab=False, lambda_lin=0.0, lambda_ent=0.0)),
+     dict(t_end=0.3, lambda_lin=0.0, lambda_ent=0.0)),
     ("random_perm", "random_perm_2d", dict(t_end=0.3, seed=3)),
     ("radial", "hele_shaw_radial", dict(t_end=0.003)),
-    ("vortex_amr", "single_vortex", dict(t_end=0.5, r_max=2, amr=True)),
+    ("vortex_amr", "single_vortex", dict(t_end=0.5, r_max=2)),
     ("rect_long", "hele_shaw_rect",
      dict(ratio=100.0, t_end=3.0, seed=1, r_max=3, cell_max=3000)),
     ("rect_bdf1", "hele_shaw_rect", dict(ratio=100.0, t_end=0.3, bdf_order=1)),
+    ("block_frozen", "perm_block", dict(t_end=0.3, r_max=0)),
 ]
 
 

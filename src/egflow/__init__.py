@@ -18,8 +18,8 @@ from .flow import (FaceFlux, FlowBC, FlowParams, assemble_pressure,
                    bdf_apply, bdf_coefficients, flux_from_velocity,
                    local_conservation_residual, reconstruct_flux,
                    solve_reduced, weights)
-from .transport import (SourceField, TransportBC, TransportParams,
-                        assemble_transport, source_split, upwind_value)
+from .transport import (TransportBC, TransportParams, assemble_transport,
+                        source_split, upwind_value)
 from .stabilization import (EntropyConfig, IndicatorField, ViscosityField,
                             entropy_eval, extrapolate_star, indicator,
                             viscosity)

@@ -26,8 +26,7 @@ from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
                       draw_centers, mobility, random_permeability,
                       single_vortex_velocity)
 from .stabilization import EntropyConfig, extrapolate_star, indicator, viscosity
-from .transport import (SourceField, TransportBC, TransportParams,
-                        assemble_transport)
+from .transport import TransportBC, TransportParams, assemble_transport
 
 __all__ = [
     "ConfigError", "ScenarioConfig", "SCENARIOS", "make_config",
@@ -50,17 +49,6 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-def _as_bool(s):
-    if isinstance(s, bool):
-        return s
-    v = str(s).strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
 
 # key -> (coercion, help); every key is settable from file and CLI
 _SCHEMA = {
@@ -108,8 +96,6 @@ _SCHEMA = {
     "transport_tol": (float, "transport solver relative tolerance"),
     "seed": (int, "RNG seed"),
     "stride": (int, "output every k-th step"),
-    "amr": (_as_bool, "enable adaptivity"),
-    "stab": (_as_bool, "enable entropy stabilization"),
 }
 
 _DEFAULTS = dict(
@@ -125,18 +111,18 @@ _DEFAULTS = dict(
     t_period=2.0, n_centers=40, perturb=0.0,
     source_rate=100.0, inflow_speed=0.05,
     flow_tol=1e-10, transport_tol=1e-10,
-    seed=0, stride=10, amr=True, stab=True,
+    seed=0, stride=10,
 )
 
 _PRESETS = {
     # steady unit-mobility channel; exact solution is the linear pressure drop
     "manufactured": dict(
-        nx=4, ny=4, dt=0.1, t_end=0.1, c_f=0.0, r_max=2,
-        lambda_lin=0.0, lambda_ent=0.0, amr=False, stab=False, stride=1,
+        nx=4, ny=4, dt=0.1, t_end=0.1, c_f=0.0,
+        lambda_lin=0.0, lambda_ent=0.0, stride=1,
     ),
     # reversing tracer advection with a prescribed analytic velocity
     "single_vortex": dict(
-        nx=8, ny=8, dt=0.05, t_end=2.0, t_period=2.0, amr=False,
+        nx=8, ny=8, dt=0.05, t_end=2.0, t_period=2.0,
         lambda_lin=0.5, lambda_ent=0.5, entropy="power", entropy_b=2,
     ),
     # low-permeability obstruction, slightly compressible, unit viscosity
@@ -201,8 +187,6 @@ class ScenarioConfig:
     transport_tol: float
     seed: int
     stride: int
-    amr: bool
-    stab: bool
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -224,6 +208,9 @@ class ScenarioConfig:
             raise ValueError("flow_tol and transport_tol must be positive")
         if self.n_steps < 1:
             raise ValueError("t_end shorter than one step")
+        if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
+            raise ValueError(f"t_end {self.t_end!r} is not a whole number of "
+                             f"steps dt = {self.dt!r}")
         if self.bdf_order not in (1, 2):
             raise ValueError(f"bdf_order must be 1 or 2, got {self.bdf_order}")
         if self.scenario.startswith("hele_shaw") and self.viscosity.mobility_ratio < 1.0:
@@ -290,8 +277,7 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
             bdf_order=f["bdf_order"],
             flow=FlowParams(phi=f["phi"], rho0=f["rho0"], c_F=f["c_f"],
                             theta=f["theta"], alpha=f["alpha"]),
-            transport=TransportParams(phi=f["phi"], rho0=f["rho0"],
-                                      alpha_c=f["alpha_c"], alpha_s=f["alpha_s"]),
+            transport=TransportParams(alpha_c=f["alpha_c"], alpha_s=f["alpha_s"]),
             entropy=EntropyConfig(kind=f["entropy"], b=f["entropy_b"],
                                   eps=f["entropy_eps"], r=f["entropy_r"],
                                   lambda_lin=f["lambda_lin"],
@@ -310,7 +296,6 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
             inflow_speed=f["inflow_speed"],
             flow_tol=f["flow_tol"], transport_tol=f["transport_tol"],
             seed=f["seed"], stride=f["stride"],
-            amr=f["amr"], stab=f["stab"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -635,27 +620,18 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                 flux = flux_from_velocity(ctx, prob.velocity(t))
 
             # entropy indicator and stabilization viscosity
-            if prob.has_source:
-                # injected concentration is 1, produced is the resident state
-                q_tilde = np.maximum(q_qp, 0.0) + \
-                    ctx.cell_values(C_star) * np.minimum(q_qp, 0.0)
-            else:
-                q_tilde = None
             ind = indicator(config.entropy, ctx, C_star, C_n, C_nm1, flux,
-                            q_tilde, config.dt, m)
+                            q_qp, config.dt, m)
             visc = viscosity(config.entropy, ctx, ind, flux, C_star)
-            mu_cells = visc.mu_stab if config.stab else np.zeros(mesh.n_active)
 
             # dispersion lags one step; the first step uses its own flux
             D_cells = dispersion_tensor(
                 config.dispersion, flux.center_velocity if step == 1 else u_center)
 
-            sources = SourceField(q=q_qp, c_q=1.0) if prob.has_source \
-                else SourceField()
-            A_t, b_t = assemble_transport(ctx, config.transport,
+            A_t, b_t = assemble_transport(ctx, config.flow, config.transport,
                                           prob.transport_bc, flux, D_cells,
-                                          mu_cells, C_n, C_nm1,
-                                          sources=sources, dt=config.dt, m=m)
+                                          visc.mu_stab, C_n, C_nm1,
+                                          q_field=q_qp, dt=config.dt, m=m)
             C_np1, res_tr = solve_reduced(dm, A_t, b_t, x0_full=C_n,
                                           tol=config.transport_tol,
                                           factor=factors["transport"])
@@ -669,7 +645,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
             rec = {
                 "step": step, "time": t,
                 "cells": mesh.n_active, "dofs": dm.n_dofs,
-                "mass": config.transport.phi * config.transport.rho0
+                "mass": config.flow.phi * config.flow.rho0
                         * dm.total_integral(C_np1),
                 "cmin": float(vals.min()), "cmax": float(vals.max()),
                 "xtip": fd.x_tip, "tip_velocity": tip_v,
@@ -683,7 +659,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                                        or step == config.n_steps):
                 write_vtk(mesh, dm,
                           cell_data={"c_const": C_np1[dm.cell_dofs[:, 4]],
-                                     "mu_stab": mu_cells,
+                                     "mu_stab": visc.mu_stab,
                                      "entropy_residual": ind.er,
                                      "level": mesh.cell_level.astype(float),
                                      "permeability": K_cells},
@@ -705,17 +681,15 @@ def run(config: ScenarioConfig, outdir: str | None = None,
 
             # adapt and carry the history to the new mesh
             eg = np.stack([P_np1, P_n, C_np1, C_n])
-            u_center = flux.center_velocity
-            if config.amr:
-                marks = mark(ind, mesh, config.marking)
-                new_mesh, dm, eg, u_center = adapt_and_transfer(
-                    mesh, dm, eg, u_center, marks)
-                if new_mesh is not mesh:
-                    # free the old generation before building the new one
-                    factors = ctx = None
-                    mesh = new_mesh
-                    ctx = AssemblyContext(mesh, dm)
-                    factors = generation_factors("flow", "transport")
+            marks = mark(ind, mesh, config.marking)
+            new_mesh, dm, eg, u_center = adapt_and_transfer(
+                mesh, dm, eg, flux.center_velocity, marks)
+            if new_mesh is not mesh:
+                # free the old generation before building the new one
+                factors = ctx = None
+                mesh = new_mesh
+                ctx = AssemblyContext(mesh, dm)
+                factors = generation_factors("flow", "transport")
             P_n, P_nm1, C_n, C_nm1 = eg
     finally:
         if outdir is not None:
@@ -737,13 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="benchmark preset (may also come from the config file)")
     p.add_argument("--config", metavar="FILE", help="key=value override file")
     p.add_argument("--out", metavar="DIR", help="output directory")
-    p.add_argument("--seed", type=int, help="RNG seed override")
-    p.add_argument("--no-amr", action="store_true", help="freeze the mesh")
-    p.add_argument("--no-stab", action="store_true",
-                   help="disable entropy stabilization")
-    handled = {"scenario", "seed", "amr", "stab"}
     for key, (_, hlp) in _SCHEMA.items():
-        if key not in handled:
+        if key != "scenario":
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            metavar="V", help=hlp)
     return p
@@ -765,12 +734,6 @@ def main(argv=None) -> int:
             val = getattr(args, key, None)
             if val is not None:
                 overrides[key] = val
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.no_amr:
-            overrides["amr"] = False
-        if args.no_stab:
-            overrides["stab"] = False
         config = make_config(scenario, **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egspace import CELL_WEIGHTS, AssemblyContext
+from .egspace import CELL_WEIGHTS, AssemblyContext, cell_field_values
 from .flow import FaceFlux, bdf_coefficients
+from .transport import source_split
 
 __all__ = [
     "EntropyConfig",
@@ -111,12 +112,14 @@ def extrapolate_star(config: EntropyConfig, C_n, C_nm1=None):
 
 
 def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
-                  C_nm1, U_qp, q_tilde_qp, dt: float, m: int) -> np.ndarray:
+                  C_nm1, U_qp, q_field, dt: float, m: int) -> np.ndarray:
     """Per-cell max over quadrature points of the entropy residual.
 
-    R = d/dt E(C*) + U . E'(C*) grad C* - E'(C*) q_tilde, with the time
-    derivative taken through the same backward difference as the transport
-    step, over the sequence (E(C*), E(C^n), E(C^{n-1})).
+    R = d/dt E(C*) + U . E'(C*) grad C* - E'(C*) (q^+ + C* q^-), with the
+    time derivative taken through the same backward difference as the
+    transport step, over the sequence (E(C*), E(C^n), E(C^{n-1})).  The
+    source q_field is the transport's: injection at C = 1, production at the
+    sensed state.
     """
     a0, a1, a2 = bdf_coefficients(m, dt)
     cs = ctx.cell_values(C_star)
@@ -125,8 +128,8 @@ def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
     if m == 2:
         R += a2 * entropy_eval(config, ctx.cell_values(C_nm1))[0]
     R += Ep * (np.asarray(U_qp, dtype=float) * ctx.cell_gradients(C_star)).sum(axis=2)
-    if q_tilde_qp is not None:
-        R -= Ep * np.asarray(q_tilde_qp, dtype=float)
+    q_pos, q_neg = source_split(cell_field_values(ctx, q_field))
+    R -= Ep * (q_pos + cs * q_neg)
     return np.abs(R).max(axis=1)
 
 
@@ -139,12 +142,12 @@ def face_residual(config: EntropyConfig, ctx: AssemblyContext, C_star,
 
 
 def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
-              flux: FaceFlux, q_tilde_qp, dt: float, m: int) -> IndicatorField:
+              flux: FaceFlux, q_field, dt: float, m: int) -> IndicatorField:
     """Combined per-cell indicator: max of the cell residual and the face
     jump residual over the cell's interior faces."""
     mesh = ctx.mesh
     er = cell_residual(config, ctx, C_star, C_n, C_nm1,
-                       flux.cell_velocity, q_tilde_qp, dt, m)
+                       flux.cell_velocity, q_field, dt, m)
     J = face_residual(config, ctx, C_star, flux)
     interior = mesh.face_neighbor >= 0
     np.maximum.at(er, mesh.face_owner[interior], J[interior])

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egspace import AssemblyContext, cell_field_values, face_field_values
-from .flow import FaceFlux, bdf_coefficients
+from .flow import FaceFlux, FlowParams, bdf_coefficients
 
 __all__ = [
-    "SourceField",
     "TransportBC",
     "TransportParams",
     "assemble_transport",
@@ -37,22 +36,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransportParams:
-    """Medium constants and penalties for the concentration solve."""
+    """Penalties of the concentration solve; the medium is the FlowParams'."""
 
-    phi: float = 1.0
-    rho0: float = 1.0
     alpha_c: float = 2.0      # jump penalty
     alpha_s: float = 1.0      # stabilization-viscosity jump penalty
 
     def __post_init__(self):
-        if not (0.0 < self.phi <= 1.0):
-            raise ValueError(f"porosity must lie in (0, 1], got {self.phi}")
         if self.alpha_c <= 0.0:
             raise ValueError(f"penalty must be positive, got {self.alpha_c}")
         if self.alpha_s < 0.0:
             raise ValueError(f"stab penalty must be nonnegative, got {self.alpha_s}")
-        if self.rho0 <= 0.0:
-            raise ValueError(f"reference density must be positive, got {self.rho0}")
 
 
 @dataclass(frozen=True)
@@ -71,20 +64,6 @@ class TransportBC:
         return self.c_in
 
 
-@dataclass(frozen=True)
-class SourceField:
-    """Volumetric source q (scalar, per-cell array, or callable) with injected
-    concentration c_q; the sink side q^- removes fluid at the resident
-    concentration and is folded into the system matrix."""
-
-    q: object = 0.0
-    c_q: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.c_q <= 1.0):
-            raise ValueError(f"injected concentration must lie in [0,1], got {self.c_q}")
-
-
 def upwind_value(C_plus, C_minus, U_dot_n_plus):
     """Upwind trace: the plus-side value where U.n+ < 0, else the minus side."""
     return np.where(np.asarray(U_dot_n_plus, dtype=float) < 0.0, C_plus, C_minus)
@@ -96,22 +75,26 @@ def source_split(q):
     return np.maximum(q, 0.0), np.minimum(q, 0.0)
 
 
-def assemble_transport(ctx: AssemblyContext, params: TransportParams,
-                       bc: TransportBC, flux: FaceFlux, D_cells, mu_cells,
-                       C_n, C_nm1=None, sources: SourceField = SourceField(),
+def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
+                       params: TransportParams, bc: TransportBC, flux: FaceFlux,
+                       D_cells, mu_cells, C_n, C_nm1=None, q_field=0.0,
                        dt: float = 1.0, *, m: int):
     """Assemble the reduced, pinned concentration system (see
     AssemblyContext.assemble).
 
+    medium: the pressure solve's parameters, read for phi and rho0.
     D_cells: (n_cells, 2, 2) cellwise-constant dispersion, zero for pure
     advection.  mu_cells: (n_cells,) cellwise stabilization viscosity, zero
     without stabilization.  flux supplies both the face normal fluxes and
-    the volume quadrature velocities.  m is the BDF order.  Returns (A, b).
+    the volume quadrature velocities.  q_field is the pressure solve's mass
+    source (see cell_field_values): q^+ injects the injected fluid, C = 1,
+    and q^- removes fluid at the resident concentration, folded into the
+    matrix.  m is the BDF order.  Returns (A, b).
     """
     mesh = ctx.mesh
     a0, a1, a2 = bdf_coefficients(m, dt)
-    rho0, phi = params.rho0, params.phi
-    mass_coef = phi * rho0
+    rho0 = medium.rho0
+    mass_coef = medium.phi * rho0
 
     if m == 2 and C_nm1 is None:
         raise ValueError("second-order time stepping needs two history levels")
@@ -127,8 +110,7 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
     if mu_cells.shape != (nc,):
         raise ValueError(f"stab viscosity must be ({nc},), got {mu_cells.shape}")
 
-    q_qp = cell_field_values(ctx, sources.q)
-    qp_pos, qp_neg = source_split(q_qp)
+    qp_pos, qp_neg = source_split(cell_field_values(ctx, q_field))
     vals, views = ctx.block_buffer()
     blocks, rhs = iter(views), []
 
@@ -148,7 +130,7 @@ def assemble_transport(ctx: AssemblyContext, params: TransportParams,
         if m == 2:
             hist -= a2 * C_nm1[g.dofs]
         rhs.append(mass_coef * (hist @ g.table[0].reshape(5, 5))
-                   + (sources.c_q * qp_pos[g.idx]) @ g.wN)
+                   + qp_pos[g.idx] @ g.wN)
 
     for g in ctx.interior_groups:
         un = flux.face_un[g.idx]                                # (m, 3)

@@ -185,7 +185,7 @@ def test_criterion_06_compatibility_constant_state():
                                  dt=cfg.dt, m=m)
         P_new, _ = solve_reduced(dm, A, b, x0_full=P, tol=1e-12)
         flux = reconstruct_flux(ctx, P_new, kappa, bc, fparams)
-        A_t, b_t = assemble_transport(ctx, tparams, tbc, flux,
+        A_t, b_t = assemble_transport(ctx, fparams, tparams, tbc, flux,
                                       np.zeros((mesh.n_active, 2, 2)),
                                       np.zeros(mesh.n_active),
                                       C, C_prev, dt=cfg.dt, m=m)
@@ -214,7 +214,7 @@ def block_runs():
     stab_cfg = make_config("perm_block", dt=0.02, t_end=2.0, r_max=1)
     stab = run(stab_cfg, step_hook=hook)
     raw_cfg = make_config("perm_block", dt=0.02, t_end=2.0, r_max=1,
-                          lambda_lin=0.0, lambda_ent=0.0, stab=False)
+                          lambda_lin=0.0, lambda_ent=0.0)
     raw = run(raw_cfg)
     return {"stab": stab, "raw": raw, "last": dict(last)}
 

@@ -43,7 +43,6 @@ from egflow.flow import (
 from egflow.mesh import BOUNDARY, CONFORMING, HANGING_HIGH, HANGING_LOW, build_uniform
 from egflow.stabilization import EntropyConfig, entropy_eval, face_residual, indicator
 from egflow.transport import (
-    SourceField,
     TransportBC,
     TransportParams,
     assemble_transport,
@@ -145,13 +144,13 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
     return _coo(rows, cols, vals, n), b
 
 
-def _oracle_transport(ctx, params, bc, flux, D_cells, mu_cells, C_n,
-                      C_nm1=None, sources=SourceField(), dt=1.0, *, m):
+def _oracle_transport(ctx, medium, params, bc, flux, D_cells, mu_cells, C_n,
+                      C_nm1=None, q_field=0.0, dt=1.0, *, m):
     dm = ctx.dofmap
     a0, a1, a2 = bdf_coefficients(m, dt)
-    rho0 = params.rho0
-    mass_coef = params.phi * rho0
-    qp_pos, qp_neg = source_split(cell_field_values(ctx, sources.q))
+    rho0 = medium.rho0
+    mass_coef = medium.phi * rho0
+    qp_pos, qp_neg = source_split(cell_field_values(ctx, q_field))
     n = dm.n_dofs
     rows, cols, vals = [], [], []
     b = np.zeros(n)
@@ -172,7 +171,7 @@ def _oracle_transport(ctx, params, bc, flux, D_cells, mu_cells, C_n,
         if m == 2:
             hist -= a2 * C_nm1[g.dofs]
         rhs = mass_coef * np.einsum("ab,mb->ma", mloc, hist)
-        rhs += np.einsum("q,qa,mq->ma", g.wq, g.N, sources.c_q * qp_pos[g.idx])
+        rhs += np.einsum("q,qa,mq->ma", g.wq, g.N, qp_pos[g.idx])
         np.add.at(b, g.dofs.ravel(), rhs.ravel())
     mean_un = flux.mean_un
     for g in _shaped(ctx, ctx.face_groups):
@@ -420,17 +419,17 @@ def test_transport_matches_oracle(seed, with_D, with_mu, m):
     M = rng.standard_normal((nc, 2, 2))
     D = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(2) if with_D else None
     mu = rng.random(nc) if with_mu else None
-    params = TransportParams(phi=0.4, rho0=1.5, alpha_s=0.7)
+    medium = FlowParams(phi=0.4, rho0=1.5)
+    params = TransportParams(alpha_s=0.7)
     bc = TransportBC(c_in={"left": lambda x, y: 0.5 + 0.2 * y, "bottom": 0.9})
-    src = SourceField(q=rng.standard_normal((nc, 9)), c_q=0.7)
     args = dict(C_n=rng.standard_normal(n), C_nm1=rng.standard_normal(n),
-                sources=src, dt=0.05, m=m)
+                q_field=rng.standard_normal((nc, 9)), dt=0.05, m=m)
     # zero coefficients assemble the system the oracle builds without the terms
-    A, b = assemble_transport(ctx, params, bc, flux,
+    A, b = assemble_transport(ctx, medium, params, bc, flux,
                               np.zeros((nc, 2, 2)) if D is None else D,
                               np.zeros(nc) if mu is None else mu, **args)
-    _close(A, b, *_pinned(ctx.dofmap,
-                          *_oracle_transport(ctx, params, bc, flux, D, mu, **args)))
+    _close(A, b, *_pinned(ctx.dofmap, *_oracle_transport(ctx, medium, params, bc, flux,
+                                                         D, mu, **args)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -449,7 +448,7 @@ def test_gauge_vector_is_a_null_vector(seed):
         _oracle_pressure(ctx, FlowParams(c_F=0.05), bc, np.exp(rng.standard_normal(nc)),
                          P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
                          dt=0.1, m=1),
-        _oracle_transport(ctx, TransportParams(), TransportBC(c_in=0.7),
+        _oracle_transport(ctx, FlowParams(), TransportParams(), TransportBC(c_in=0.7),
                           _random_flux(ctx, rng), None, rng.random(nc),
                           rng.standard_normal(n), m=1),
     ]
@@ -663,13 +662,13 @@ def test_assembled_systems_match_the_oracle_plan(seed):
     p_args = dict(P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
                   dt=0.1, m=1)
     t_args = dict(C_n=rng.standard_normal(n), C_nm1=rng.standard_normal(n),
-                  sources=SourceField(q=rng.standard_normal((nc, 9)), c_q=0.7),
+                  q_field=rng.standard_normal((nc, 9)),
                   dt=0.05, m=2)
 
     def systems():
         return [assemble_pressure(ctx, FlowParams(c_F=0.05, phi=0.3), bc, kappa, **p_args),
-                assemble_transport(ctx, TransportParams(), TransportBC(c_in=0.7), flux,
-                                   D, mu, **t_args)]
+                assemble_transport(ctx, FlowParams(), TransportParams(),
+                                   TransportBC(c_in=0.7), flux, D, mu, **t_args)]
 
     mine = systems()
     ctx.plan = _oracle_plan(ctx.dofmap, ctx.cell_groups, ctx.interior_groups,
@@ -685,7 +684,7 @@ def test_pressure_and_transport_share_the_pattern():
     nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
     bc = FlowBC(dirichlet={"left": 1.0}, neumann={"right": 0.0, "bottom": 0.0, "top": 0.0})
     A_p, _ = assemble_pressure(ctx, FlowParams(), bc, np.ones(nc), m=2)
-    A_t, _ = assemble_transport(ctx, TransportParams(), TransportBC(),
+    A_t, _ = assemble_transport(ctx, FlowParams(), TransportParams(), TransportBC(),
                                 _random_flux(ctx, rng), np.zeros((nc, 2, 2)),
                                 np.zeros(nc), np.zeros(n), m=1)
     assert np.array_equal(A_p.indptr, A_t.indptr)
@@ -765,8 +764,9 @@ def test_replaced_context_is_freed_without_gc():
     nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
     bc = FlowBC(dirichlet={"left": 1.0}, neumann={"right": 0.0, "bottom": 0.0, "top": 0.0})
     assemble_pressure(ctx, FlowParams(), bc, np.ones(nc), m=2)
-    assemble_transport(ctx, TransportParams(), TransportBC(), _random_flux(ctx, rng),
-                       np.zeros((nc, 2, 2)), np.zeros(nc), np.zeros(n), m=1)
+    assemble_transport(ctx, FlowParams(), TransportParams(), TransportBC(),
+                       _random_flux(ctx, rng), np.zeros((nc, 2, 2)), np.zeros(nc),
+                       np.zeros(n), m=1)
     ref = weakref.ref(ctx)
     gc.disable()
     try:

@@ -148,10 +148,11 @@ def test_config_file_parsing(tmp_path):
         "nx=8   # trailing comment\n"
         "\n"
         "dt = 0.02\n"
-        "amr = false\n"
+        "extrapolation = lagged\n"
     )
     kv = load_config_file(str(p))
-    assert kv == {"scenario": "perm_block", "nx": 8, "dt": 0.02, "amr": False}
+    assert kv == {"scenario": "perm_block", "nx": 8, "dt": 0.02,
+                  "extrapolation": "lagged"}
 
 
 def test_config_file_errors(tmp_path):
@@ -188,7 +189,9 @@ def test_preset_block_scenario_values():
     assert cfg.entropy.kind == "log"
     assert cfg.entropy.lambda_lin == pytest.approx(0.5)
     assert cfg.marking.bounds.r_max == 2
-    assert cfg.amr and cfg.stab
+    # adaptive (r_max above r_min) and stabilized (both lambdas above 0)
+    assert cfg.marking.bounds.r_min == 0
+    assert cfg.entropy.lambda_ent == pytest.approx(0.5)
 
 
 def test_manufactured_single_step():
@@ -267,7 +270,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["--scenario", "perm_block", "--dt", "nope"]) == 2
     # values that would otherwise fail inside the run, or run until the
     # solver stalls, are rejected before it starts
-    for argv in (["--seed", "-1"], ["--t-end", "inf"], ["--alpha-c", "nan"],
+    for argv in (["--seed", "-1"], ["--seed", "1.5"], ["--t-end", "inf"],
+                 ["--alpha-c", "nan"], ["--t-end", "0.15"],
                  ["--t-end", "1e300", "--dt", "1e-10"],
                  ["--flow-tol", "0"], ["--transport-tol=-1e-10"]):
         assert main(["--scenario", "manufactured", *argv]) == 2
@@ -385,12 +389,34 @@ def test_sealed_incompressible_box_with_a_source_exits_2(capsys):
 
 
 def test_no_stabilization_is_zero_viscosity():
-    # stab off assembles zero viscosity: the same records as a first-order
-    # viscosity of zero, which wins the min in every cell
+    # either coefficient at zero makes its branch of the min zero in every
+    # cell, so both assemble the unstabilized system and give one record
     base = dict(nx=4, ny=4, dt=0.05, t_end=0.2, r_max=1)
-    off = run(make_config("perm_block", stab=False, **base)).records
-    assert off == run(make_config("perm_block", lambda_lin=0.0, **base)).records
+    off = run(make_config("perm_block", lambda_lin=0.0, **base)).records
+    assert off == run(make_config("perm_block", lambda_ent=0.0, **base)).records
     assert off != run(make_config("perm_block", **base)).records
+
+
+def test_equal_level_bounds_freeze_the_mesh():
+    # with r_max = r_min no cell may refine or coarsen: the run keeps the
+    # initial mesh generation and its cell count on every step
+    cfg = make_config("hele_shaw_rect", ratio=100.0, t_end=0.1, r_max=1)
+    gens = []
+    res = run(cfg, step_hook=lambda state: gens.append(state["mesh"].generation))
+    assert len(set(gens)) == 1 and res.mesh.generation == gens[0]
+    assert {rec["cells"] for rec in res.records} == {cfg.nx * cfg.ny * 4}
+
+
+def test_t_end_must_be_a_whole_number_of_steps(capsys):
+    # a t_end between two steps used to run round(t_end / dt) steps silently
+    for t_end in ("0.035", "0.025"):
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            make_config("perm_block", t_end=t_end)
+    assert main(["--scenario", "perm_block", "--t-end", "0.035"]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    # float quotients within 1e-9 of an integer count as whole
+    assert make_config("perm_block", t_end=0.3).n_steps == 30
+    assert make_config("perm_block", dt=0.1, t_end=0.7).n_steps == 7
 
 
 def test_radial_preset_short_run():

@@ -108,7 +108,7 @@ def test_linear_viscosity_homogeneous_in_velocity():
     C = interpolate(lambda x, y: x, ctx)
     for s in (1.0, 3.0):
         flux = _flux(ctx, s, 0.0)
-        ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=1)
+        ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=1)
         mu = viscosity(cfg, ctx, ind, flux, C)
         # mu_lin = lambda h max|U| = 0.5 * 0.25 * s on the uniform 4x4 mesh
         assert np.allclose(mu.mu_lin, 0.5 * 0.25 * s, atol=1e-14)
@@ -119,7 +119,7 @@ def test_constant_state_disables_stabilization():
     cfg = EntropyConfig()
     C = interpolate(lambda x, y: 0.7, ctx)
     flux = _flux(ctx, 1.0, 0.0)
-    ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=1)
+    ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=1)
     mu = viscosity(cfg, ctx, ind, flux, C)
     assert np.all(mu.mu_stab == 0.0)
     assert not mu.lin_selected.any()
@@ -134,7 +134,7 @@ def test_steady_linear_profile_zero_residual():
     cfg = EntropyConfig(kind="power", b=2)
     C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx, 0.0, 1.0)
-    r = cell_residual(cfg, ctx, C, C, C, flux.cell_velocity, None, dt=0.1, m=2)
+    r = cell_residual(cfg, ctx, C, C, C, flux.cell_velocity, 0.0, dt=0.1, m=2)
     assert np.abs(r).max() < 1e-12
 
 
@@ -145,10 +145,30 @@ def test_cell_residual_advection_term():
     cfg = EntropyConfig(kind="power", b=2)
     C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx, 2.0, 0.0)
-    r = cell_residual(cfg, ctx, C, C, C, flux.cell_velocity, None, dt=0.1, m=2)
+    r = cell_residual(cfg, ctx, C, C, C, flux.cell_velocity, 0.0, dt=0.1, m=2)
     xi_max = (1.0 + np.sqrt(0.6)) / 2.0
     expect = 2.0 * (ctx.mesh.cell_x0 + ctx.mesh.cell_hx * xi_max)
     assert np.allclose(r, expect, atol=1e-12)
+
+
+def test_indicator_source_injects_one_and_produces_the_sensed_state():
+    # steady C* = x under U = (u, 0) with E = c^2 / 2, so E'(C*) = x: the
+    # sourceless residual is u x at every quadrature point, and a source
+    # positive in some cells and negative in others subtracts
+    # E'(C*) (q^+ + C* q^-); C* is continuous, so no face term enters
+    ctx = _context(4, 4)
+    cfg = EntropyConfig(kind="power", b=2)
+    C = interpolate(lambda x, y: x, ctx)
+    flux = _flux(ctx, 2.0, 0.0)
+    q = np.random.default_rng(3).standard_normal(ctx.mesh.n_active)
+    assert (q > 0.0).any() and (q < 0.0).any()
+    x = ctx.cell_values(C)
+    plain = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=2).er
+    assert np.allclose(plain, np.abs(2.0 * x).max(axis=1), rtol=1e-12)
+    q_pos, q_neg = np.maximum(q, 0.0)[:, None], np.minimum(q, 0.0)[:, None]
+    expect = np.abs(2.0 * x - x * (q_pos + x * q_neg)).max(axis=1)
+    er = indicator(cfg, ctx, C, C, C, flux, q, dt=0.1, m=2).er
+    assert np.allclose(er, expect, rtol=1e-12)
 
 
 def test_face_residual_detects_enrichment_jump():
@@ -174,7 +194,7 @@ def test_indicator_max_combines_face_jump():
     C[dm.n_cg] = 1.0
     C = dm.distribute(C)
     flux = _flux(ctx, 3.0, 0.0)
-    ind = indicator(cfg, ctx, C, C, C, flux, None, dt=1e9, m=1)
+    ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=1e9, m=1)
     J = face_residual(cfg, ctx, C, flux)
     interior = ctx.mesh.face_neighbor >= 0
     jmax = J[interior].max()
@@ -190,7 +210,7 @@ def test_entropy_viscosity_formula():
     cfg = EntropyConfig(kind="power", b=2, lambda_lin=1e9, lambda_ent=0.7)
     C = interpolate(lambda x, y: x * x, ctx)
     flux = _flux(ctx, 1.0, 0.0)
-    ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=2)
+    ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=2)
     # ||E - mean E||_inf over the volume quadrature points
     E = entropy_eval(cfg, ctx.cell_values(C))[0]
     mean = (E @ CELL_WEIGHTS) @ ctx.mesh.cell_area / ctx.mesh.total_area
@@ -207,7 +227,7 @@ def test_min_switches_to_linear_branch():
     cfg = EntropyConfig(kind="power", b=2, lambda_lin=1e-12, lambda_ent=0.5)
     C = interpolate(lambda x, y: x * x, ctx)
     flux = _flux(ctx, 1.0, 0.0)
-    ind = indicator(cfg, ctx, C, C, C, flux, None, dt=0.1, m=2)
+    ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=2)
     mu = viscosity(cfg, ctx, ind, flux, C)
     assert np.allclose(mu.mu_stab, mu.mu_lin)
     assert mu.lin_selected.all()

@@ -7,7 +7,6 @@ from egflow.egspace import AssemblyContext, EGDofMap, interpolate
 from egflow.flow import FlowParams, flux_from_velocity, local_conservation_residual, solve_reduced
 from egflow.mesh import build_uniform
 from egflow.transport import (
-    SourceField,
     TransportBC,
     TransportParams,
     assemble_transport,
@@ -58,15 +57,13 @@ def test_penalty_validation():
         TransportParams(alpha_c=0.0)
     with pytest.raises(ValueError):
         TransportParams(alpha_c=-1.0)
-    with pytest.raises(ValueError):
-        SourceField(q=1.0, c_q=1.5)
 
 
 def test_second_order_needs_history():
     ctx = _context(2, 2)
     flux = _uniform_flux(ctx)
     with pytest.raises(ValueError):
-        assemble_transport(ctx, TransportParams(), TransportBC(), flux,
+        assemble_transport(ctx, FlowParams(), TransportParams(), TransportBC(), flux,
                            *_zero_coefficients(ctx), np.zeros(ctx.dofmap.n_dofs),
                            dt=0.1, m=2)
 
@@ -77,8 +74,8 @@ def test_constant_state_is_fixed_point():
     dm = ctx.dofmap
     flux = _uniform_flux(ctx)
     C0 = interpolate(lambda x, y: 0.4, ctx)
-    params = TransportParams()
-    A, b = assemble_transport(ctx, params, TransportBC(c_in=0.4), flux,
+    medium, params = FlowParams(), TransportParams()
+    A, b = assemble_transport(ctx, medium, params, TransportBC(c_in=0.4), flux,
                               *_zero_coefficients(ctx), C0, C_nm1=C0, dt=0.05, m=2)
     C1, rep = solve_reduced(dm, A, b, tol=1e-13)
     assert rep.converged
@@ -92,11 +89,11 @@ def test_global_mass_balance_pure_advection():
     flux = _uniform_flux(ctx, 0.0, 0.0)
     rng = np.random.default_rng(12)
     C = dm.distribute(rng.random(dm.n_dofs))
-    params = TransportParams()
+    medium, params = FlowParams(), TransportParams()
     m0 = dm.total_integral(C)
     Cp = C
     for k in range(5):
-        A, b = assemble_transport(ctx, params, TransportBC(), flux,
+        A, b = assemble_transport(ctx, medium, params, TransportBC(), flux,
                                   *_zero_coefficients(ctx), C, C_nm1=Cp, dt=0.02,
                                   m=1 if k == 0 else 2)
         Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
@@ -111,9 +108,9 @@ def test_inflow_outflow_budget():
     dm = ctx.dofmap
     flux = _uniform_flux(ctx, 1.0, 0.0)
     C = interpolate(lambda x, y: 1.0, ctx)
-    params = TransportParams()
+    medium, params = FlowParams(), TransportParams()
     dt = 0.01
-    A, b = assemble_transport(ctx, params, TransportBC(c_in=1.0), flux,
+    A, b = assemble_transport(ctx, medium, params, TransportBC(c_in=1.0), flux,
                               *_zero_coefficients(ctx), C, C_nm1=C, dt=dt, m=2)
     C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # steady constant state: in = out, so the mass stays put
@@ -128,11 +125,11 @@ def test_diffusion_decays_smooth_mode():
     flux = _uniform_flux(ctx, 0.0, 0.0)
     C = interpolate(lambda x, y: np.cos(np.pi * x), ctx)
     D = np.broadcast_to(1e-2 * np.eye(2), (ctx.mesh.n_active, 2, 2)).copy()
-    params = TransportParams()
+    medium, params = FlowParams(), TransportParams()
     amp0 = np.abs(dm.cell_means(C)).max()
     Cp = C
     for k in range(10):
-        A, b = assemble_transport(ctx, params, TransportBC(), flux,
+        A, b = assemble_transport(ctx, medium, params, TransportBC(), flux,
                                   D, np.zeros(ctx.mesh.n_active), C, C_nm1=Cp, dt=0.05,
                                   m=1 if k == 0 else 2)
         Cn, _ = solve_reduced(dm, A, b, tol=1e-13)
@@ -149,19 +146,17 @@ def test_diffusion_decays_smooth_mode():
 
 
 def test_injection_source_fills_domain():
-    # balanced injection (c_q = 1) and production drive c toward 1 upstream
+    # injection brings the injected fluid, C = 1, into resident fluid C = 0
     ctx = _context(4, 4)
     dm = ctx.dofmap
     flux = _uniform_flux(ctx, 0.0, 0.0)
-    q = np.zeros(ctx.mesh.n_active)
-    src = SourceField(q=1.0, c_q=1.0)
     C = np.zeros(dm.n_dofs)
-    params = TransportParams()
-    A, b = assemble_transport(ctx, params, TransportBC(), flux, *_zero_coefficients(ctx),
-                              C, C_nm1=C, dt=0.5, m=1, sources=src)
+    medium, params = FlowParams(), TransportParams()
+    A, b = assemble_transport(ctx, medium, params, TransportBC(), flux, *_zero_coefficients(ctx),
+                              C, C_nm1=C, dt=0.5, m=1, q_field=1.0)
     C1, _ = solve_reduced(dm, A, b, tol=1e-13)
-    # phi dc/dt = q^+ c_q with c(0) = 0: one backward-Euler step lands on
-    # c = dt q c_q / phi exactly since the rhs does not involve c
+    # phi dc/dt = q^+ with c(0) = 0: one backward-Euler step lands on
+    # c = dt q / phi exactly since the rhs does not involve c
     assert np.abs(dm.cell_means(C1) - 0.5).max() < 1e-10
 
 
@@ -170,6 +165,6 @@ def test_mu_cells_shape_validation():
     flux = _uniform_flux(ctx)
     C = np.zeros(ctx.dofmap.n_dofs)
     with pytest.raises(ValueError):
-        assemble_transport(ctx, TransportParams(), TransportBC(), flux,
+        assemble_transport(ctx, FlowParams(), TransportParams(), TransportBC(), flux,
                            _zero_coefficients(ctx)[0], np.zeros(3), C, C_nm1=C,
                            dt=0.1, m=2)
