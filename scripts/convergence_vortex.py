@@ -12,14 +12,11 @@ import argparse
 import numpy as np
 
 from egflow.driver import make_config, run
+from egflow.egspace import CELL_WEIGHTS
 
 
 def l2_norm(ctx, coeffs):
-    vals = ctx.cell_values(coeffs)
-    total = 0.0
-    for g in ctx.cell_groups:
-        total += float(((vals[g.idx] ** 2) @ g.wq).sum())
-    return float(np.sqrt(total))
+    return float(np.sqrt(((ctx.cell_values(coeffs) ** 2) @ CELL_WEIGHTS) @ ctx.cell_area))
 
 
 def return_error(n, dt, lam):

@@ -9,6 +9,15 @@ byte-identity check of a change is one `diff`:
     PYTHONPATH=src python3 scripts/diag_digest.py > new.txt
     diff old.txt new.txt
 
+A change that is meant to move the numbers only at roundoff cannot show
+that through a digest.  `--keep DIR` also keeps each config's
+`diagnostics.csv` as DIR/<config>.csv, and `--against DIR` prints, per
+config, the largest relative change of every column against such a kept set
+(|new - old| / max(|new|, |old|), 0 where both are 0):
+
+    PYTHONPATH=old/src python3 scripts/diag_digest.py --keep kept
+    PYTHONPATH=src python3 scripts/diag_digest.py --against kept
+
 When a change renames or removes config keys, run each tree's own copy of
 this script (`python3 old/scripts/diag_digest.py` with `PYTHONPATH=old/src`),
 so each side spells the same runs in the keys it knows; the config names
@@ -22,7 +31,10 @@ solves, and the benchmark's two workloads (rect_fingering and block_budget).
 import argparse
 import hashlib
 import os
+import shutil
 import tempfile
+
+import numpy as np
 
 from egflow.driver import make_config, run
 
@@ -44,12 +56,35 @@ CONFIGS = [
 ]
 
 
-def digest(scenario, overrides):
-    """sha256 of the diagnostics.csv that a run of the config writes."""
+def digest(name, scenario, overrides, keep=None):
+    """sha256 of the diagnostics.csv that a run of the config writes, and the
+    file's text; the file is copied to keep/<name>.csv if keep is given."""
     with tempfile.TemporaryDirectory() as out:
         run(make_config(scenario, **overrides), outdir=out)
-        with open(os.path.join(out, "diagnostics.csv"), "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+        path = os.path.join(out, "diagnostics.csv")
+        if keep is not None:
+            shutil.copyfile(path, os.path.join(keep, f"{name}.csv"))
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return hashlib.sha256(data).hexdigest(), data.decode()
+
+
+def _table(text):
+    header, *rows = text.splitlines()
+    return header.split(","), np.array([[float(v) for v in r.split(",")] for r in rows])
+
+
+def relative_change(text, kept):
+    """Largest relative change per column of one diagnostics.csv text against
+    a kept one, as "column=value" fields; a different header or row count
+    is reported instead."""
+    cols, new = _table(text)
+    old_cols, old = _table(kept)
+    if cols != old_cols or new.shape != old.shape:
+        return f"shape {new.shape} against {old.shape}"
+    top = np.maximum(np.abs(new), np.abs(old))
+    rel = np.abs(new - old) / np.where(top > 0.0, top, 1.0)
+    return " ".join(f"{c}={v:.3g}" for c, v in zip(cols, rel.max(axis=0)))
 
 
 def main():
@@ -57,13 +92,25 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--short", action="store_true",
                     help="cut every config to two steps")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="also keep each config's diagnostics.csv in DIR")
+    ap.add_argument("--against", metavar="DIR",
+                    help="print each config's largest relative change per column "
+                         "against the diagnostics.csv kept in DIR")
     args = ap.parse_args()
+    if args.keep is not None:
+        os.makedirs(args.keep, exist_ok=True)
 
     for name, scenario, overrides in CONFIGS:
         if args.short:
             dt = make_config(scenario, **overrides).dt
             overrides = dict(overrides, t_end=2.0 * dt)
-        print(f"{name:<22} {digest(scenario, overrides)}", flush=True)
+        sha, text = digest(name, scenario, overrides, args.keep)
+        line = f"{name:<22} {sha}"
+        if args.against is not None:
+            with open(os.path.join(args.against, f"{name}.csv"), encoding="utf-8") as fh:
+                line += " " + relative_change(text, fh.read())
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

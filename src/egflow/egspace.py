@@ -21,8 +21,6 @@ appears here with cellwise-constant coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,7 +44,9 @@ from .mesh import (
 __all__ = [
     "AssemblyContext",
     "AssemblyPlan",
+    "CELL_TABLE",
     "CELL_WEIGHTS",
+    "CELL_WN",
     "EGDofMap",
     "FACE_WEIGHTS",
     "cell_field_values",
@@ -323,6 +323,7 @@ _CELL_N = _frozen(q1_values(*_CELL_PTS.T))                      # (9, 5)
 _CELL_DN = _frozen(q1_grads(*_CELL_PTS.T))                      # (9, 5, 2)
 _FACE_PTS = {d: _frozen(_face_ref_coords(d, _G3)) for d in _DIRS}
 _FACE_PTS_BY_DIR = _frozen(np.stack([_FACE_PTS[d] for d in range(4)]))
+_NORMALS = _frozen(np.stack([DIR_NORMAL[d] for d in range(4)]))
 _FACE_N = {d: _frozen(q1_values(*p.T)) for d, p in _FACE_PTS.items()}
 _FACE_DN = {d: _frozen(q1_grads(*p.T)) for d, p in _FACE_PTS.items()}
 _NB_PTS = {(d, k): _neighbor_ref_coords(d, k, _G3)
@@ -330,92 +331,73 @@ _NB_PTS = {(d, k): _neighbor_ref_coords(d, k, _G3)
 _NB_N = {dk: _frozen(q1_values(*p.T)) for dk, p in _NB_PTS.items()}
 _NB_DN = {dk: _frozen(q1_grads(*p.T)) for dk, p in _NB_PTS.items()}
 
-# unit-cell integrals; a level's tables scale them by hx, hy
-_REF_MASS = _frozen(np.einsum("q,qa,qb->ab", CELL_WEIGHTS, _CELL_N, _CELL_N).ravel())
-_REF_DIFF = _frozen(np.einsum("q,qad,qbe->deab", CELL_WEIGHTS, _CELL_DN,
-                              _CELL_DN).reshape(2, 2, 25))
-_REF_ADV = _frozen(np.einsum("q,qad,qb->qdab", CELL_WEIGHTS, _CELL_DN,
-                             _CELL_N).reshape(9, 2, 25))
-_REF_SINK = _frozen(np.einsum("q,qa,qb->qab", CELL_WEIGHTS, _CELL_N,
-                              _CELL_N).reshape(9, 25))
-_REF_WN = _frozen(CELL_WEIGHTS[:, None] * _CELL_N)
+def _trace_table(N, dN, normal) -> np.ndarray:
+    """(10, 12) map from the local dofs [owner | neighbor] to the values and
+    normal derivatives of each side at the 3 face points: columns [values
+    owner, neighbor | derivatives owner, neighbor], 3 each, for per-side
+    shapes N (3, 5) and gradients dN (3, 5, 2).  A boundary face's
+    neighbor columns are 0."""
+    out = np.zeros((10, 12))
+    for s in range(len(N)):
+        out[5 * s:5 * s + 5, 3 * s:3 * s + 3] = N[s].T
+        out[5 * s:5 * s + 5, 6 + 3 * s:9 + 3 * s] = (dN[s] @ normal).T
+    return out
 
 
-def _interior_reference(d: int, kind: int):
-    """Unit-face integrals of an interior face: jump x jump, the upwind pair
-    jump x N_own / jump x N_nb per quadrature point, and jump x grad N per
-    side and gradient component."""
-    jump = _side(_FACE_N[d], 0) - _side(_NB_N[d, kind], 1)
-    jj = np.einsum("q,qa,qb->ab", FACE_WEIGHTS, jump, jump).ravel()
-    up = np.stack([np.einsum("q,qa,qb->qab", FACE_WEIGHTS, jump, _side(N, s)).reshape(3, 100)
-                   for s, N in enumerate((_FACE_N[d], _NB_N[d, kind]))])
-    flux = np.stack([np.einsum("q,qa,qbe->eab", FACE_WEIGHTS, jump, _side(dN, s)).reshape(2, 100)
-                     for s, dN in enumerate((_FACE_DN[d], _NB_DN[d, kind]))])
-    return _frozen(jj), _frozen(up), _frozen(flux)
-
-
-def _boundary_reference(d: int):
-    """Unit-face integrals of a boundary face: N x N per quadrature point,
-    N x grad N per gradient component, and the weighted traces w N, w grad N."""
-    N, dN = _FACE_N[d], _FACE_DN[d]
-    nn = np.einsum("q,qa,qb->qab", FACE_WEIGHTS, N, N).reshape(3, 25)
-    ndn = np.einsum("q,qa,qbe->eab", FACE_WEIGHTS, N, dN).reshape(2, 25)
-    return (_frozen(nn), _frozen(ndn), _frozen(FACE_WEIGHTS[:, None] * N),
-            _frozen(FACE_WEIGHTS[:, None, None] * dN))
-
-
-def _trace_table(N: np.ndarray, dN: np.ndarray, h, normal) -> np.ndarray:
-    """(5, 6) map from one side's local dofs to its values and normal
-    derivatives at the 3 face points, for reference shapes N (3, 5) and
-    gradients dN (3, 5, 2) on a cell of size h = (hx, hy)."""
-    return np.hstack([N.T, ((dN / np.array(h)) @ normal).T])
-
-
-_INTERIOR_REF = {(d, k): _interior_reference(d, k)
-                 for d in _DIRS for k in _INTERIOR_KINDS}
-_BOUNDARY_REF = {d: _boundary_reference(d) for d in _DIRS}
-
-
-@lru_cache(maxsize=256)
-def _cell_tables(hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A cell group's read-only (table, wN, eval_table) for hx x hy cells
-    (layouts in CellGroup)."""
-    area, inv = hx * hy, np.array([1.0 / hx, 1.0 / hy])
-    diff = area * np.outer(inv, inv)[:, :, None] * _REF_DIFF
-    table = np.vstack([area * _REF_MASS, diff[0, 0] + diff[1, 1],
-                       (area * inv[:, None] * _REF_ADV).reshape(18, 25),
-                       diff.reshape(4, 25), area * _REF_SINK])
-    grads = (_CELL_DN / np.array([hx, hy])).transpose(1, 0, 2).reshape(5, 18)
-    return _frozen(table), _frozen(area * _REF_WN), _frozen(np.hstack([_CELL_N.T, grads]))
-
-
-@lru_cache(maxsize=256)
-def _face_tables(d: int, kind: int, hx: float, hy: float):
-    """A face group's read-only (table, eval_table, wN, wdN) for direction d,
-    face kind `kind` and hx x hy owner cells (layouts in FaceGroup); wN and
-    wdN are None on interior faces."""
-    h_e = hy if d in (EAST, WEST) else hx
-    inv = np.array([1.0 / hx, 1.0 / hy])
+def _interior_tables(d: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, eval_table) of interior faces of direction d and kind `kind`
+    on a unit owner, from the unit-face integrals jump x jump, jump x N per
+    side and quadrature point, and jump x grad N per side and gradient
+    component; a hanging neighbor is twice the owner's size."""
+    nb = 1.0 if kind == CONFORMING else 2.0
+    N, dN = (_FACE_N[d], _NB_N[d, kind]), (_FACE_DN[d], _NB_DN[d, kind] / nb)
     normal = DIR_NORMAL[d]
-    own_trace = _trace_table(_FACE_N[d], _FACE_DN[d], (hx, hy), normal)
-    if kind == BOUNDARY:
-        nn, ndn, wN, wdN = _BOUNDARY_REF[d]
-        ndn = h_e * ((normal * inv) @ ndn)
-        table = np.vstack([h_e * nn.sum(axis=0), ndn, _transpose(ndn, 5), h_e * nn])
-        return (_frozen(table), _frozen(own_trace), _frozen(h_e * wN),
-                _frozen(h_e * (wdN @ (normal * inv))))
-    scale = 1.0 if kind == CONFORMING else 2.0
-    jj, up, flux = _INTERIOR_REF[d, kind]
-    f_o = h_e * inv[:, None] * flux[0]
-    f_n = (h_e / scale) * inv[:, None] * flux[1]
+    jump = _side(N[0], 0) - _side(N[1], 1)
+    jj = np.einsum("q,qa,qb->ab", FACE_WEIGHTS, jump, jump).ravel()
+    up = [np.einsum("q,qa,qb->qab", FACE_WEIGHTS, jump, _side(N[s], s)).reshape(3, 100)
+          for s in (0, 1)]
+    f_o, f_n = (np.einsum("q,qa,qbe->eab", FACE_WEIGHTS, jump, _side(dN[s], s)).reshape(2, 100)
+                for s in (0, 1))
     g_o, g_n = normal @ f_o, normal @ f_n
-    table = np.vstack([h_e * jj, g_o, g_n, _transpose(g_o, 10), _transpose(g_n, 10),
-                       h_e * up.reshape(6, 100), f_o, f_n])
-    trace = np.zeros((10, 12))
-    trace[:5, :6] = own_trace
-    trace[5:, 6:] = _trace_table(_NB_N[d, kind], _NB_DN[d, kind],
-                                 (hx * scale, hy * scale), normal)
-    return _frozen(table), _frozen(trace), None, None
+    table = np.vstack([jj, g_o, g_n, _transpose(g_o, 10), _transpose(g_n, 10),
+                       *up, f_o, f_n])
+    return _frozen(table), _frozen(_trace_table(N, dN, normal))
+
+
+def _boundary_tables(d: int) -> tuple[np.ndarray, ...]:
+    """(table, eval_table, wN, wdN) of boundary faces of direction d on a
+    unit owner, from the unit-face integrals N x N per quadrature point and
+    N x grad N . n."""
+    N, dN, normal = _FACE_N[d], _FACE_DN[d], DIR_NORMAL[d]
+    nn = np.einsum("q,qa,qb->qab", FACE_WEIGHTS, N, N).reshape(3, 25)
+    ndn = np.einsum("q,qa,qb->ab", FACE_WEIGHTS, N, dN @ normal).ravel()
+    table = np.vstack([nn.sum(axis=0), ndn, _transpose(ndn, 5), nn])
+    return (_frozen(table), _frozen(_trace_table((N,), (dN,), normal)[:5]),
+            _frozen(FACE_WEIGHTS[:, None] * N), _frozen(FACE_WEIGHTS[:, None] * (dN @ normal)))
+
+
+# Tables on the unit cell hx = hy = 1, built once.  Every row is homogeneous
+# in the cell size, so a cell or face of any level scales it by one product
+# of its sizes, which the assemblers fold into their per-entity coefficient
+# columns.  CELL_TABLE rows, each a flattened 5x5 local matrix: 0 mass, 1:5
+# diffusion per (d, e) tensor entry, 5:23 advection per (quadrature point,
+# velocity component), 23:32 mass per quadrature point.  A cell of size
+# hx x hy scales the mass rows and CELL_WN (rhs weights w N) by its area,
+# diffusion entry (d, e) by area / (h_d h_e) (AssemblyContext.diff_scale)
+# and the advection rows of component d by area / h_d.  _CELL_EVAL maps the
+# 5 local dofs to the values at the 9 quadrature points (columns 0:9), then
+# to the unit-cell gradients there (9:27, in (component, point) order),
+# which a cell divides by (hx, hy).  Face tables: see FaceGroup.
+CELL_TABLE = _frozen(np.vstack([
+    np.einsum("q,qa,qb->ab", CELL_WEIGHTS, _CELL_N, _CELL_N).ravel(),
+    np.einsum("q,qad,qbe->deab", CELL_WEIGHTS, _CELL_DN, _CELL_DN).reshape(4, 25),
+    np.einsum("q,qad,qb->qdab", CELL_WEIGHTS, _CELL_DN, _CELL_N).reshape(18, 25),
+    np.einsum("q,qa,qb->qab", CELL_WEIGHTS, _CELL_N, _CELL_N).reshape(9, 25)]))
+CELL_WN = _frozen(CELL_WEIGHTS[:, None] * _CELL_N)
+_CELL_EVAL = _frozen(np.hstack([_CELL_N.T, _CELL_DN[:, :, 0].T, _CELL_DN[:, :, 1].T]))
+_FACE_TABLES = {(d, k): _interior_tables(d, k) + (None, None)
+                for d in _DIRS for k in _INTERIOR_KINDS}
+_FACE_TABLES.update({(d, BOUNDARY): _boundary_tables(d) for d in _DIRS})
 
 
 # ----------------------------------------------------------------------
@@ -534,10 +516,11 @@ def _face_sources(dofs: np.ndarray, live: np.ndarray):
     return col, keyed // 10, keyed % 10
 
 
-def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
+def _assembly_pattern(ctx: AssemblyContext) -> AssemblyPlan:
     """Reduced, pinned plan over every local block in assembly order.
 
-    Blocks: 5x5 per cell, 10x10 per interior face, 5x5 per boundary face.
+    Blocks: 5x5 per cell in mesh order, 10x10 per interior face and 5x5 per
+    boundary face, in face order (group by group).
     Only the cell blocks and the face-block entries between dofs of no
     common cell are keyed (see _face_sources); every other entry repeats a
     bin of a cell block.  Keys are reduced before the one sort: an entry
@@ -549,6 +532,7 @@ def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
     Sorting gives the CSR pattern, every slot, and the reduced entry of
     every pair.
     """
+    dm = ctx.dofmap
     n = dm.n_reduced - 1
     nn = n * n
     bound = nn + dm.n_dofs**2
@@ -559,20 +543,14 @@ def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
     row_code = np.where(free, red * n, nn).astype(ktype)
     col_code = np.where(free, red, nn).astype(ktype)
 
-    cd = np.concatenate([g.dofs for g in cells])
+    cd = dm.cell_dofs
     nc = len(cd)
-    pos = np.empty(nc, dtype=np.intp)
-    pos[np.concatenate([g.idx for g in cells])] = np.arange(nc)
-    # the faces of one direction and kind, at every level, share where their
-    # entries go: a face table's zero pattern, like its dof layout, follows
-    # from direction and kind, and the level only scales the nonzeros
-    runs = []
-    for _, run in groupby(interior, key=lambda g: (g.dir, g.kind)):
-        run = list(run)
-        col, i, j = _face_sources(run[0].dofs[0], run[0].table.any(axis=0))
-        runs.append((np.concatenate([g.dofs for g in run]), col, i, j,
-                     pos[np.concatenate([g.own for g in run])],
-                     pos[np.concatenate([g.nb for g in run])]))
+    fd = ctx.face_dofs
+    # the faces of a group, at every level, share where their entries go: a
+    # face table's zero pattern, like its dof layout, follows from direction
+    # and kind, and the level only scales the nonzeros
+    runs = [(fd[g.sl],) + _face_sources(fd[g.sl.start], g.table.any(axis=0))
+            + (ctx.own[g.sl], ctx.nb[g.sl]) for g in ctx.interior_groups]
     every = np.arange(25)
     parts = [(cd, every // 5, every % 5)] + [(dofs, i, j) for dofs, _, i, j, _, _ in runs]
     key = np.empty(sum(d.shape[0] * i.size for d, i, _ in parts), dtype=ktype)
@@ -625,8 +603,8 @@ def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
     indices = (uniq[:size] - row * n).astype(itype)
     del key, pair_key, uniq, first, inverse, row    # before the largest array
 
-    slot = np.empty(25 * nc + 100 * sum(g.idx.size for g in interior)
-                    + 25 * sum(g.idx.size for g in boundary), dtype=np.intp)
+    ni = ctx.n_interior
+    slot = np.empty(25 * nc + 100 * ni + 25 * (len(fd) - ni), dtype=np.intp)
     cell = slot[:25 * nc].reshape(nc, 25)
     cell[...] = bins[:25 * nc].reshape(nc, 25)
     at, start = 25 * nc, 25 * nc
@@ -641,7 +619,7 @@ def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
         np.take(source, col, axis=1, out=slot[at:at + 100 * m].reshape(m, 100), mode="wrap")
         at += 100 * m
         start += m * k
-    sb = pos[np.concatenate([g.own for g in boundary] + [np.empty(0, np.intp)])]
+    sb = ctx.own[ni:]
     slot[at:].reshape(-1, 25)[...] = cell[sb]
     matrix = Scatter(size=size, bins=dropped + 1, slot=slot, src=src, dst=dst, w=w)
 
@@ -659,92 +637,76 @@ def _assembly_pattern(dm: EGDofMap, cells, interior, boundary) -> AssemblyPlan:
 
 
 # ----------------------------------------------------------------------
-# assembly context: cell groups and face classes with precomputed tables
-
-
-@dataclass
-class CellGroup:
-    """All active cells of one refinement level (identical geometry).
-
-    table rows, each a flattened 5x5 local matrix: 0 mass, 1 stiffness,
-    2:20 advection per (quadrature point, velocity component), 20:24
-    diffusion per (d, e) tensor entry, 24:33 mass per quadrature point.
-    eval_table maps the 5 local dofs to the values at the 9 quadrature
-    points (columns 0:9), then to the physical gradients there (9:27, in
-    (point, component) order).
-    """
-
-    level: int
-    idx: np.ndarray
-    dofs: np.ndarray
-    hx: float
-    hy: float
-    wq: np.ndarray       # (9,) physical weights (sum = cell area)
-    qx: np.ndarray       # (m, 9)
-    qy: np.ndarray
-    table: np.ndarray    # (33, 25)
-    wN: np.ndarray       # (9, 5) rhs weights wq * N
-    eval_table: np.ndarray  # (5, 27) local dofs -> 9 values, then 9 x 2 physical gradients
+# assembly context: one face group per class, on the unit tables, with the
+# per-entity sizes that scale them
 
 
 @dataclass
 class FaceGroup:
-    """Faces sharing direction, kind and owner level (identical trace maps).
+    """The faces of one direction and kind, at every level: the slice `sl`
+    of the mesh's face table, whose faces are listed by class.
 
-    Interior table rows, each a flattened 10x10 local matrix over
-    [owner dofs | neighbor dofs]: 0 jump x jump, 1/2 jump x (grad N . n) of
-    the owner/neighbor side, 3/4 their transposes, 5:8 / 8:11 upwind
-    jump x N_own / jump x N_nb per quadrature point, 11:13 / 13:15
-    jump x grad N per gradient component of the owner/neighbor side.
-    Boundary table rows, each a flattened 5x5: 0 N x N, 1 N x (grad N . n),
-    2 its transpose, 3:6 N x N per quadrature point.
-    eval_table maps the local dofs to the owner's values and normal
-    derivatives at the 3 quadrature points (columns 0:3, 3:6), and on
-    interior faces the neighbor's (6:9, 9:12); both derivatives are along
-    the owner normal.
+    Interior table rows, each a flattened 10x10 local matrix over [owner
+    dofs | neighbor dofs] on a unit owner: 0 jump x jump, 1/2 jump x (grad N
+    . n) of the owner/neighbor side, 3/4 their transposes, 5:8 / 8:11 upwind
+    jump x N_own / jump x N_nb per quadrature point, 11:13 / 13:15 jump x
+    grad N per gradient component of the owner/neighbor side.  Boundary
+    table rows, each a flattened 5x5: 0 N x N, 1 N x (grad N . n), 2 its
+    transpose, 3:6 N x N per quadrature point.  With its owner's sizes a
+    face scales a row without a gradient, and wN, by h_e; a row with grad N
+    . n, and wdN, by h_e / h_n; and rows 11:15 by h_e / (hx, hy) per
+    gradient component (AssemblyContext.h_e, h_ratio, h_lift).  eval_table
+    maps the local dofs to the values at the 3 quadrature points of the
+    owner and neighbor sides (columns 0:3, 3:6), then to their normal
+    derivatives (6:9, 9:12), both along the owner normal, which a face
+    divides by its owner's h_n; a boundary face's neighbor columns are 0.
     """
 
     dir: int
     kind: int
-    level: int
-    idx: np.ndarray
-    own: np.ndarray
-    nb: np.ndarray | None
-    dofs: np.ndarray     # (m, 10) interior, (m, 5) boundary
-    wq: np.ndarray       # (3,) physical weights (sum = h_e)
-    h_e: float
+    sl: slice
     normal: np.ndarray
     boundary: str | None
-    qx: np.ndarray       # (m, 3)
-    qy: np.ndarray
     table: np.ndarray    # (15, 100) interior, (6, 25) boundary
-    eval_table: np.ndarray  # (10, 12) interior, (5, 6) boundary (see face_traces)
-    wN: np.ndarray | None = None     # (3, 5) boundary rhs weights wq * N
-    wdN: np.ndarray | None = None    # (3, 5) boundary rhs weights wq * grad N . n
+    eval_table: np.ndarray  # (10, 12) interior, (5, 12) boundary
+    wN: np.ndarray | None = None     # (3, 5) boundary rhs weights w N
+    wdN: np.ndarray | None = None    # (3, 5) boundary rhs weights w grad N . n
 
 
 class AssemblyContext:
-    """Mesh + dofmap + precomputed tables and sparsity shared by all assemblers.
+    """Mesh + dofmap + the per-entity sizes, face groups and sparsity shared
+    by all assemblers.
 
-    Tables: every cell group (one level) and face group (one direction, face
-    kind and owner level) holds its local matrices as rows of `table`, built
-    from unit-cell/unit-face integrals scaled by hx, hy and h_e (row layouts
-    in CellGroup and FaceGroup) and shared read-only by the contexts of every
-    mesh with the same cell sizes (_cell_tables, _face_tables), since a mesh
-    generation often lasts one step.  An assembler writes each local block
-    as one matmul of per-cell or per-face coefficients against `table`.
+    Tables: every cell uses the module's CELL_TABLE and CELL_WN, and a
+    FaceGroup holds the tables of the faces of one class: interior faces per
+    (direction, kind), at most 10, then boundary faces per side, at most 4.
+    All tables are on the unit cell, so no table depends on a mesh.  Each
+    table row is homogeneous in the cell size, and a level is the root cell
+    scaled by 2^-L, so an entity scales a row by a product of its sizes:
+    `cell_h` (the mesh's sizes at each cell's level), `cell_area` and
+    `diff_scale` for cells, and per face `h_e`, `h_ratio` and `h_lift`.  An
+    assembler forms each coefficient column once over all cells, or over all
+    interior faces, with those sizes folded in; its per-group work is a
+    slice of the coefficients times the group's table, one matmul per group.
 
-    Plan: `plan` maps every local-block entry, in assembly order (cell
-    groups, then `interior_groups`, then `boundary_groups`), into the reduced,
-    pinned system that the solver factors (see AssemblyPlan), and does the
-    same for the right-hand side pieces of cells and boundary faces.  Faces
-    that contribute nothing (Neumann, inflow) still pass zeros, so the
-    pattern does not depend on the data.  Pressure and transport share it.
+    Faces: the mesh lists its faces by class, the `n_interior` interior ones
+    first, so group g holds faces g.sl of the mesh's face table.  Per face,
+    in that order: `own`, `nb` (interior only), `normal`, the sizes,
+    `face_dofs` ([owner dofs | neighbor dofs]; a boundary face repeats its
+    owner's) and the quadrature points `face_qx`, `face_qy`.  `cell_qx`,
+    `cell_qy` are the cells' quadrature points.
 
-    Evaluation: every group's `eval_table` maps its local dofs to values and
-    derivatives at its quadrature points, so `cell_values`, `cell_gradients`
-    and `face_traces` evaluate a coefficient vector with one matmul per
-    group.  `face_h_e` is each face's h_e, as its group holds it.
+    Plan: `plan` maps every local-block entry, in assembly order (the cell
+    blocks, then `interior_groups`, then `boundary_groups`), into the
+    reduced, pinned system that the solver factors (see AssemblyPlan), and
+    does the same for the right-hand side pieces of cells and boundary
+    faces.  Faces that contribute nothing (Neumann, inflow) still pass
+    zeros, so the pattern does not depend on the data.  Pressure and
+    transport share it.
+
+    Evaluation: `cell_values`, `cell_gradients` and `face_traces` evaluate
+    a coefficient vector through the tables, one matmul over all cells and
+    one per face group.
     """
 
     def __init__(self, mesh: QuadMesh, dofmap: EGDofMap | None = None):
@@ -752,67 +714,56 @@ class AssemblyContext:
         self.dofmap = dofmap if dofmap is not None else EGDofMap(mesh)
         dm = self.dofmap
 
-        self.cell_groups: list[CellGroup] = []
-        for lev in np.unique(mesh.cell_level):
-            idx = np.nonzero(mesh.cell_level == lev)[0]
-            hx = float(mesh.cell_hx[idx[0]])
-            hy = float(mesh.cell_hy[idx[0]])
-            table, wN, eval_table = _cell_tables(hx, hy)
-            self.cell_groups.append(CellGroup(
-                level=int(lev), idx=idx, dofs=dm.cell_dofs[idx], hx=hx, hy=hy,
-                wq=CELL_WEIGHTS * hx * hy,
-                qx=mesh.cell_x0[idx, None] + _CELL_PTS[None, :, 0] * hx,
-                qy=mesh.cell_y0[idx, None] + _CELL_PTS[None, :, 1] * hy,
-                table=table, wN=wN, eval_table=eval_table,
-            ))
+        lev = mesh.cell_level.astype(np.int64)          # nx << 30 passes int32
+        h = np.stack(mesh._cell_size(lev), axis=1)
+        self.cell_h = h
+        self.cell_area = h[:, 0] * h[:, 1]
+        hx, hy = mesh._cell_size(0)
+        self.diff_scale = np.array([hy / hx, 1.0, 1.0, hx / hy])   # on every level
+        self.cell_qx = mesh.cell_x0[:, None] + _CELL_PTS[:, 0] * h[:, :1]
+        self.cell_qy = mesh.cell_y0[:, None] + _CELL_PTS[:, 1] * h[:, 1:]
 
-        # face classes in (direction, kind, owner level) order
-        own_level = mesh.cell_level[mesh.face_owner].astype(np.int64)
-        n_lev = int(own_level.max(initial=0)) + 1
-        code = (mesh.face_dir.astype(np.int64) * 4 + mesh.face_kind) * n_lev + own_level
-        order = np.argsort(code, kind="stable")
-        codes, starts = np.unique(code[order], return_index=True)
-        ends = np.append(starts[1:], order.size)
-        self.interior_groups: list[FaceGroup] = []
-        self.boundary_groups: list[FaceGroup] = []
-        # per-face arrays in class order, each group holding its slice
-        owner, neighbor = mesh.face_owner[order], mesh.face_neighbor[order]
-        x0, y0, x1, y1 = mesh.domain
-        lev_of = own_level[order][:, None]
-        pts = _FACE_PTS_BY_DIR[mesh.face_dir[order]]
-        qx = mesh.cell_x0[owner][:, None] + pts[:, :, 0] * ((x1 - x0) / (mesh.nx << lev_of))
-        qy = mesh.cell_y0[owner][:, None] + pts[:, :, 1] * ((y1 - y0) / (mesh.ny << lev_of))
-        dofs = np.hstack([dm.cell_dofs[owner], dm.cell_dofs[neighbor]])
-        self.face_h_e = np.empty(mesh.n_faces)
-        for c, s, e in zip(codes.tolist(), starts, ends):
-            d, kind, lev = c // (4 * n_lev), (c // n_lev) % 4, c % n_lev
-            faces, own = order[s:e], owner[s:e]
-            hx, hy = mesh._cell_size(lev)
-            h_e = hy if d in (EAST, WEST) else hx
-            self.face_h_e[faces] = h_e
-            table, eval_table, wN, wdN = _face_tables(d, kind, hx, hy)
-            group = FaceGroup(
-                dir=d, kind=kind, level=lev, idx=faces, own=own,
-                nb=None if kind == BOUNDARY else neighbor[s:e],
-                dofs=np.ascontiguousarray(dofs[s:e, :5]) if kind == BOUNDARY else dofs[s:e],
-                wq=FACE_WEIGHTS * h_e, h_e=h_e, normal=DIR_NORMAL[d].copy(),
-                boundary=BOUNDARY_NAME[d] if kind == BOUNDARY else None,
-                qx=qx[s:e], qy=qy[s:e], table=table, eval_table=eval_table,
-                wN=wN, wdN=wdN)
-            (self.boundary_groups if kind == BOUNDARY else self.interior_groups).append(group)
-        self.face_groups = self.interior_groups + self.boundary_groups
+        kind, d = mesh.face_kind, mesh.face_dir
+        self.n_interior = ni = int(np.count_nonzero(kind != BOUNDARY))
+        self.own = own = mesh.face_owner
+        self.nb = nb = mesh.face_neighbor[:ni]
+        self.normal = _NORMALS[d]
+        ew = (d == EAST) | (d == WEST)
+        ho = h[own]
+        self.h_e = np.where(ew, ho[:, 1], ho[:, 0])
+        h_n = np.where(ew, ho[:, 0], ho[:, 1])
+        self.h_ratio = self.h_e / h_n
+        self.h_lift = self.h_e[:, None] / ho
+        self.inv_h_n = 1.0 / h_n
+        pts = _FACE_PTS_BY_DIR[d]
+        self.face_qx = mesh.cell_x0[own][:, None] + pts[:, :, 0] * ho[:, :1]
+        self.face_qy = mesh.cell_y0[own][:, None] + pts[:, :, 1] * ho[:, 1:]
+        sides = np.stack([own, np.concatenate([nb, own[ni:]])], axis=1)
+        self.face_dofs = dm.cell_dofs[sides].reshape(-1, 10)
 
-        self.plan = _assembly_pattern(
-            dm, self.cell_groups, self.interior_groups, self.boundary_groups)
-        # integral of every basis function: the constant column of the mass tables
+        code = d * 4 + kind
+        starts = np.flatnonzero(np.diff(code, prepend=-1))
+        ends = np.append(starts[1:], code.size)
+        groups = []
+        for s, e in zip(starts.tolist(), ends.tolist()):
+            fd, fk = int(d[s]), int(kind[s])
+            table, eval_table, wN, wdN = _FACE_TABLES[fd, fk]
+            groups.append(FaceGroup(
+                dir=fd, kind=fk, sl=slice(s, e), normal=DIR_NORMAL[fd].copy(),
+                boundary=BOUNDARY_NAME[fd] if fk == BOUNDARY else None,
+                table=table, eval_table=eval_table, wN=wN, wdN=wdN))
+        self.interior_groups = [g for g in groups if g.kind != BOUNDARY]
+        self.boundary_groups = [g for g in groups if g.kind == BOUNDARY]
+        self.face_groups = groups
+
+        self.plan = _assembly_pattern(self)
+        # integral of every basis function: the constant column of the mass table
         self.basis_integrals = np.bincount(
-            np.concatenate([g.dofs.ravel() for g in self.cell_groups]),
-            weights=np.concatenate([
-                np.broadcast_to(g.table[0].reshape(5, 5)[:, 4], g.dofs.shape).ravel()
-                for g in self.cell_groups]),
+            dm.cell_dofs.ravel(),
+            weights=(self.cell_area[:, None] * CELL_TABLE[0].reshape(5, 5)[:, 4]).ravel(),
             minlength=dm.n_dofs)
 
-        self.cell_hmax = np.maximum(mesh.cell_hx, mesh.cell_hy)
+        self.cell_hmax = h.max(axis=1)
         self.cell_center = np.stack(
             [mesh.cell_x0 + 0.5 * mesh.cell_hx, mesh.cell_y0 + 0.5 * mesh.cell_hy],
             axis=1,
@@ -820,12 +771,14 @@ class AssemblyContext:
 
     def block_buffer(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """An uninitialized array for every local-block entry in assembly
-        order, and its (m, 25) or (m, 100) view per cell, interior and
-        boundary group, for an assembler to write its blocks into."""
+        order, and its (n_cells, 25) view of the cell blocks, then its
+        (m, 100) or (m, 25) view per interior and boundary group, for an
+        assembler to write its blocks into."""
         vals = np.empty(self.plan.matrix.slot.size)
-        views, start = [], 0
-        for g in self.cell_groups + self.face_groups:
-            m, k = g.idx.size, g.table.shape[1]
+        nc = self.mesh.n_active
+        views, start = [vals[:25 * nc].reshape(nc, 25)], 25 * nc
+        for g in self.face_groups:
+            m, k = g.sl.stop - g.sl.start, g.table.shape[1]
             views.append(vals[start:start + m * k].reshape(m, k))
             start += m * k
         return vals, views
@@ -835,7 +788,8 @@ class AssemblyContext:
         pieces: P^T A P and P^T b of the full-layout system without the last
         row and column (see AssemblyPlan).
 
-        rhs: one (m, 5) array per cell group, then per boundary group.
+        rhs: one (n_cells, 5) array for the cells, then one (m, 5) per
+        boundary group.
         """
         plan = self.plan
         A = sp.csr_matrix((plan.matrix(vals), plan.indices, plan.indptr), shape=plan.shape)
@@ -845,30 +799,28 @@ class AssemblyContext:
 
     def cell_values(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_cells, 9) values at the volume quadrature points."""
-        out = np.empty((self.mesh.n_active, 9))
-        for g in self.cell_groups:
-            out[g.idx] = coeffs[g.dofs] @ g.eval_table[:, :9]
-        return out
+        return coeffs[self.dofmap.cell_dofs] @ _CELL_EVAL[:, :9]
 
     def cell_gradients(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_cells, 9, 2) physical gradients at the volume quadrature points."""
-        out = np.empty((self.mesh.n_active, 18))
-        for g in self.cell_groups:
-            out[g.idx] = coeffs[g.dofs] @ g.eval_table[:, 9:]
-        return out.reshape(-1, 9, 2)
+        grad = (coeffs[self.dofmap.cell_dofs] @ _CELL_EVAL[:, 9:]).reshape(-1, 2, 9)
+        grad /= self.cell_h[:, :, None]
+        return grad.transpose(0, 2, 1)
 
     def face_traces(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and normal derivatives at the face quadrature points.
 
-        Returns two (n_faces, 2, 3) arrays, side 0 the owner and side 1 the
+        Returns two (n_faces, 2, 3) arrays: side 0 the owner and side 1 the
         neighbor, the derivatives along the owner normal; the neighbor side
         of a boundary face is 0.
         """
-        out = np.zeros((self.mesh.n_faces, 12))
+        c = coeffs[self.face_dofs]
+        t = np.empty((self.mesh.n_faces, 12))
         for g in self.face_groups:
-            out[g.idx, :g.eval_table.shape[1]] = coeffs[g.dofs] @ g.eval_table
-        out = out.reshape(-1, 2, 2, 3)
-        return out[:, :, 0], out[:, :, 1]
+            np.matmul(c[g.sl, :g.eval_table.shape[0]], g.eval_table, out=t[g.sl])
+        t[:, 6:] *= self.inv_h_n[:, None]
+        t = t.reshape(-1, 2, 2, 3)
+        return t[:, 0], t[:, 1]
 
 
 def cell_field_values(ctx: AssemblyContext, field) -> np.ndarray:
@@ -880,8 +832,7 @@ def cell_field_values(ctx: AssemblyContext, field) -> np.ndarray:
     nc = ctx.mesh.n_active
     if callable(field):
         out = np.empty((nc, 9))
-        for g in ctx.cell_groups:
-            out[g.idx] = np.asarray(field(g.qx, g.qy), dtype=float)
+        out[...] = field(ctx.cell_qx, ctx.cell_qy)
         return out
     field = np.asarray(field, dtype=float)
     if field.ndim == 0:
@@ -893,8 +844,9 @@ def cell_field_values(ctx: AssemblyContext, field) -> np.ndarray:
     raise ValueError(f"cannot map field of shape {field.shape} onto {nc} cells")
 
 
-def face_field_values(grp: FaceGroup, data) -> np.ndarray:
+def face_field_values(ctx: AssemblyContext, grp: FaceGroup, data) -> np.ndarray:
     """(m, 3) values of boundary data on one face group's quadrature points."""
+    qx, qy = ctx.face_qx[grp.sl], ctx.face_qy[grp.sl]
     if callable(data):
-        return np.asarray(data(grp.qx, grp.qy), dtype=float)
-    return np.full(grp.qx.shape, float(data))
+        return np.asarray(data(qx, qy), dtype=float)
+    return np.full(qx.shape, float(data))

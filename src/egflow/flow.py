@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egspace import (
+    CELL_TABLE,
     CELL_WEIGHTS,
+    CELL_WN,
     FACE_WEIGHTS,
     AssemblyContext,
     cell_field_values,
@@ -203,14 +205,15 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     Returns (A, b) with A CSR over the reduced dofs but the pinned one.
     Cell constants are never constrained, so their test rows keep their
     exact per-cell balance.  Each local block is per-cell or per-face
-    coefficients times the context's tables (layouts in egspace.CellGroup /
-    FaceGroup); theta enters as the coefficient of the transposed
-    consistency rows.
+    coefficients, the entity's sizes folded in, times the context's unit
+    tables (layouts and factors at egspace.CELL_TABLE and in FaceGroup); theta
+    enters as the coefficient of the transposed consistency rows.
     """
     mesh = ctx.mesh
     a0, a1, a2 = bdf_coefficients(m, dt)
     rho0, alpha, theta = params.rho0, params.alpha, params.theta
     kappa_cells = _per_cell(mesh, kappa_cells)
+    ni = ctx.n_interior
 
     mass_coef = rho0 * params.phi * params.c_F
     if mass_coef != 0.0 and P_n is None:
@@ -218,44 +221,48 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
 
     q_qp = cell_field_values(ctx, q_field)
     vals, views = ctx.block_buffer()
-    blocks, rhs = iter(views), []
+    blocks = iter(views)
+    cd = ctx.dofmap.cell_dofs
 
-    for g in ctx.cell_groups:
-        coef = np.empty((g.idx.size, 2))
-        coef[:, 0] = mass_coef * a0
-        coef[:, 1] = rho0 * kappa_cells[g.idx]
-        np.matmul(coef, g.table[:2], out=next(blocks))     # mass, stiffness
-        r = q_qp[g.idx] @ g.wN
-        if mass_coef != 0.0:
-            hist = -a1 * P_n[g.dofs]
-            if m == 2:
-                hist -= a2 * P_nm1[g.dofs]
-            r += mass_coef * (hist @ g.table[0].reshape(5, 5))
-        rhs.append(r)
+    # mass; stiffness as the two diagonal diffusion rows
+    coef = np.zeros((mesh.n_active, 5))
+    coef[:, 0] = (mass_coef * a0) * ctx.cell_area
+    rk = rho0 * kappa_cells
+    coef[:, 1] = rk * ctx.diff_scale[0]
+    coef[:, 4] = rk * ctx.diff_scale[3]
+    np.matmul(coef, CELL_TABLE[:5], out=next(blocks))
+    r = q_qp @ CELL_WN
+    if mass_coef != 0.0:
+        hist = -a1 * P_n[cd]
+        if m == 2:
+            hist -= a2 * P_nm1[cd]
+        r += mass_coef * (hist @ CELL_TABLE[0].reshape(5, 5))
+    rhs = [r * ctx.cell_area[:, None]]
 
+    # -(jump, avg grad) + theta (avg grad, jump) + penalty (jump, jump): the
+    # penalty's 1 / h_e cancels the jump row's h_e
+    ko, kn = kappa_cells[ctx.own[:ni]], kappa_cells[ctx.nb]
+    beta, kap_e = weights(ko, kn)
+    ratio = ctx.h_ratio[:ni]
+    c_o, c_n = rho0 * beta * ko * ratio, rho0 * (1.0 - beta) * kn * ratio
+    coef = np.column_stack([(alpha * rho0) * kap_e, -c_o, -c_n, theta * c_o, theta * c_n])
     for g in ctx.interior_groups:
-        ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
-        beta, kap_e = weights(ko, kn)
-        c_o, c_n = rho0 * beta * ko, rho0 * (1.0 - beta) * kn
-        pen = (alpha / g.h_e) * rho0 * kap_e
-        # -(jump, avg grad) + theta (avg grad, jump) + penalty (jump, jump)
-        coef = np.column_stack([pen, -c_o, -c_n, theta * c_o, theta * c_n])
-        np.matmul(coef, g.table[:5], out=next(blocks))
+        np.matmul(coef[g.sl], g.table[:5], out=next(blocks))
 
     for g in ctx.boundary_groups:
+        out = next(blocks)
         if bc.is_dirichlet(g.boundary):
-            gD = face_field_values(g, bc.dirichlet[g.boundary])
-            ko = rho0 * kappa_cells[g.own]
-            pen = (alpha / g.h_e) * ko
-            np.matmul(np.column_stack([pen, -ko, theta * ko]), g.table[:3],
-                      out=next(blocks))
-            r = pen[:, None] * (gD @ g.wN)
+            gD = face_field_values(ctx, g, bc.dirichlet[g.boundary])
+            ko = rho0 * kappa_cells[ctx.own[g.sl]]
+            kr = ko * ctx.h_ratio[g.sl]
+            np.matmul(np.column_stack([alpha * ko, -kr, theta * kr]), g.table[:3], out=out)
+            r = (alpha * ko)[:, None] * (gD @ g.wN)
             if theta != 0.0:
-                r += theta * ko[:, None] * (gD @ g.wdN)
+                r += theta * kr[:, None] * (gD @ g.wdN)
         else:
             # Neumann faces add no matrix entries; zeros keep the pattern fixed
-            next(blocks)[...] = 0.0
-            r = -(face_field_values(g, bc.neumann[g.boundary]) @ g.wN)
+            out[...] = 0.0
+            r = -(face_field_values(ctx, g, bc.neumann[g.boundary]) @ g.wN) * ctx.h_e[g.sl, None]
         rhs.append(r)
 
     return ctx.assemble(vals, rhs)
@@ -340,24 +347,24 @@ def reconstruct_flux(ctx: AssemblyContext, P: np.ndarray, kappa_cells, bc: FlowB
     cell_velocity = -kappa_cells[:, None, None] * ctx.cell_gradients(P)
     center_velocity = CELL_WEIGHTS @ cell_velocity
 
+    # the interior faces first, then one slice per side
     vals, ders = ctx.face_traces(P)
-    Po, Pn, go, gn = vals[:, 0], vals[:, 1], ders[:, 0], ders[:, 1]
-    ko = kappa_cells[mesh.face_owner][:, None]
-    alpha_h = (alpha / ctx.face_h_e)[:, None]
-    face_un = np.empty((mesh.n_faces, 3))
-    i = np.flatnonzero(mesh.face_neighbor >= 0)
-    kn = kappa_cells[mesh.face_neighbor[i]]
-    beta, kap_e = weights(ko[i, 0], kn)
-    face_un[i] = -(beta[:, None] * ko[i] * go[i] + (1.0 - beta[:, None]) * kn[:, None] * gn[i]) \
-        + alpha_h[i] * kap_e[:, None] * (Po[i] - Pn[i])
+    ni = ctx.n_interior
+    ko = kappa_cells[ctx.own][:, None]
+    alpha_h = (alpha / ctx.h_e)[:, None]
+    un = np.empty((mesh.n_faces, 3))
+    kn = kappa_cells[ctx.nb][:, None]
+    beta, kap_e = weights(ko[:ni], kn)
+    un[:ni] = -(beta * ko[:ni] * ders[:ni, 0] + (1.0 - beta) * kn * ders[:ni, 1]) \
+        + alpha_h[:ni] * kap_e * (vals[:ni, 0] - vals[:ni, 1])
     for g in ctx.boundary_groups:
-        f = g.idx
+        f = g.sl
         if bc.is_dirichlet(g.boundary):
-            gD = face_field_values(g, bc.dirichlet[g.boundary])
-            face_un[f] = -ko[f] * go[f] + alpha_h[f] * ko[f] * (Po[f] - gD)
+            gD = face_field_values(ctx, g, bc.dirichlet[g.boundary])
+            un[f] = -ko[f] * ders[f, 0] + alpha_h[f] * ko[f] * (vals[f, 0] - gD)
         else:
-            face_un[f] = face_field_values(g, bc.neumann[g.boundary]) / rho0
-    return FaceFlux(face_un=face_un, cell_velocity=cell_velocity,
+            un[f] = face_field_values(ctx, g, bc.neumann[g.boundary]) / rho0
+    return FaceFlux(face_un=un, cell_velocity=cell_velocity,
                     center_velocity=center_velocity)
 
 
@@ -365,15 +372,13 @@ def flux_from_velocity(ctx: AssemblyContext, velocity) -> FaceFlux:
     """Build a FaceFlux by sampling an analytic velocity field (x, y) -> (..., 2)."""
     mesh = ctx.mesh
     cell_velocity = np.empty((mesh.n_active, 9, 2))
-    for g in ctx.cell_groups:
-        cell_velocity[g.idx] = np.asarray(velocity(g.qx, g.qy), dtype=float)
+    cell_velocity[...] = velocity(ctx.cell_qx, ctx.cell_qy)
     center_velocity = np.asarray(
         velocity(ctx.cell_center[:, 0], ctx.cell_center[:, 1]), dtype=float
     )
-    face_un = np.empty((mesh.n_faces, 3))
-    for g in ctx.face_groups:
-        u = np.asarray(velocity(g.qx, g.qy), dtype=float)
-        face_un[g.idx] = u @ g.normal
+    u = np.empty(ctx.face_qx.shape + (2,))
+    u[...] = velocity(ctx.face_qx, ctx.face_qy)
+    face_un = np.einsum("fqd,fd->fq", u, ctx.normal)
     return FaceFlux(face_un=face_un, cell_velocity=cell_velocity,
                     center_velocity=center_velocity)
 
@@ -393,15 +398,10 @@ def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_field,
     mass_coef = params.rho0 * params.phi * params.c_F
     if mass_coef != 0.0:
         dPdt = bdf_apply(m, dt, P_np1, P_n, P_nm1)
-        res += mass_coef * ctx.dofmap.cell_means(dPdt) * mesh.cell_area
+        res += mass_coef * ctx.dofmap.cell_means(dPdt) * ctx.cell_area
 
-    q_qp = cell_field_values(ctx, q_field)
-    for g in ctx.cell_groups:
-        res[g.idx] -= q_qp[g.idx] @ g.wq
-
-    for g in ctx.face_groups:
-        ints = params.rho0 * (flux.face_un[g.idx] @ g.wq)
-        np.add.at(res, g.own, ints)
-        if g.nb is not None:
-            np.add.at(res, g.nb, -ints)
+    res -= (cell_field_values(ctx, q_field) @ CELL_WEIGHTS) * ctx.cell_area
+    ints = params.rho0 * flux.mean_un * ctx.h_e
+    np.add.at(res, ctx.own, ints)
+    np.add.at(res, ctx.nb, -ints[:ctx.n_interior])
     return res

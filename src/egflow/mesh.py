@@ -12,7 +12,9 @@ created once, by the cell on its west/south side, while a refined region
 facing a coarser cell contributes one sub-face per fine cell (integration
 happens on the fine side).  Normals always point from the face owner toward
 its neighbor, outward on the boundary, which fixes the sign convention for
-stored normal fluxes.
+stored normal fluxes.  The face table lists the faces by class: interior
+faces by (direction, kind), then boundary faces by side, each class in
+owner order, so a class is one contiguous run of faces.
 """
 
 from __future__ import annotations
@@ -205,7 +207,9 @@ class QuadMesh:
     # ------------------------------------------------------------------
     # geometry helpers
 
-    def _cell_size(self, level: int) -> tuple[float, float]:
+    def _cell_size(self, level):
+        """(hx, hy) of a cell at `level`, an int or an int64 array: the root
+        cell's sizes times 2^-level."""
         x0, y0, x1, y1 = self.domain
         return (x1 - x0) / (self.nx << level), (y1 - y0) / (self.ny << level)
 
@@ -235,9 +239,8 @@ class QuadMesh:
         self._code = _key_coder(self.nx, self.ny, self._top)
         self._cell_codes = self._code(lev, ci, cj)  # ascending: keys are sorted
 
-        x0, y0, x1, y1 = self.domain
-        sx = (x1 - x0) / (self.nx << lev)
-        sy = (y1 - y0) / (self.ny << lev)
+        x0, y0 = self.domain[:2]
+        sx, sy = self._cell_size(lev)
         self.cell_x0 = x0 + ci * sx
         self.cell_y0 = y0 + cj * sy
         self.cell_hx = (x0 + (ci + 1) * sx) - self.cell_x0
@@ -268,6 +271,9 @@ class QuadMesh:
                         np.where(same, CONFORMING, HANGING_LOW + sub))
         neighbor = np.where(same, same_at, np.where(hang, par_at, -1))
         faces = np.flatnonzero(keep)
+        # by class: interior (direction, kind) classes, then the sides
+        code = np.where(kind == BOUNDARY, 16, kind) + 4 * np.arange(4)
+        faces = faces[np.argsort(code.ravel()[faces], kind="stable")]
         self.face_owner = faces // 4
         self.face_neighbor = neighbor.ravel()[faces].astype(np.int64)
         self.face_dir = (faces % 4).astype(np.int8)

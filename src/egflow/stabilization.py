@@ -71,10 +71,15 @@ class EntropyConfig:
 
 @dataclass(frozen=True)
 class IndicatorField:
-    """Per-cell shock indicator (nonnegative) stamped with the mesh generation."""
+    """Per-cell shock indicator (nonnegative) stamped with the mesh generation,
+    with what the entropy viscosity divides by: norm = ||E - mean E||_inf of
+    the sensed entropy E(C*) at the volume quadrature points, and scale =
+    max(1, ||E||_inf), below 1e-14 times which the norm counts as 0."""
 
     er: np.ndarray
     generation: int
+    norm: float
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,11 @@ def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
     source q_field is the transport's: injection at C = 1, production at the
     sensed state.
     """
+    return _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_field, dt, m)[0]
+
+
+def _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_field, dt, m):
+    """cell_residual, and E(C*) at the volume quadrature points."""
     a0, a1, a2 = bdf_coefficients(m, dt)
     cs = ctx.cell_values(C_star)
     E, Ep = entropy_eval(config, cs)
@@ -130,15 +140,18 @@ def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
     R += Ep * (np.asarray(U_qp, dtype=float) * ctx.cell_gradients(C_star)).sum(axis=2)
     q_pos, q_neg = source_split(cell_field_values(ctx, q_field))
     R -= Ep * (q_pos + cs * q_neg)
-    return np.abs(R).max(axis=1)
+    return np.abs(R).max(axis=1), E
 
 
 def face_residual(config: EntropyConfig, ctx: AssemblyContext, C_star,
                   flux: FaceFlux) -> np.ndarray:
     """Per-face jump residual h_e^{-1} |U.n| |[E(C*)]|, zero on the boundary."""
-    E = entropy_eval(config, ctx.face_traces(C_star)[0])[0]
-    J = (np.abs(flux.face_un) * np.abs(E[:, 0] - E[:, 1])).max(axis=1) / ctx.face_h_e
-    return np.where(ctx.mesh.face_neighbor >= 0, J, 0.0)
+    ni = ctx.n_interior
+    E = entropy_eval(config, ctx.face_traces(C_star)[0][:ni])[0]
+    un = flux.face_un[:ni]
+    J = np.zeros(ctx.mesh.n_faces)
+    J[:ni] = (np.abs(un) * np.abs(E[:, 0] - E[:, 1])).max(axis=1) / ctx.h_e[:ni]
+    return J
 
 
 def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
@@ -146,44 +159,42 @@ def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
     """Combined per-cell indicator: max of the cell residual and the face
     jump residual over the cell's interior faces."""
     mesh = ctx.mesh
-    er = cell_residual(config, ctx, C_star, C_n, C_nm1,
-                       flux.cell_velocity, q_field, dt, m)
-    J = face_residual(config, ctx, C_star, flux)
-    interior = mesh.face_neighbor >= 0
-    np.maximum.at(er, mesh.face_owner[interior], J[interior])
-    np.maximum.at(er, mesh.face_neighbor[interior], J[interior])
-    return IndicatorField(er=er, generation=mesh.generation)
+    er, E = _residual(config, ctx, C_star, C_n, C_nm1,
+                      flux.cell_velocity, q_field, dt, m)
+    J = face_residual(config, ctx, C_star, flux)[:ctx.n_interior]
+    np.maximum.at(er, ctx.own[:ctx.n_interior], J)
+    np.maximum.at(er, ctx.nb, J)
+    return IndicatorField(er=er, generation=mesh.generation,
+                          norm=_normalization(ctx, E), scale=max(1.0, float(np.abs(E).max())))
 
 
 def _normalization(ctx: AssemblyContext, E: np.ndarray) -> float:
     """Sup-norm over the domain of E(C*) minus its domain mean, from E(C*)
     at the volume quadrature points."""
-    mesh = ctx.mesh
-    mean = float((E @ CELL_WEIGHTS * mesh.cell_area).sum() / mesh.total_area)
+    area = ctx.cell_area
+    mean = float((E @ CELL_WEIGHTS * area).sum() / area.sum())
     return float(np.abs(E - mean).max())
 
 
 def viscosity(config: EntropyConfig, ctx: AssemblyContext, ind: IndicatorField,
-              flux: FaceFlux, C_star) -> ViscosityField:
+              flux: FaceFlux) -> ViscosityField:
     """Per-cell min(first-order, entropy) viscosity.
 
     mu_lin = lambda_lin * h_T * max|U| over the cell's quadrature points;
-    mu_ent = lambda_ent * h_T^2 * ER_T / ||E - mean E||_inf.  A vanishing
-    normalization (constant sensed state) switches the stabilization off.
+    mu_ent = lambda_ent * h_T^2 * ER_T / ||E - mean E||_inf, the indicator's
+    norm.  A vanishing normalization (constant sensed state) switches the
+    stabilization off.
     """
     if ind.generation != ctx.mesh.generation:
         raise ValueError("indicator was computed on a different mesh generation")
     speed = np.linalg.norm(flux.cell_velocity, axis=2).max(axis=1)
     h = ctx.cell_hmax
     mu_lin = config.lambda_lin * h * speed
-    E = entropy_eval(config, ctx.cell_values(C_star))[0]
-    scale = max(1.0, float(np.abs(E).max()))
-    norm = _normalization(ctx, E)
-    if norm < 1e-14 * scale:
+    if ind.norm < 1e-14 * ind.scale:
         zero = np.zeros(ctx.mesh.n_active)
         return ViscosityField(mu_stab=zero, mu_lin=mu_lin,
                               mu_ent=zero.copy(), lin_selected=mu_lin < 0.0)
-    mu_ent = config.lambda_ent * h**2 * ind.er / norm
+    mu_ent = config.lambda_ent * h**2 * ind.er / ind.norm
     return ViscosityField(
         mu_stab=np.minimum(mu_lin, mu_ent),
         mu_lin=mu_lin,

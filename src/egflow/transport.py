@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egspace import AssemblyContext, cell_field_values, face_field_values
+from .egspace import (CELL_TABLE, CELL_WN, AssemblyContext, cell_field_values,
+                      face_field_values)
 from .flow import FaceFlux, FlowParams, bdf_coefficients
 
 __all__ = [
@@ -112,53 +113,60 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
 
     qp_pos, qp_neg = source_split(cell_field_values(ctx, q_field))
     vals, views = ctx.block_buffer()
-    blocks, rhs = iter(views), []
+    blocks = iter(views)
+    cd = ctx.dofmap.cell_dofs
+    area = ctx.cell_area
 
-    for g in ctx.cell_groups:
-        nm = g.idx.size
-        coef = np.zeros((nm, 33))
-        coef[:, 0] = mass_coef * a0
-        coef[:, 1] = mu_cells[g.idx]
-        # volume advection  -(rho0 U C, grad v)
-        coef[:, 2:20] = -rho0 * flux.cell_velocity[g.idx].reshape(nm, 18)
-        coef[:, 20:24] = mass_coef * D_cells[g.idx].reshape(nm, 4)
-        # sink at resident concentration, folded into the matrix
-        coef[:, 24:] = -qp_neg[g.idx]
-        np.matmul(coef, g.table, out=next(blocks))
+    coef = np.empty((nc, 32))
+    coef[:, 0] = (mass_coef * a0) * area
+    # dispersion per tensor entry; the viscosity's stiffness on the diagonal
+    ds = ctx.diff_scale
+    coef[:, 1:5] = mass_coef * D_cells.reshape(nc, 4) * ds
+    coef[:, 1] += mu_cells * ds[0]
+    coef[:, 4] += mu_cells * ds[3]
+    # volume advection  -(rho0 U C, grad v), component d scaled by area / h_d
+    coef[:, 5:23] = (-rho0 * flux.cell_velocity * ctx.cell_h[:, None, ::-1]).reshape(nc, 18)
+    # sink at resident concentration, folded into the matrix
+    coef[:, 23:] = -qp_neg * area[:, None]
+    np.matmul(coef, CELL_TABLE, out=next(blocks))
+    hist = -a1 * C_n[cd]
+    if m == 2:
+        hist -= a2 * C_nm1[cd]
+    rhs = [(mass_coef * (hist @ CELL_TABLE[0].reshape(5, 5)) + qp_pos @ CELL_WN) * area[:, None]]
 
-        hist = -a1 * C_n[g.dofs]
-        if m == 2:
-            hist -= a2 * C_nm1[g.dofs]
-        rhs.append(mass_coef * (hist @ g.table[0].reshape(5, 5))
-                   + qp_pos[g.idx] @ g.wN)
-
+    ni = ctx.n_interior
+    own, nb = ctx.own[:ni], ctx.nb
+    un = flux.face_un[:ni]
+    h_e = ctx.h_e[:ni, None]
+    mo, mn = mu_cells[own], mu_cells[nb]
+    # n . D of each side: two scaled rows, not a stacked 1x2 @ 2x2 matmul
+    n = ctx.normal[:ni]
+    nD_o = n[:, :1] * D_cells[own, 0] + n[:, 1:] * D_cells[own, 1]
+    nD_n = n[:, :1] * D_cells[nb, 0] + n[:, 1:] * D_cells[nb, 1]
+    coef = np.zeros((ni, 15))
+    # the penalties' 1 / h_e cancels the jump row's h_e
+    coef[:, 0] = params.alpha_c * rho0 + params.alpha_s * 0.5 * (mo + mn)
+    coef[:, 1] = -0.5 * mo * ctx.h_ratio[:ni]
+    coef[:, 2] = -0.5 * mn * ctx.h_ratio[:ni]
+    # upwind: U.n splits onto the owner (U.n >= 0) or neighbor trace rows
+    coef[:, 5:8] = rho0 * upwind_value(0.0, un, un) * h_e
+    coef[:, 8:11] = rho0 * upwind_value(un, 0.0, un) * h_e
+    coef[:, 11:13] = (-0.5 * mass_coef) * nD_o * ctx.h_lift[:ni]
+    coef[:, 13:15] = (-0.5 * mass_coef) * nD_n * ctx.h_lift[:ni]
     for g in ctx.interior_groups:
-        un = flux.face_un[g.idx]                                # (m, 3)
-        mo, mn = mu_cells[g.own], mu_cells[g.nb]
-        # n . D of every cell: two scaled rows, not a stacked 1x2 @ 2x2 matmul
-        nD = g.normal[0] * D_cells[:, 0] + g.normal[1] * D_cells[:, 1]
-        coef = np.zeros((g.idx.size, 15))
-        coef[:, 0] = (params.alpha_c / g.h_e) * rho0 \
-            + (params.alpha_s / g.h_e) * 0.5 * (mo + mn)
-        coef[:, 1] = -0.5 * mo
-        coef[:, 2] = -0.5 * mn
-        # upwind: U.n splits onto the owner (U.n >= 0) or neighbor trace rows
-        coef[:, 5:8] = rho0 * upwind_value(0.0, un, un)
-        coef[:, 8:11] = rho0 * upwind_value(un, 0.0, un)
-        coef[:, 11:13] = (-0.5 * mass_coef) * nD[g.own]
-        coef[:, 13:15] = (-0.5 * mass_coef) * nD[g.nb]
-        np.matmul(coef, g.table, out=next(blocks))
+        np.matmul(coef[g.sl], g.table, out=next(blocks))
 
     mean_un = flux.mean_un
     for g in ctx.boundary_groups:
-        un = flux.face_un[g.idx]
-        out = (mean_un[g.idx] >= 0.0)[:, None]
+        un = flux.face_un[g.sl]
+        h_e = ctx.h_e[g.sl, None]
+        out = (mean_un[g.sl] >= 0.0)[:, None]
         # outflow faces take the resident trace; inflow faces add zeros here
-        np.matmul(rho0 * np.where(out, un, 0.0), g.table[3:], out=next(blocks))
+        np.matmul(rho0 * np.where(out, un, 0.0) * h_e, g.table[3:], out=next(blocks))
         if out.all():
-            rhs.append(np.zeros((g.idx.size, 5)))
+            rhs.append(np.zeros((un.shape[0], 5)))
         else:
-            cin = face_field_values(g, bc.side_value(g.boundary))
-            rhs.append(-(rho0 * np.where(out, 0.0, un * cin)) @ g.wN)
+            cin = face_field_values(ctx, g, bc.side_value(g.boundary))
+            rhs.append(-((rho0 * np.where(out, 0.0, un * cin)) @ g.wN) * h_e)
 
     return ctx.assemble(vals, rhs)

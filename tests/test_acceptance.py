@@ -10,7 +10,7 @@ import pytest
 
 import conftest
 from egflow.amr import MarkingPolicy, Marks, adapt_and_transfer, mark
-from egflow.egspace import AssemblyContext, EGDofMap, dof_count, interpolate
+from egflow.egspace import CELL_WEIGHTS, AssemblyContext, EGDofMap, dof_count, interpolate
 from egflow.flow import (
     FlowBC,
     FlowParams,
@@ -35,11 +35,7 @@ def _report(num, name, ok, detail):
 
 
 def _l2(ctx, coeffs):
-    vals = ctx.cell_values(coeffs)
-    total = 0.0
-    for g in ctx.cell_groups:
-        total += float(((vals[g.idx] ** 2) @ g.wq).sum())
-    return float(np.sqrt(total))
+    return float(np.sqrt(((ctx.cell_values(coeffs) ** 2) @ CELL_WEIGHTS) @ ctx.cell_area))
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ from hypothesis import given, settings, strategies as st
 from egflow import egspace, stabilization
 from egflow.driver import make_config, run
 from egflow.egspace import (
+    CELL_WEIGHTS,
+    FACE_WEIGHTS,
     AssemblyContext,
     AssemblyPlan,
-    CellGroup,
     EGDofMap,
     Scatter,
     _frozen_index,
     _index_type,
     _unique_inverse,
     cell_field_values,
-    face_field_values,
     interpolate,
     q1_grads,
     q1_values,
@@ -40,7 +40,8 @@ from egflow.flow import (
     reconstruct_flux,
     weights,
 )
-from egflow.mesh import BOUNDARY, CONFORMING, HANGING_HIGH, HANGING_LOW, build_uniform
+from egflow.mesh import (BOUNDARY, CONFORMING, EAST, HANGING_HIGH, HANGING_LOW, WEST,
+                         build_uniform)
 from egflow.stabilization import EntropyConfig, entropy_eval, face_residual, indicator
 from egflow.transport import (
     TransportBC,
@@ -54,24 +55,67 @@ from egflow.transport import (
 # oracle: one einsum per term over the face and cell groups
 
 
+def _cells(ctx):
+    """Every cell as one oracle group, with the context's arrays."""
+    nc = ctx.mesh.n_active
+    return [SimpleNamespace(cell=True, idx=np.arange(nc), dofs=ctx.dofmap.cell_dofs,
+                            qx=ctx.cell_qx, qy=ctx.cell_qy, table=egspace.CELL_TABLE)]
+
+
+def _faces(ctx, groups=None):
+    """Each face group of a context (or `groups`) as an oracle group, with
+    its slice of the context's per-face arrays."""
+    out = []
+    for g in ctx.face_groups if groups is None else groups:
+        f = g.sl
+        inner = g.boundary is None
+        out.append(SimpleNamespace(
+            cell=False, idx=np.arange(f.start, f.stop), own=ctx.own[f],
+            nb=ctx.nb[f] if inner else None,
+            dofs=ctx.face_dofs[f] if inner else ctx.face_dofs[f, :5],
+            qx=ctx.face_qx[f], qy=ctx.face_qy[f], dir=g.dir, kind=g.kind,
+            normal=g.normal, boundary=g.boundary, table=g.table))
+    return out
+
+
+def _side_values(g, data):
+    """(m, 3) boundary data at the quadrature points of oracle faces g."""
+    if callable(data):
+        return np.asarray(data(g.qx, g.qy), dtype=float)
+    return np.full(g.qx.shape, float(data))
+
+
 def _shaped(ctx, groups):
-    """The groups with the shape arrays the oracle reads, from q1_values and
-    q1_grads at each group's reference points, gradients physical: N, dN on
-    a cell group; N_o, dN_o on a face group and N_n, dN_n on interior ones."""
+    """The entities of each group, split by level, with the sizes and shape
+    arrays the oracle reads.  Sizes come from the mesh at each cell's level
+    (the owner's, for a face), never from the context: h = (hx, hy) and the
+    physical weights wq everywhere, h_e on a face.  Shapes come from
+    q1_values and q1_grads at the reference points, gradients physical: N,
+    dN on a cell; N_o, dN_o on a face and N_n, dN_n on interior ones."""
+    mesh = ctx.mesh
     for g in groups:
-        if isinstance(g, CellGroup):
-            pts = egspace._CELL_PTS
-            yield SimpleNamespace(**vars(g), N=q1_values(*pts.T),
-                                  dN=q1_grads(*pts.T) / np.array([g.hx, g.hy]))
-            continue
-        h = np.array(ctx.mesh._cell_size(g.level))
-        pts = egspace._face_ref_coords(g.dir, egspace._G3)
-        shapes = dict(N_o=q1_values(*pts.T), dN_o=q1_grads(*pts.T) / h)
-        if g.nb is not None:
-            pts = egspace._neighbor_ref_coords(g.dir, g.kind, egspace._G3)
-            scale = 1.0 if g.kind == CONFORMING else 2.0
-            shapes.update(N_n=q1_values(*pts.T), dN_n=q1_grads(*pts.T) / (h * scale))
-        yield SimpleNamespace(**vars(g), **shapes)
+        cell = g.cell
+        level = mesh.cell_level[g.idx if cell else g.own]
+        for lev in np.unique(level).tolist():
+            at = np.flatnonzero(level == lev)
+            h = np.array(mesh._cell_size(lev))
+            part = dict(idx=g.idx[at], dofs=g.dofs[at], qx=g.qx[at], qy=g.qy[at], h=h)
+            if cell:
+                pts = egspace._CELL_PTS
+                yield SimpleNamespace(**part, wq=CELL_WEIGHTS * h[0] * h[1],
+                                      N=q1_values(*pts.T), dN=q1_grads(*pts.T) / h)
+                continue
+            h_e = h[1] if g.dir in (EAST, WEST) else h[0]
+            pts = egspace._face_ref_coords(g.dir, egspace._G3)
+            shapes = dict(N_o=q1_values(*pts.T), dN_o=q1_grads(*pts.T) / h)
+            if g.nb is not None:
+                pts = egspace._neighbor_ref_coords(g.dir, g.kind, egspace._G3)
+                scale = 1.0 if g.kind == CONFORMING else 2.0
+                shapes.update(N_n=q1_values(*pts.T), dN_n=q1_grads(*pts.T) / (h * scale))
+            yield SimpleNamespace(**part, **shapes, own=g.own[at],
+                                  nb=None if g.nb is None else g.nb[at],
+                                  dir=g.dir, kind=g.kind, normal=g.normal,
+                                  boundary=g.boundary, h_e=h_e, wq=FACE_WEIGHTS * h_e)
 
 
 def _coo(rows, cols, vals, n):
@@ -96,7 +140,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
     b = np.zeros(n)
     mass_coef = rho0 * params.phi * params.c_F
     q_qp = cell_field_values(ctx, q_field)
-    for g in _shaped(ctx, ctx.cell_groups):
+    for g in _shaped(ctx, _cells(ctx)):
         mloc = np.einsum("q,qa,qb->ab", g.wq, g.N, g.N)
         kloc = np.einsum("q,qad,qbd->ab", g.wq, g.dN, g.dN)
         contrib = (mass_coef * a0) * mloc[None, :, :] \
@@ -109,7 +153,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
                 hist -= a2 * P_nm1[g.dofs]
             rhs += mass_coef * np.einsum("ab,mb->ma", mloc, hist)
         np.add.at(b, g.dofs.ravel(), rhs.ravel())
-    for g in _shaped(ctx, ctx.face_groups):
+    for g in _shaped(ctx, _faces(ctx)):
         nrm = g.normal
         if g.nb is not None:
             ko, kn = kappa_cells[g.own], kappa_cells[g.nb]
@@ -125,7 +169,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
             contrib += pen[:, None, None] * np.einsum("q,qa,qb->ab", g.wq, jump, jump)[None]
             _push(rows, cols, vals, g.dofs, contrib)
         elif bc.is_dirichlet(g.boundary):
-            gD = face_field_values(g, bc.dirichlet[g.boundary])
+            gD = _side_values(g, bc.dirichlet[g.boundary])
             ko = kappa_cells[g.own]
             go = np.einsum("qbd,d->qb", g.dN_o, nrm)
             kgo = ko[:, None, None] * go[None]
@@ -138,7 +182,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
             np.add.at(b, g.dofs.ravel(), rhs.ravel())
             _push(rows, cols, vals, g.dofs, contrib)
         else:
-            gN = face_field_values(g, bc.neumann[g.boundary])
+            gN = _side_values(g, bc.neumann[g.boundary])
             rhs = -np.einsum("q,qa,mq->ma", g.wq, g.N_o, gN)
             np.add.at(b, g.dofs.ravel(), rhs.ravel())
     return _coo(rows, cols, vals, n), b
@@ -154,7 +198,7 @@ def _oracle_transport(ctx, medium, params, bc, flux, D_cells, mu_cells, C_n,
     n = dm.n_dofs
     rows, cols, vals = [], [], []
     b = np.zeros(n)
-    for g in _shaped(ctx, ctx.cell_groups):
+    for g in _shaped(ctx, _cells(ctx)):
         mloc = np.einsum("q,qa,qb->ab", g.wq, g.N, g.N)
         contrib = (mass_coef * a0) * np.broadcast_to(mloc, (g.idx.size, 5, 5)).copy()
         U = flux.cell_velocity[g.idx]
@@ -174,7 +218,7 @@ def _oracle_transport(ctx, medium, params, bc, flux, D_cells, mu_cells, C_n,
         rhs += np.einsum("q,qa,mq->ma", g.wq, g.N, qp_pos[g.idx])
         np.add.at(b, g.dofs.ravel(), rhs.ravel())
     mean_un = flux.mean_un
-    for g in _shaped(ctx, ctx.face_groups):
+    for g in _shaped(ctx, _faces(ctx)):
         un = flux.face_un[g.idx]
         if g.nb is not None:
             No_pad = np.pad(g.N_o, ((0, 0), (0, 5)))
@@ -209,7 +253,7 @@ def _oracle_transport(ctx, medium, params, bc, flux, D_cells, mu_cells, C_n,
                 _push(rows, cols, vals, g.dofs[sl], contrib)
             if np.any(~out):
                 sl = np.nonzero(~out)[0]
-                cin = face_field_values(g, bc.side_value(g.boundary))[sl]
+                cin = _side_values(g, bc.side_value(g.boundary))[sl]
                 rhs = -rho0 * np.einsum("q,mq,mq,qa->ma", g.wq, un[sl], cin, g.N_o)
                 np.add.at(b, g.dofs[sl].ravel(), rhs.ravel())
     return _coo(rows, cols, vals, n), b
@@ -465,7 +509,7 @@ def test_neutral_mode_matches_oracle():
     params = FlowParams(c_F=1e-3, rho0=3.0)
     z, w = neutral_pressure_mode(ctx, params, 0.1, m=2)
     z_ref, w_ref = np.zeros(ctx.dofmap.n_dofs), np.zeros(ctx.dofmap.n_dofs)
-    for g in _shaped(ctx, ctx.cell_groups):
+    for g in _shaped(ctx, _cells(ctx)):
         z_ref[g.dofs[:, :4]] = 1.0
         wloc = np.einsum("q,qa->a", g.wq, g.N)
         np.add.at(w_ref, g.dofs.ravel(), np.broadcast_to(wloc, g.dofs.shape).ravel())
@@ -480,14 +524,14 @@ def test_neutral_mode_matches_oracle():
 
 def _oracle_cell_values(ctx, coeffs):
     out = np.empty((ctx.mesh.n_active, 9))
-    for g in _shaped(ctx, ctx.cell_groups):
+    for g in _shaped(ctx, _cells(ctx)):
         out[g.idx] = np.einsum("qb,mb->mq", g.N, coeffs[g.dofs])
     return out
 
 
 def _oracle_cell_gradients(ctx, coeffs):
     out = np.empty((ctx.mesh.n_active, 9, 2))
-    for g in _shaped(ctx, ctx.cell_groups):
+    for g in _shaped(ctx, _cells(ctx)):
         out[g.idx] = np.einsum("qbd,mb->mqd", g.dN, coeffs[g.dofs])
     return out
 
@@ -498,11 +542,11 @@ def _oracle_flux(ctx, P, kappa_cells, bc, params):
     cell_velocity = -kappa_cells[:, None, None] * _oracle_cell_gradients(ctx, P)
     dNc = q1_grads(0.5, 0.5)
     center_velocity = np.empty((mesh.n_active, 2))
-    for g in ctx.cell_groups:
-        gc = np.einsum("bd,mb->md", dNc / np.array([g.hx, g.hy]), P[g.dofs])
+    for g in _shaped(ctx, _cells(ctx)):
+        gc = np.einsum("bd,mb->md", dNc / g.h, P[g.dofs])
         center_velocity[g.idx] = -kappa_cells[g.idx][:, None] * gc
     face_un = np.empty((mesh.n_faces, 3))
-    for g in _shaped(ctx, ctx.face_groups):
+    for g in _shaped(ctx, _faces(ctx)):
         nrm = g.normal
         Po = np.einsum("qb,mb->mq", g.N_o, P[g.dofs[:, :5]])
         go = np.einsum("qbd,mb,d->mq", g.dN_o, P[g.dofs[:, :5]], nrm)
@@ -515,11 +559,11 @@ def _oracle_flux(ctx, P, kappa_cells, bc, params):
                    + (1.0 - beta[:, None]) * kn[:, None] * gn) \
                 + (alpha / g.h_e) * kap_e[:, None] * (Po - Pn)
         elif bc.is_dirichlet(g.boundary):
-            gD = face_field_values(g, bc.dirichlet[g.boundary])
+            gD = _side_values(g, bc.dirichlet[g.boundary])
             ko = kappa_cells[g.own][:, None]
             un = -ko * go + (alpha / g.h_e) * ko * (Po - gD)
         else:
-            un = face_field_values(g, bc.neumann[g.boundary]) / rho0
+            un = _side_values(g, bc.neumann[g.boundary]) / rho0
         face_un[g.idx] = un
     return FaceFlux(face_un=face_un, cell_velocity=cell_velocity,
                     center_velocity=center_velocity)
@@ -527,7 +571,7 @@ def _oracle_flux(ctx, P, kappa_cells, bc, params):
 
 def _oracle_face_residual(config, ctx, C_star, flux):
     J = np.zeros(ctx.mesh.n_faces)
-    for g in _shaped(ctx, ctx.interior_groups):
+    for g in _shaped(ctx, _faces(ctx, ctx.interior_groups)):
         Eo = entropy_eval(config, np.einsum("qb,mb->mq", g.N_o, C_star[g.dofs[:, :5]]))[0]
         En = entropy_eval(config, np.einsum("qb,mb->mq", g.N_n, C_star[g.dofs[:, 5:]]))[0]
         un = flux.face_un[g.idx]
@@ -618,8 +662,8 @@ def _adapted_context(seed):
 
 def _assert_plan_matches_oracle(ctx, rng):
     plan = ctx.plan
-    ref = _oracle_plan(ctx.dofmap, ctx.cell_groups, ctx.interior_groups,
-                       ctx.boundary_groups)
+    ref = _oracle_plan(ctx.dofmap, _cells(ctx), _faces(ctx, ctx.interior_groups),
+                       _faces(ctx, ctx.boundary_groups))
     assert plan.shape == ref.shape
     for mine, theirs in ((plan.indptr, ref.indptr), (plan.indices, ref.indices)):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
@@ -671,8 +715,8 @@ def test_assembled_systems_match_the_oracle_plan(seed):
                                    TransportBC(c_in=0.7), flux, D, mu, **t_args)]
 
     mine = systems()
-    ctx.plan = _oracle_plan(ctx.dofmap, ctx.cell_groups, ctx.interior_groups,
-                            ctx.boundary_groups)
+    ctx.plan = _oracle_plan(ctx.dofmap, _cells(ctx), _faces(ctx, ctx.interior_groups),
+                            _faces(ctx, ctx.boundary_groups))
     for (A, b), (A_ref, b_ref) in zip(mine, systems()):
         assert np.array_equal(A.indptr, A_ref.indptr)
         assert np.array_equal(A.indices, A_ref.indices)
@@ -693,7 +737,7 @@ def test_pressure_and_transport_share_the_pattern():
     # the union of all local blocks, without the entries whose table column
     # is zero in every row, reduced and pinned; boundary blocks add no
     # entries, and nonnegative values cannot cancel
-    groups = ctx.cell_groups + ctx.interior_groups
+    groups = _cells(ctx) + _faces(ctx, ctx.interior_groups)
     full = _coo([np.broadcast_to(g.dofs[:, :, None], (len(g.dofs),) + 2 * g.dofs.shape[1:]).ravel()
                  for g in groups],
                 [np.broadcast_to(g.dofs[:, None, :], (len(g.dofs),) + 2 * g.dofs.shape[1:]).ravel()

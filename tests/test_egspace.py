@@ -159,6 +159,62 @@ def test_context_means_and_integral():
     assert dm.total_integral(coeffs) == pytest.approx(0.5, abs=1e-13)
 
 
+def _three_level_context():
+    """Levels 0-3 on a non-square root cell, with hanging faces of both kinds
+    in every direction and at owner levels 1, 2 and 3."""
+    mesh = build_uniform((0.0, -0.3, 1.7, 0.9), 4, 3)
+    for _ in range(3):
+        mesh = mesh.refine([mesh.locate(0.8, 0.3)])
+    for kind in (HANGING_LOW, HANGING_HIGH):
+        at = mesh.face_kind == kind
+        assert set(mesh.face_dir[at].tolist()) == {EAST, NORTH, WEST, SOUTH}
+        assert set(mesh.cell_level[mesh.face_owner[at]].tolist()) == {1, 2, 3}
+    return AssemblyContext(mesh)
+
+
+def test_groups_are_keyed_by_class_alone():
+    # every level shares one face group per (dir, kind), and the groups
+    # tile the mesh's face table in order
+    ctx = _three_level_context()
+    mesh = ctx.mesh
+    keys = [(g.dir, g.kind) for g in ctx.face_groups]
+    assert len(set(keys)) == len(keys) <= 14
+    assert [g.sl.start for g in ctx.face_groups] + [mesh.n_faces] == \
+        [0] + [g.sl.stop for g in ctx.face_groups]
+    for g in ctx.face_groups:
+        assert set(mesh.face_dir[g.sl].tolist()) == {g.dir}
+        assert set(mesh.face_kind[g.sl].tolist()) == {g.kind}
+    assert len(set(mesh.cell_level[ctx.own].tolist())) == 4
+
+
+def test_bilinear_traces_and_gradients_at_every_level():
+    ctx = _three_level_context()
+    a, b, c, d = 0.3, -1.2, 0.7, 2.1
+
+    def f(x, y):
+        return a + b * x + c * y + d * x * y
+
+    def grad(x, y):
+        return np.stack(np.broadcast_arrays(b + d * y, c + d * x), axis=-1)
+
+    coeffs = interpolate(f, ctx)
+    assert np.abs(ctx.cell_gradients(coeffs) - grad(ctx.cell_qx, ctx.cell_qy)).max() < 1e-12
+    vals, ders = ctx.face_traces(coeffs)
+    level = ctx.mesh.cell_level[ctx.own]
+    for grp in ctx.face_groups:
+        x, y = ctx.face_qx[grp.sl], ctx.face_qy[grp.sl]
+        dn = grad(x, y) @ grp.normal
+        sides = (0, 1) if grp.boundary is None else (0,)
+        for lev in np.unique(level[grp.sl]).tolist():
+            at = level[grp.sl] == lev
+            for s in sides:
+                assert np.abs(vals[grp.sl][at, s] - f(x, y)[at]).max() < 1e-12
+                assert np.abs(ders[grp.sl][at, s] - dn[at]).max() < 1e-11
+        if grp.boundary is not None:
+            assert not vals[grp.sl, 1].any() and not ders[grp.sl, 1].any()
+    assert set(level.tolist()) == {0, 1, 2, 3}
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 3), st.integers(0, 3))
 def test_context_values_match_eval_point(i, j):
@@ -169,8 +225,8 @@ def test_context_values_match_eval_point(i, j):
     rng = np.random.default_rng(i * 7 + j)
     coeffs = dm.distribute(rng.standard_normal(dm.n_dofs))
     vals = ctx.cell_values(coeffs)
-    for g in ctx.cell_groups:
-        for row, idx in enumerate(g.idx[:2]):
+    for lev in np.unique(mesh.cell_level).tolist():
+        for idx in np.flatnonzero(mesh.cell_level == lev)[:2]:
             cid = mesh.cell_id[idx]
             for q in range(9):
                 xi, eta = egspace._CELL_PTS[q]

@@ -187,7 +187,7 @@ def test_refine_closure_matches_adapt_and_keeps_receiver():
 # refined same-level neighbor gives nothing (its children own the sub-faces);
 # otherwise the neighbor's parent is active and the cell owns a hanging
 # sub-face, LOW or HIGH by the parity of its coordinate along the face.
-# h, the assembly context's face_h_e, is the owner's side length along the
+# h, the assembly context's h_e, is the owner's side length along the
 # face: its level's cell size.
 _STEP = {0: (1, 0), 1: (0, 1), 2: (-1, 0), 3: (0, -1)}
 
@@ -209,13 +209,14 @@ def _reference_faces(mesh):
                 sub = (j if di else i) & 1
                 rows.append((n, index[(lev - 1, ni >> 1, nj >> 1)], d,
                              HANGING_HIGH if sub else HANGING_LOW, h))
-    return rows
+    # listed by class: interior (direction, kind), then the sides
+    return sorted(rows, key=lambda r: (r[3] == BOUNDARY, r[2], r[3]))
 
 
 def _face_rows(mesh):
+    ctx = AssemblyContext(mesh)
     return list(zip(mesh.face_owner.tolist(), mesh.face_neighbor.tolist(),
-                    mesh.face_dir.tolist(), mesh.face_kind.tolist(),
-                    AssemblyContext(mesh).face_h_e.tolist()))
+                    mesh.face_dir.tolist(), mesh.face_kind.tolist(), ctx.h_e.tolist()))
 
 
 def _random_mesh(seed):

@@ -20,14 +20,31 @@ SHORTEST = {
 }
 
 
+def _env():
+    path = [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
 def test_every_script_is_listed():
     assert sorted(SHORTEST) == sorted(f for f in os.listdir(SCRIPTS) if f.endswith(".py"))
 
 
 @pytest.mark.parametrize("script", sorted(SHORTEST))
 def test_script_runs(script):
-    path = [os.path.join(ROOT, "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *SHORTEST[script]],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_diag_digest_against_its_own_kept_set_prints_zero(tmp_path):
+    script = os.path.join(SCRIPTS, "diag_digest.py")
+    kept = str(tmp_path / "kept")
+    for flag in ("--keep", "--against"):
+        proc = subprocess.run([sys.executable, script, "--short", flag, kept],
+                              env=_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(os.listdir(kept)) > 0
+    for line in lines:
+        name, sha, *changes = line.split()
+        assert changes and all(c.split("=")[1] == "0" for c in changes), line

@@ -109,7 +109,7 @@ def test_linear_viscosity_homogeneous_in_velocity():
     for s in (1.0, 3.0):
         flux = _flux(ctx, s, 0.0)
         ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=1)
-        mu = viscosity(cfg, ctx, ind, flux, C)
+        mu = viscosity(cfg, ctx, ind, flux)
         # mu_lin = lambda h max|U| = 0.5 * 0.25 * s on the uniform 4x4 mesh
         assert np.allclose(mu.mu_lin, 0.5 * 0.25 * s, atol=1e-14)
 
@@ -120,7 +120,7 @@ def test_constant_state_disables_stabilization():
     C = interpolate(lambda x, y: 0.7, ctx)
     flux = _flux(ctx, 1.0, 0.0)
     ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=1)
-    mu = viscosity(cfg, ctx, ind, flux, C)
+    mu = viscosity(cfg, ctx, ind, flux)
     assert np.all(mu.mu_stab == 0.0)
     assert not mu.lin_selected.any()
     # the linear branch itself is still reported for diagnostics
@@ -215,7 +215,7 @@ def test_entropy_viscosity_formula():
     E = entropy_eval(cfg, ctx.cell_values(C))[0]
     mean = (E @ CELL_WEIGHTS) @ ctx.mesh.cell_area / ctx.mesh.total_area
     norm = np.abs(E - mean).max()
-    mu = viscosity(cfg, ctx, ind, flux, C)
+    mu = viscosity(cfg, ctx, ind, flux)
     expect = 0.7 * ctx.cell_hmax**2 * ind.er / norm
     assert np.allclose(mu.mu_ent, expect, rtol=1e-13)
     assert np.allclose(mu.mu_stab, expect, rtol=1e-13)
@@ -228,7 +228,7 @@ def test_min_switches_to_linear_branch():
     C = interpolate(lambda x, y: x * x, ctx)
     flux = _flux(ctx, 1.0, 0.0)
     ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=2)
-    mu = viscosity(cfg, ctx, ind, flux, C)
+    mu = viscosity(cfg, ctx, ind, flux)
     assert np.allclose(mu.mu_stab, mu.mu_lin)
     assert mu.lin_selected.all()
 
@@ -239,6 +239,6 @@ def test_stale_indicator_rejected():
     C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx)
     stale = IndicatorField(er=np.zeros(ctx.mesh.n_active),
-                           generation=ctx.mesh.generation + 1)
+                           generation=ctx.mesh.generation + 1, norm=1.0, scale=1.0)
     with pytest.raises(ValueError):
-        viscosity(cfg, ctx, stale, flux, C)
+        viscosity(cfg, ctx, stale, flux)
