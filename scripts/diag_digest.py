@@ -18,6 +18,10 @@ config, the largest relative change of every column against such a kept set
     PYTHONPATH=old/src python3 scripts/diag_digest.py --keep kept
     PYTHONPATH=src python3 scripts/diag_digest.py --against kept
 
+A change that moves numbers at roundoff must still adapt the same meshes,
+so `--against` exits 1 when any config's `cells` or `dofs` differ from the
+kept set at any step, naming the config and the first such step.
+
 When a change renames or removes config keys, run each tree's own copy of
 this script (`python3 old/scripts/diag_digest.py` with `PYTHONPATH=old/src`),
 so each side spells the same runs in the keys it knows; the config names
@@ -32,6 +36,7 @@ import argparse
 import hashlib
 import os
 import shutil
+import sys
 import tempfile
 
 import numpy as np
@@ -87,6 +92,19 @@ def relative_change(text, kept):
     return " ".join(f"{c}={v:.3g}" for c, v in zip(cols, rel.max(axis=0)))
 
 
+def first_count_change(text, kept):
+    """The first step at which `cells` or `dofs` of one diagnostics.csv text
+    differ from a kept one, or None; a step that only one of them has
+    differs."""
+    counts = []
+    for cols, rows in (_table(text), _table(kept)):
+        at = [cols.index(c) for c in ("step", "cells", "dofs")]
+        counts.append({int(r[at[0]]): tuple(r[at[1:]]) for r in rows})
+    moved = [s for s in sorted(counts[0].keys() | counts[1].keys())
+             if counts[0].get(s) != counts[1].get(s)]
+    return moved[0] if moved else None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -101,6 +119,7 @@ def main():
     if args.keep is not None:
         os.makedirs(args.keep, exist_ok=True)
 
+    moved = []
     for name, scenario, overrides in CONFIGS:
         if args.short:
             dt = make_config(scenario, **overrides).dt
@@ -109,9 +128,16 @@ def main():
         line = f"{name:<22} {sha}"
         if args.against is not None:
             with open(os.path.join(args.against, f"{name}.csv"), encoding="utf-8") as fh:
-                line += " " + relative_change(text, fh.read())
+                kept = fh.read()
+            line += " " + relative_change(text, kept)
+            step = first_count_change(text, kept)
+            if step is not None:
+                moved.append(f"{name}: cells or dofs differ from step {step}")
         print(line, flush=True)
+    for msg in moved:
+        print(msg, file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

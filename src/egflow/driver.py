@@ -144,7 +144,7 @@ _PRESETS = {
         x1=1.0, y1=0.25, nx=16, ny=4, r_min=1, r_max=2, cell_max=50_000,
         dt=0.01, t_end=10.0, rho0=1000.0, c_f=0.0,
         mu_s=0.001, ratio=100.0,
-        lambda_lin=1.0, lambda_ent=1.0, entropy="log", entropy_eps=1e-4,
+        lambda_lin=1e-3, lambda_ent=1e-3, entropy="log", entropy_eps=1e-4,
         d_m=1.8e-8, alpha_l=1.8e-8, alpha_t=1.8e-9,
         perturb=1e-3, inflow_speed=0.05,
     ),
@@ -154,7 +154,7 @@ _PRESETS = {
         nx=8, ny=8, r_min=1, r_max=3, cell_max=100_000,
         dt=1e-4, t_end=0.01, rho0=1000.0, c_f=1e-8,
         mu_s=0.001, ratio=1000.0,
-        lambda_lin=1.0, lambda_ent=1.0, entropy="log", entropy_eps=1e-4,
+        lambda_lin=1e-3, lambda_ent=1e-3, entropy="log", entropy_eps=1e-4,
         d_m=1.8e-8, alpha_l=1.8e-5, alpha_t=1.8e-6,
         source_rate=100.0,
     ),
@@ -366,13 +366,13 @@ class _Problem:
         return np.ones(ctx.mesh.n_active)
 
     def source_q(self, ctx: AssemblyContext):
-        """Mass source per unit volume at quadrature points, or 0."""
+        """Mass source per unit volume, one value per cell, or 0."""
         if not self.has_source:
             return 0.0
         mesh = ctx.mesh
         cid = mesh.locate(*_radial_source_point(self.cfg.domain))
         idx = mesh.index_of_id(cid)
-        q = np.zeros((mesh.n_active, 9))
+        q = np.zeros(mesh.n_active)
         q[idx] = self.cfg.source_rate * self.cfg.flow.rho0 / ctx.cell_area[idx]
         return q
 
@@ -551,7 +551,8 @@ def run(config: ScenarioConfig, outdir: str | None = None,
     (skipped when the velocity is prescribed), conservative flux recovery,
     stabilization viscosity + indicator, transport solve, then mark/adapt
     with mean-preserving transfer.  ``step_hook(state)`` runs after the
-    transport solve on the pre-adaptation mesh.
+    transport solve on the pre-adaptation mesh; its ``q_qp`` is the step's
+    source, one value per cell or the scalar 0.
     """
     if outdir is not None:
         os.makedirs(outdir, exist_ok=True)
@@ -583,12 +584,12 @@ def run(config: ScenarioConfig, outdir: str | None = None,
 
             # mobility from the sensed concentration, then pressure
             K_cells = prob.rock_permeability(ctx)
-            q_qp = prob.source_q(ctx)
+            q_cells = prob.source_q(ctx)
             if prob.uses_pressure:
                 c_guess = np.clip(dm.cell_means(C_star), 0.0, 1.0)
                 kappa = mobility(K_cells, config.viscosity, c_guess)
                 A, b = assemble_pressure(ctx, config.flow, prob.flow_bc, kappa,
-                                         P_n=P_n, P_nm1=P_nm1, q_field=q_qp,
+                                         P_n=P_n, P_nm1=P_nm1, q_cells=q_cells,
                                          dt=config.dt, m=m)
                 # a sealed box pressurizes without bound under net injection;
                 # peel the level off so the solve only sees the gradients
@@ -609,7 +610,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
 
             # entropy indicator and stabilization viscosity
             ind = indicator(config.entropy, ctx, C_star, C_n, C_nm1, flux,
-                            q_qp, config.dt, m)
+                            q_cells, config.dt, m)
             visc = viscosity(config.entropy, ctx, ind, flux)
 
             # dispersion lags one step; the first step uses its own flux
@@ -619,7 +620,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
             A_t, b_t = assemble_transport(ctx, config.flow, config.transport,
                                           prob.transport_bc, flux, D_cells,
                                           visc.mu_stab, C_n, C_nm1,
-                                          q_field=q_qp, dt=config.dt, m=m)
+                                          q_cells=q_cells, dt=config.dt, m=m)
             C_np1, res_tr = solve_reduced(dm, A_t, b_t, x0_full=C_n,
                                           tol=config.transport_tol,
                                           factor=factors["transport"])
@@ -662,7 +663,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
                     "P": P_np1, "P_n": P_n, "P_nm1": P_nm1,
                     "C": C_np1, "C_n": C_n, "C_nm1": C_nm1,
                     "flux": flux, "kappa": kappa,
-                    "q_qp": q_qp, "indicator": ind, "viscosity": visc,
+                    "q_qp": q_cells, "indicator": ind, "viscosity": visc,
                     "gmres_flow": res_flow, "gmres_transport": res_tr,
                     "record": rec,
                 })

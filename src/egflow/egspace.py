@@ -49,9 +49,7 @@ __all__ = [
     "CELL_WN",
     "EGDofMap",
     "FACE_WEIGHTS",
-    "cell_field_values",
     "dof_count",
-    "face_field_values",
     "fix_gauge",
     "interpolate",
     "q1_grads",
@@ -267,7 +265,8 @@ def interpolate(f, ctx: AssemblyContext) -> np.ndarray:
         f(dm.vertex_pos[:, 0], dm.vertex_pos[:, 1]), dtype=float
     )
     coeffs = dm.distribute(coeffs)
-    coeffs[dm.n_cg:] = (cell_field_values(ctx, f) - ctx.cell_values(coeffs)) @ CELL_WEIGHTS
+    f_qp = np.broadcast_to(f(ctx.cell_qx, ctx.cell_qy), ctx.cell_qx.shape)
+    coeffs[dm.n_cg:] = (f_qp - ctx.cell_values(coeffs)) @ CELL_WEIGHTS
     return coeffs
 
 
@@ -364,39 +363,38 @@ def _interior_tables(d: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(table), _frozen(_trace_table(N, dN, normal))
 
 
-def _boundary_tables(d: int) -> tuple[np.ndarray, ...]:
-    """(table, eval_table, wN, wdN) of boundary faces of direction d on a
-    unit owner, from the unit-face integrals N x N per quadrature point and
+def _boundary_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, eval_table) of boundary faces of direction d on a unit owner,
+    from the unit-face integrals N x N per quadrature point and
     N x grad N . n."""
     N, dN, normal = _FACE_N[d], _FACE_DN[d], DIR_NORMAL[d]
     nn = np.einsum("q,qa,qb->qab", FACE_WEIGHTS, N, N).reshape(3, 25)
     ndn = np.einsum("q,qa,qb->ab", FACE_WEIGHTS, N, dN @ normal).ravel()
     table = np.vstack([nn.sum(axis=0), ndn, _transpose(ndn, 5), nn])
-    return (_frozen(table), _frozen(_trace_table((N,), (dN,), normal)[:5]),
-            _frozen(FACE_WEIGHTS[:, None] * N), _frozen(FACE_WEIGHTS[:, None] * (dN @ normal)))
+    return _frozen(table), _frozen(_trace_table((N,), (dN,), normal)[:5])
 
 
 # Tables on the unit cell hx = hy = 1, built once.  Every row is homogeneous
 # in the cell size, so a cell or face of any level scales it by one product
 # of its sizes, which the assemblers fold into their per-entity coefficient
-# columns.  CELL_TABLE rows, each a flattened 5x5 local matrix: 0 mass, 1:5
-# diffusion per (d, e) tensor entry, 5:23 advection per (quadrature point,
-# velocity component), 23:32 mass per quadrature point.  A cell of size
-# hx x hy scales the mass rows and CELL_WN (rhs weights w N) by its area,
-# diffusion entry (d, e) by area / (h_d h_e) (AssemblyContext.diff_scale)
-# and the advection rows of component d by area / h_d.  _CELL_EVAL maps the
-# 5 local dofs to the values at the 9 quadrature points (columns 0:9), then
-# to the unit-cell gradients there (9:27, in (component, point) order),
-# which a cell divides by (hx, hy).  Face tables: see FaceGroup.
+# columns.  CELL_TABLE rows 0:23, each a flattened 5x5 local matrix: 0 mass,
+# 1:5 diffusion per (d, e) tensor entry, 5:23 advection per (quadrature
+# point, velocity component).  A cell of size hx x hy scales the mass row by
+# its area, diffusion entry (d, e) by area / (h_d h_e)
+# (AssemblyContext.diff_scale) and the advection rows of component d by
+# area / h_d.  Shape 4 is the constant 1, so column 4 of a mass-type row
+# holds the integral of each shape: CELL_WN, the weights of a cellwise
+# constant source on the right-hand side.  _CELL_EVAL maps the 5 local dofs
+# to the values at the 9 quadrature points (columns 0:9), then to the
+# unit-cell gradients there (9:27, in (component, point) order), which a
+# cell divides by (hx, hy).  Face tables: see FaceGroup.
 CELL_TABLE = _frozen(np.vstack([
     np.einsum("q,qa,qb->ab", CELL_WEIGHTS, _CELL_N, _CELL_N).ravel(),
     np.einsum("q,qad,qbe->deab", CELL_WEIGHTS, _CELL_DN, _CELL_DN).reshape(4, 25),
-    np.einsum("q,qad,qb->qdab", CELL_WEIGHTS, _CELL_DN, _CELL_N).reshape(18, 25),
-    np.einsum("q,qa,qb->qab", CELL_WEIGHTS, _CELL_N, _CELL_N).reshape(9, 25)]))
-CELL_WN = _frozen(CELL_WEIGHTS[:, None] * _CELL_N)
+    np.einsum("q,qad,qb->qdab", CELL_WEIGHTS, _CELL_DN, _CELL_N).reshape(18, 25)]))
+CELL_WN = _frozen(CELL_TABLE[0].reshape(5, 5)[:, 4])
 _CELL_EVAL = _frozen(np.hstack([_CELL_N.T, _CELL_DN[:, :, 0].T, _CELL_DN[:, :, 1].T]))
-_FACE_TABLES = {(d, k): _interior_tables(d, k) + (None, None)
-                for d in _DIRS for k in _INTERIOR_KINDS}
+_FACE_TABLES = {(d, k): _interior_tables(d, k) for d in _DIRS for k in _INTERIOR_KINDS}
 _FACE_TABLES.update({(d, BOUNDARY): _boundary_tables(d) for d in _DIRS})
 
 
@@ -652,39 +650,43 @@ class FaceGroup:
     jump x N_own / jump x N_nb per quadrature point, 11:13 / 13:15 jump x
     grad N per gradient component of the owner/neighbor side.  Boundary
     table rows, each a flattened 5x5: 0 N x N, 1 N x (grad N . n), 2 its
-    transpose, 3:6 N x N per quadrature point.  With its owner's sizes a
-    face scales a row without a gradient, and wN, by h_e; a row with grad N
-    . n, and wdN, by h_e / h_n; and rows 11:15 by h_e / (hx, hy) per
-    gradient component (AssemblyContext.h_e, h_ratio, h_lift).  eval_table
-    maps the local dofs to the values at the 3 quadrature points of the
-    owner and neighbor sides (columns 0:3, 3:6), then to their normal
-    derivatives (6:9, 9:12), both along the owner normal, which a face
-    divides by its owner's h_n; a boundary face's neighbor columns are 0.
+    transpose, 3:6 N x N per quadrature point.  Shape 4 is the constant 1,
+    so column 4 of a boundary row holds the right-hand-side weights of data
+    that is constant on the face: of row 0 the integral of each shape, of
+    row 2 that of its grad N . n, of rows 3:6 each shape's weight per
+    quadrature point.  With its owner's sizes a face scales a row without a
+    gradient by h_e; a row with grad N . n by h_e / h_n; and rows 11:15 by
+    h_e / (hx, hy) per gradient component (AssemblyContext.h_e, h_ratio,
+    h_lift).  eval_table maps the local dofs to the values at the 3
+    quadrature points of the owner and neighbor sides (columns 0:3, 3:6),
+    then to their normal derivatives (6:9, 9:12), both along the owner
+    normal, which a face divides by its owner's h_n; a boundary face's
+    neighbor columns are 0.
     """
 
     dir: int
     kind: int
     sl: slice
-    normal: np.ndarray
     boundary: str | None
     table: np.ndarray    # (15, 100) interior, (6, 25) boundary
     eval_table: np.ndarray  # (10, 12) interior, (5, 12) boundary
-    wN: np.ndarray | None = None     # (3, 5) boundary rhs weights w N
-    wdN: np.ndarray | None = None    # (3, 5) boundary rhs weights w grad N . n
 
 
 class AssemblyContext:
     """Mesh + dofmap + the per-entity sizes, face groups and sparsity shared
     by all assemblers.
 
-    Tables: every cell uses the module's CELL_TABLE and CELL_WN, and a
-    FaceGroup holds the tables of the faces of one class: interior faces per
-    (direction, kind), at most 10, then boundary faces per side, at most 4.
-    All tables are on the unit cell, so no table depends on a mesh.  Each
-    table row is homogeneous in the cell size, and a level is the root cell
-    scaled by 2^-L, so an entity scales a row by a product of its sizes:
-    `cell_h` (the mesh's sizes at each cell's level), `cell_area` and
-    `diff_scale` for cells, and per face `h_e`, `h_ratio` and `h_lift`.  An
+    Tables: every cell uses the module's CELL_TABLE, and a FaceGroup holds
+    the tables of the faces of one class: interior faces per (direction,
+    kind), at most 10, then boundary faces per side, at most 4.  A source is
+    one value per cell and boundary data one value per side, so every
+    right-hand-side weight is the constant column of a table row (CELL_WN,
+    and see FaceGroup).  All tables are on the unit cell, so no table
+    depends on a mesh.  Each table row is homogeneous in the cell size, and
+    a level is the root cell scaled by 2^-L, so an entity scales a row by a
+    product of its sizes: `cell_h` (the mesh's sizes at each cell's
+    level), `cell_area` and `diff_scale` for cells, and per face `h_e`,
+    `h_ratio` and `h_lift`.  An
     assembler forms each coefficient column once over all cells, or over all
     interior faces, with those sizes folded in; its per-group work is a
     slice of the coefficients times the group's table, one matmul per group.
@@ -747,11 +749,11 @@ class AssemblyContext:
         groups = []
         for s, e in zip(starts.tolist(), ends.tolist()):
             fd, fk = int(d[s]), int(kind[s])
-            table, eval_table, wN, wdN = _FACE_TABLES[fd, fk]
+            table, eval_table = _FACE_TABLES[fd, fk]
             groups.append(FaceGroup(
-                dir=fd, kind=fk, sl=slice(s, e), normal=DIR_NORMAL[fd].copy(),
+                dir=fd, kind=fk, sl=slice(s, e),
                 boundary=BOUNDARY_NAME[fd] if fk == BOUNDARY else None,
-                table=table, eval_table=eval_table, wN=wN, wdN=wdN))
+                table=table, eval_table=eval_table))
         self.interior_groups = [g for g in groups if g.kind != BOUNDARY]
         self.boundary_groups = [g for g in groups if g.kind == BOUNDARY]
         self.face_groups = groups
@@ -759,8 +761,7 @@ class AssemblyContext:
         self.plan = _assembly_pattern(self)
         # integral of every basis function: the constant column of the mass table
         self.basis_integrals = np.bincount(
-            dm.cell_dofs.ravel(),
-            weights=(self.cell_area[:, None] * CELL_TABLE[0].reshape(5, 5)[:, 4]).ravel(),
+            dm.cell_dofs.ravel(), weights=(self.cell_area[:, None] * CELL_WN).ravel(),
             minlength=dm.n_dofs)
 
         self.cell_hmax = h.max(axis=1)
@@ -821,32 +822,3 @@ class AssemblyContext:
         t[:, 6:] *= self.inv_h_n[:, None]
         t = t.reshape(-1, 2, 2, 3)
         return t[:, 0], t[:, 1]
-
-
-def cell_field_values(ctx: AssemblyContext, field) -> np.ndarray:
-    """(n_cells, 9) values of a coefficient field at the volume quadrature points.
-
-    `field` may be a scalar, a per-cell array (constant within each cell), or
-    a callable f(x, y).
-    """
-    nc = ctx.mesh.n_active
-    if callable(field):
-        out = np.empty((nc, 9))
-        out[...] = field(ctx.cell_qx, ctx.cell_qy)
-        return out
-    field = np.asarray(field, dtype=float)
-    if field.ndim == 0:
-        return np.broadcast_to(field, (nc, 9)).copy()
-    if field.shape == (nc,):
-        return np.repeat(field[:, None], 9, axis=1)
-    if field.shape == (nc, 9):
-        return field
-    raise ValueError(f"cannot map field of shape {field.shape} onto {nc} cells")
-
-
-def face_field_values(ctx: AssemblyContext, grp: FaceGroup, data) -> np.ndarray:
-    """(m, 3) values of boundary data on one face group's quadrature points."""
-    qx, qy = ctx.face_qx[grp.sl], ctx.face_qy[grp.sl]
-    if callable(data):
-        return np.asarray(data(qx, qy), dtype=float)
-    return np.full(qx.shape, float(data))

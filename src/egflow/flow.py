@@ -21,6 +21,7 @@ Dawson, Sun & Wheeler, *CMAME* 193 (2004) 2565).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ from .egspace import (
     CELL_WN,
     FACE_WEIGHTS,
     AssemblyContext,
-    cell_field_values,
-    face_field_values,
     fix_gauge,
 )
 from .linalg import GmresResult, LaggedLU, SolverError
@@ -78,19 +77,27 @@ class FlowParams:
             raise ValueError(f"reference density must be positive, got {self.rho0}")
 
 
+def _check_side_value(label: str, value) -> None:
+    """Raise ValueError unless a boundary datum is a finite real number."""
+    if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+        raise ValueError(f"{label} must be a finite real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FlowBC:
     """Pressure / mass-flux data per boundary side.
 
-    `dirichlet` maps side names to pressure data, `neumann` maps side names
-    to outward mass flux rho0 * u . n; values are scalars or callables
-    f(x, y).  Every side must appear in exactly one of the two maps.
+    `dirichlet` maps side names to a pressure, `neumann` maps side names to
+    an outward mass flux rho0 * u . n; each value is one float, constant
+    along its side.  Every side must appear in exactly one of the two maps.
     """
 
     dirichlet: dict
     neumann: dict
 
     def __post_init__(self):
+        for side, value in (*self.dirichlet.items(), *self.neumann.items()):
+            _check_side_value(f"boundary value on side {side!r}", value)
         seen = set(self.dirichlet) | set(self.neumann)
         double = set(self.dirichlet) & set(self.neumann)
         if double:
@@ -197,17 +204,20 @@ def neutral_pressure_mode(ctx: AssemblyContext, params: FlowParams, dt: float,
 
 
 def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
-                      kappa_cells, P_n=None, P_nm1=None, q_field=0.0,
+                      kappa_cells, P_n=None, P_nm1=None, q_cells=0.0,
                       dt: float = 1.0, *, m: int):
     """Assemble the reduced, pinned pressure system (see AssemblyContext.assemble).
 
     kappa_cells: (n_cells,) mobility kappa = K/mu evaluated per cell.
+    q_cells: the mass source per unit volume, a scalar or (n_cells,).
     Returns (A, b) with A CSR over the reduced dofs but the pinned one.
     Cell constants are never constrained, so their test rows keep their
     exact per-cell balance.  Each local block is per-cell or per-face
     coefficients, the entity's sizes folded in, times the context's unit
     tables (layouts and factors at egspace.CELL_TABLE and in FaceGroup); theta
-    enters as the coefficient of the transposed consistency rows.
+    enters as the coefficient of the transposed consistency rows.  The
+    source and the side data are constants, weighed by the tables' constant
+    columns: CELL_WN, and column 4 of boundary rows 0 and 2.
     """
     mesh = ctx.mesh
     a0, a1, a2 = bdf_coefficients(m, dt)
@@ -219,7 +229,6 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     if mass_coef != 0.0 and P_n is None:
         raise ValueError("compressible mass term needs the previous pressure state")
 
-    q_qp = cell_field_values(ctx, q_field)
     vals, views = ctx.block_buffer()
     blocks = iter(views)
     cd = ctx.dofmap.cell_dofs
@@ -231,12 +240,12 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     coef[:, 1] = rk * ctx.diff_scale[0]
     coef[:, 4] = rk * ctx.diff_scale[3]
     np.matmul(coef, CELL_TABLE[:5], out=next(blocks))
-    r = q_qp @ CELL_WN
+    r = np.multiply.outer(q_cells, CELL_WN)
     if mass_coef != 0.0:
         hist = -a1 * P_n[cd]
         if m == 2:
             hist -= a2 * P_nm1[cd]
-        r += mass_coef * (hist @ CELL_TABLE[0].reshape(5, 5))
+        r = r + mass_coef * (hist @ CELL_TABLE[0].reshape(5, 5))
     rhs = [r * ctx.cell_area[:, None]]
 
     # -(jump, avg grad) + theta (avg grad, jump) + penalty (jump, jump): the
@@ -252,17 +261,17 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     for g in ctx.boundary_groups:
         out = next(blocks)
         if bc.is_dirichlet(g.boundary):
-            gD = face_field_values(ctx, g, bc.dirichlet[g.boundary])
+            gD = bc.dirichlet[g.boundary]
             ko = rho0 * kappa_cells[ctx.own[g.sl]]
             kr = ko * ctx.h_ratio[g.sl]
             np.matmul(np.column_stack([alpha * ko, -kr, theta * kr]), g.table[:3], out=out)
-            r = (alpha * ko)[:, None] * (gD @ g.wN)
+            r = (alpha * ko)[:, None] * (gD * g.table[0, 4::5])
             if theta != 0.0:
-                r += theta * kr[:, None] * (gD @ g.wdN)
+                r += theta * kr[:, None] * (gD * g.table[2, 4::5])
         else:
             # Neumann faces add no matrix entries; zeros keep the pattern fixed
             out[...] = 0.0
-            r = -(face_field_values(ctx, g, bc.neumann[g.boundary]) @ g.wN) * ctx.h_e[g.sl, None]
+            r = -(bc.neumann[g.boundary] * g.table[0, 4::5]) * ctx.h_e[g.sl, None]
         rhs.append(r)
 
     return ctx.assemble(vals, rhs)
@@ -360,10 +369,10 @@ def reconstruct_flux(ctx: AssemblyContext, P: np.ndarray, kappa_cells, bc: FlowB
     for g in ctx.boundary_groups:
         f = g.sl
         if bc.is_dirichlet(g.boundary):
-            gD = face_field_values(ctx, g, bc.dirichlet[g.boundary])
+            gD = bc.dirichlet[g.boundary]
             un[f] = -ko[f] * ders[f, 0] + alpha_h[f] * ko[f] * (vals[f, 0] - gD)
         else:
-            un[f] = face_field_values(ctx, g, bc.neumann[g.boundary]) / rho0
+            un[f] = bc.neumann[g.boundary] / rho0
     return FaceFlux(face_un=un, cell_velocity=cell_velocity,
                     center_velocity=center_velocity)
 
@@ -383,14 +392,15 @@ def flux_from_velocity(ctx: AssemblyContext, velocity) -> FaceFlux:
                     center_velocity=center_velocity)
 
 
-def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_field,
+def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_cells,
                                 params: FlowParams, dt: float,
                                 P_np1=None, P_n=None, P_nm1=None, *,
                                 m: int) -> np.ndarray:
     """Per-cell mass balance of the reconstructed flux.
 
     r_T = int_T rho0 phi c_F dP/dt + rho0 sum_faces sign int_e U.n - int_T q,
-    which the flux construction drives to solver tolerance for theta = 0.
+    which the flux construction drives to solver tolerance for theta = 0;
+    q_cells is the pressure solve's source.
     """
     mesh = ctx.mesh
     res = np.zeros(mesh.n_active)
@@ -400,7 +410,7 @@ def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_field,
         dPdt = bdf_apply(m, dt, P_np1, P_n, P_nm1)
         res += mass_coef * ctx.dofmap.cell_means(dPdt) * ctx.cell_area
 
-    res -= (cell_field_values(ctx, q_field) @ CELL_WEIGHTS) * ctx.cell_area
+    res -= q_cells * ctx.cell_area
     ints = params.rho0 * flux.mean_un * ctx.h_e
     np.add.at(res, ctx.own, ints)
     np.add.at(res, ctx.nb, -ints[:ctx.n_interior])

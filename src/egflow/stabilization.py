@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egspace import CELL_WEIGHTS, AssemblyContext, cell_field_values
+from .egspace import CELL_WEIGHTS, AssemblyContext
 from .flow import FaceFlux, bdf_coefficients
 from .transport import source_split
 
@@ -117,19 +117,19 @@ def extrapolate_star(config: EntropyConfig, C_n, C_nm1=None):
 
 
 def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
-                  C_nm1, U_qp, q_field, dt: float, m: int) -> np.ndarray:
+                  C_nm1, U_qp, q_cells, dt: float, m: int) -> np.ndarray:
     """Per-cell max over quadrature points of the entropy residual.
 
     R = d/dt E(C*) + U . E'(C*) grad C* - E'(C*) (q^+ + C* q^-), with the
     time derivative taken through the same backward difference as the
     transport step, over the sequence (E(C*), E(C^n), E(C^{n-1})).  The
-    source q_field is the transport's: injection at C = 1, production at the
-    sensed state.
+    source q_cells, a scalar or one value per cell, is the transport's:
+    injection at C = 1, production at the sensed state.
     """
-    return _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_field, dt, m)[0]
+    return _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_cells, dt, m)[0]
 
 
-def _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_field, dt, m):
+def _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_cells, dt, m):
     """cell_residual, and E(C*) at the volume quadrature points."""
     a0, a1, a2 = bdf_coefficients(m, dt)
     cs = ctx.cell_values(C_star)
@@ -138,7 +138,7 @@ def _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_field, dt, m):
     if m == 2:
         R += a2 * entropy_eval(config, ctx.cell_values(C_nm1))[0]
     R += Ep * (np.asarray(U_qp, dtype=float) * ctx.cell_gradients(C_star)).sum(axis=2)
-    q_pos, q_neg = source_split(cell_field_values(ctx, q_field))
+    q_pos, q_neg = source_split(np.expand_dims(q_cells, -1))
     R -= Ep * (q_pos + cs * q_neg)
     return np.abs(R).max(axis=1), E
 
@@ -155,12 +155,12 @@ def face_residual(config: EntropyConfig, ctx: AssemblyContext, C_star,
 
 
 def indicator(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n, C_nm1,
-              flux: FaceFlux, q_field, dt: float, m: int) -> IndicatorField:
+              flux: FaceFlux, q_cells, dt: float, m: int) -> IndicatorField:
     """Combined per-cell indicator: max of the cell residual and the face
     jump residual over the cell's interior faces."""
     mesh = ctx.mesh
     er, E = _residual(config, ctx, C_star, C_n, C_nm1,
-                      flux.cell_velocity, q_field, dt, m)
+                      flux.cell_velocity, q_cells, dt, m)
     J = face_residual(config, ctx, C_star, flux)[:ctx.n_interior]
     np.maximum.at(er, ctx.own[:ctx.n_interior], J)
     np.maximum.at(er, ctx.nb, J)

@@ -7,7 +7,8 @@ term): the volume advection, interior upwind term and dynamically classified
 inflow/outflow boundary terms telescope against the pressure equation tested
 with the same function.  Dispersion lags one step, D(U^n).  The entropy
 dissipation form enters the matrix (implicit treatment), with the plain
-average of the cellwise-constant stabilization viscosity on interior faces.
+average of the cellwise-constant stabilization viscosity on interior faces;
+that viscosity is a diffusivity, so it carries rho0 like every other term.
 Both coefficients always enter: a zero tensor is pure advection and a zero
 viscosity is the unstabilized system, so there is one assembly path.  The
 BDF order m is the caller's, the same as the pressure step's.
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .egspace import (CELL_TABLE, CELL_WN, AssemblyContext, cell_field_values,
-                      face_field_values)
-from .flow import FaceFlux, FlowParams, bdf_coefficients
+from .egspace import CELL_TABLE, CELL_WN, AssemblyContext
+from .flow import FaceFlux, FlowParams, _check_side_value, bdf_coefficients
 
 __all__ = [
     "TransportBC",
@@ -53,13 +53,19 @@ class TransportParams:
 class TransportBC:
     """Inflow concentration; faces classify as inflow/outflow by flux sign.
 
-    c_in is a scalar, a callable f(x, y), or a per-side dict of either.
-    A boundary face is inflow when its mean normal flux is negative.
+    c_in is one float for every side, or a dict of floats per side name
+    (a side left out takes 0); each is constant along its side.  A boundary
+    face is inflow when its mean normal flux is negative.
     """
 
     c_in: object = 0.0
 
-    def side_value(self, side: str):
+    def __post_init__(self):
+        sides = self.c_in if isinstance(self.c_in, dict) else {"every side": self.c_in}
+        for side, value in sides.items():
+            _check_side_value(f"c_in on {side}", value)
+
+    def side_value(self, side: str) -> float:
         if isinstance(self.c_in, dict):
             return self.c_in.get(side, 0.0)
         return self.c_in
@@ -78,7 +84,7 @@ def source_split(q):
 
 def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
                        params: TransportParams, bc: TransportBC, flux: FaceFlux,
-                       D_cells, mu_cells, C_n, C_nm1=None, q_field=0.0,
+                       D_cells, mu_cells, C_n, C_nm1=None, q_cells=0.0,
                        dt: float = 1.0, *, m: int):
     """Assemble the reduced, pinned concentration system (see
     AssemblyContext.assemble).
@@ -86,11 +92,14 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
     medium: the pressure solve's parameters, read for phi and rho0.
     D_cells: (n_cells, 2, 2) cellwise-constant dispersion, zero for pure
     advection.  mu_cells: (n_cells,) cellwise stabilization viscosity, zero
-    without stabilization.  flux supplies both the face normal fluxes and
-    the volume quadrature velocities.  q_field is the pressure solve's mass
-    source (see cell_field_values): q^+ injects the injected fluid, C = 1,
-    and q^- removes fluid at the resident concentration, folded into the
-    matrix.  m is the BDF order.  Returns (A, b).
+    without stabilization; a diffusivity, so it enters as rho0 mu in the
+    stiffness and the alpha_s face terms.  flux supplies both the face
+    normal fluxes and the volume quadrature velocities.  q_cells is the
+    pressure solve's mass source, a scalar or (n_cells,): q^+ injects the
+    injected fluid, C = 1, weighed by CELL_WN, and q^- removes fluid at the
+    resident concentration, a sink in the mass coefficient.  The side's
+    inflow float weighs the per-point flux by column 4 of boundary rows 3:6.
+    m is the BDF order.  Returns (A, b).
     """
     mesh = ctx.mesh
     a0, a1, a2 = bdf_coefficients(m, dt)
@@ -110,29 +119,30 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
     mu_cells = np.asarray(mu_cells, dtype=float)
     if mu_cells.shape != (nc,):
         raise ValueError(f"stab viscosity must be ({nc},), got {mu_cells.shape}")
+    mu_cells = rho0 * mu_cells
 
-    qp_pos, qp_neg = source_split(cell_field_values(ctx, q_field))
+    q_pos, q_neg = source_split(q_cells)
     vals, views = ctx.block_buffer()
     blocks = iter(views)
     cd = ctx.dofmap.cell_dofs
     area = ctx.cell_area
 
-    coef = np.empty((nc, 32))
-    coef[:, 0] = (mass_coef * a0) * area
+    coef = np.empty((nc, 23))
+    # the sink at the resident concentration is a mass term
+    coef[:, 0] = (mass_coef * a0 - q_neg) * area
     # dispersion per tensor entry; the viscosity's stiffness on the diagonal
     ds = ctx.diff_scale
     coef[:, 1:5] = mass_coef * D_cells.reshape(nc, 4) * ds
     coef[:, 1] += mu_cells * ds[0]
     coef[:, 4] += mu_cells * ds[3]
     # volume advection  -(rho0 U C, grad v), component d scaled by area / h_d
-    coef[:, 5:23] = (-rho0 * flux.cell_velocity * ctx.cell_h[:, None, ::-1]).reshape(nc, 18)
-    # sink at resident concentration, folded into the matrix
-    coef[:, 23:] = -qp_neg * area[:, None]
+    coef[:, 5:] = (-rho0 * flux.cell_velocity * ctx.cell_h[:, None, ::-1]).reshape(nc, 18)
     np.matmul(coef, CELL_TABLE, out=next(blocks))
     hist = -a1 * C_n[cd]
     if m == 2:
         hist -= a2 * C_nm1[cd]
-    rhs = [(mass_coef * (hist @ CELL_TABLE[0].reshape(5, 5)) + qp_pos @ CELL_WN) * area[:, None]]
+    rhs = [(mass_coef * (hist @ CELL_TABLE[0].reshape(5, 5))
+            + np.multiply.outer(q_pos, CELL_WN)) * area[:, None]]
 
     ni = ctx.n_interior
     own, nb = ctx.own[:ni], ctx.nb
@@ -166,7 +176,7 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
         if out.all():
             rhs.append(np.zeros((un.shape[0], 5)))
         else:
-            cin = face_field_values(ctx, g, bc.side_value(g.boundary))
-            rhs.append(-((rho0 * np.where(out, 0.0, un * cin)) @ g.wN) * h_e)
+            cin = bc.side_value(g.boundary)
+            rhs.append(-((rho0 * np.where(out, 0.0, un * cin)) @ g.table[3:, 4::5]) * h_e)
 
     return ctx.assemble(vals, rhs)

@@ -25,7 +25,6 @@ from egflow.egspace import (
     _frozen_index,
     _index_type,
     _unique_inverse,
-    cell_field_values,
     interpolate,
     q1_grads,
     q1_values,
@@ -40,8 +39,8 @@ from egflow.flow import (
     reconstruct_flux,
     weights,
 )
-from egflow.mesh import (BOUNDARY, CONFORMING, EAST, HANGING_HIGH, HANGING_LOW, WEST,
-                         build_uniform)
+from egflow.mesh import (BOUNDARY, CONFORMING, DIR_NORMAL, EAST, HANGING_HIGH, HANGING_LOW,
+                         WEST, build_uniform)
 from egflow.stabilization import EntropyConfig, entropy_eval, face_residual, indicator
 from egflow.transport import (
     TransportBC,
@@ -74,15 +73,22 @@ def _faces(ctx, groups=None):
             nb=ctx.nb[f] if inner else None,
             dofs=ctx.face_dofs[f] if inner else ctx.face_dofs[f, :5],
             qx=ctx.face_qx[f], qy=ctx.face_qy[f], dir=g.dir, kind=g.kind,
-            normal=g.normal, boundary=g.boundary, table=g.table))
+            normal=DIR_NORMAL[g.dir], boundary=g.boundary, table=g.table))
     return out
 
 
 def _side_values(g, data):
-    """(m, 3) boundary data at the quadrature points of oracle faces g."""
-    if callable(data):
-        return np.asarray(data(g.qx, g.qy), dtype=float)
+    """(m, 3) values of one side's boundary datum at the quadrature points
+    of oracle faces g."""
     return np.full(g.qx.shape, float(data))
+
+
+def _source_values(ctx, q_cells):
+    """(n_cells, 9) values of a scalar or per-cell source at the volume
+    quadrature points."""
+    out = np.empty((ctx.mesh.n_active, 9))
+    out[...] = np.asarray(q_cells, dtype=float)[..., None]
+    return out
 
 
 def _shaped(ctx, groups):
@@ -131,7 +137,7 @@ def _push(rows, cols, vals, dofs, contrib):
 
 
 def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
-                     q_field=0.0, dt=1.0, *, m):
+                     q_cells=0.0, dt=1.0, *, m):
     dm = ctx.dofmap
     a0, a1, a2 = bdf_coefficients(m, dt)
     rho0, alpha, theta = params.rho0, params.alpha, params.theta
@@ -139,7 +145,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
     rows, cols, vals = [], [], []
     b = np.zeros(n)
     mass_coef = rho0 * params.phi * params.c_F
-    q_qp = cell_field_values(ctx, q_field)
+    q_qp = _source_values(ctx, q_cells)
     for g in _shaped(ctx, _cells(ctx)):
         mloc = np.einsum("q,qa,qb->ab", g.wq, g.N, g.N)
         kloc = np.einsum("q,qad,qbd->ab", g.wq, g.dN, g.dN)
@@ -189,12 +195,14 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
 
 
 def _oracle_transport(ctx, medium, params, bc, flux, D_cells, mu_cells, C_n,
-                      C_nm1=None, q_field=0.0, dt=1.0, *, m):
+                      C_nm1=None, q_cells=0.0, dt=1.0, *, m):
     dm = ctx.dofmap
     a0, a1, a2 = bdf_coefficients(m, dt)
     rho0 = medium.rho0
     mass_coef = medium.phi * rho0
-    qp_pos, qp_neg = source_split(cell_field_values(ctx, q_field))
+    # the viscosity is a diffusivity: it enters with the density
+    mu_cells = None if mu_cells is None else rho0 * mu_cells
+    qp_pos, qp_neg = source_split(_source_values(ctx, q_cells))
     n = dm.n_dofs
     rows, cols, vals = [], [], []
     b = np.zeros(n)
@@ -429,8 +437,7 @@ def _close(A, b, A_ref, b_ref):
     assert np.abs(b - b_ref).max() <= 1e-13 * max(np.abs(b_ref).max(), 1e-300)
 
 
-SIDE_DATA = {"left": lambda x, y: 1.0 + 0.3 * y, "right": 0.2,
-             "bottom": lambda x, y: np.sin(x), "top": -0.4}
+SIDE_DATA = {"left": 1.3, "right": 0.2, "bottom": -0.7, "top": -0.4}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -445,7 +452,7 @@ def test_pressure_matches_oracle(seed, theta, c_F, m):
                 neumann={s: SIDE_DATA[s] for s in ("right", "top")})
     params = FlowParams(theta=theta, c_F=c_F, phi=0.3, rho0=2.0)
     args = dict(P_n=rng.standard_normal(n), P_nm1=rng.standard_normal(n),
-                q_field=rng.standard_normal((nc, 9)), dt=0.1)
+                q_cells=rng.standard_normal(nc), dt=0.1)
     for order in (1, 2) if m is None else (m,):
         A, b = assemble_pressure(ctx, params, bc, kappa, **args, m=order)
         ref = _oracle_pressure(ctx, params, bc, kappa, **args, m=order)
@@ -465,9 +472,9 @@ def test_transport_matches_oracle(seed, with_D, with_mu, m):
     mu = rng.random(nc) if with_mu else None
     medium = FlowParams(phi=0.4, rho0=1.5)
     params = TransportParams(alpha_s=0.7)
-    bc = TransportBC(c_in={"left": lambda x, y: 0.5 + 0.2 * y, "bottom": 0.9})
+    bc = TransportBC(c_in={"left": 0.6, "bottom": 0.9})
     args = dict(C_n=rng.standard_normal(n), C_nm1=rng.standard_normal(n),
-                q_field=rng.standard_normal((nc, 9)), dt=0.05, m=m)
+                q_cells=rng.standard_normal(nc), dt=0.05, m=m)
     # zero coefficients assemble the system the oracle builds without the terms
     A, b = assemble_transport(ctx, medium, params, bc, flux,
                               np.zeros((nc, 2, 2)) if D is None else D,
@@ -490,7 +497,7 @@ def test_gauge_vector_is_a_null_vector(seed):
                 neumann={s: SIDE_DATA[s] for s in ("right", "top")})
     systems = [
         _oracle_pressure(ctx, FlowParams(c_F=0.05), bc, np.exp(rng.standard_normal(nc)),
-                         P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
+                         P_n=rng.standard_normal(n), q_cells=rng.standard_normal(nc),
                          dt=0.1, m=1),
         _oracle_transport(ctx, FlowParams(), TransportParams(), TransportBC(c_in=0.7),
                           _random_flux(ctx, rng), None, rng.random(nc),
@@ -610,7 +617,7 @@ def test_indicator_matches_oracle(seed, kind, monkeypatch):
     C_n, C_nm1 = (dm.distribute(rng.random(dm.n_dofs)) for _ in range(2))
     C_star = 2.0 * C_n - C_nm1
     flux = _random_flux(ctx, rng)
-    q = rng.standard_normal((ctx.mesh.n_active, 9))
+    q = rng.standard_normal(ctx.mesh.n_active)
     cfg = EntropyConfig(kind=kind)
     J = face_residual(cfg, ctx, C_star, flux)
     _rel_close(J, _oracle_face_residual(cfg, ctx, C_star, flux))
@@ -703,11 +710,10 @@ def test_assembled_systems_match_the_oracle_plan(seed):
     M = rng.standard_normal((nc, 2, 2))
     D = M @ M.transpose(0, 2, 1) + 0.1 * np.eye(2)
     mu = rng.random(nc)
-    p_args = dict(P_n=rng.standard_normal(n), q_field=rng.standard_normal((nc, 9)),
+    p_args = dict(P_n=rng.standard_normal(n), q_cells=rng.standard_normal(nc),
                   dt=0.1, m=1)
     t_args = dict(C_n=rng.standard_normal(n), C_nm1=rng.standard_normal(n),
-                  q_field=rng.standard_normal((nc, 9)),
-                  dt=0.05, m=2)
+                  q_cells=rng.standard_normal(nc), dt=0.05, m=2)
 
     def systems():
         return [assemble_pressure(ctx, FlowParams(c_F=0.05, phi=0.3), bc, kappa, **p_args),

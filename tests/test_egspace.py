@@ -21,6 +21,7 @@ from egflow.egspace import (
 )
 from egflow.mesh import (
     CONFORMING,
+    DIR_NORMAL,
     EAST,
     HANGING_HIGH,
     HANGING_LOW,
@@ -203,7 +204,7 @@ def test_bilinear_traces_and_gradients_at_every_level():
     level = ctx.mesh.cell_level[ctx.own]
     for grp in ctx.face_groups:
         x, y = ctx.face_qx[grp.sl], ctx.face_qy[grp.sl]
-        dn = grad(x, y) @ grp.normal
+        dn = grad(x, y) @ DIR_NORMAL[grp.dir]
         sides = (0, 1) if grp.boundary is None else (0,)
         for lev in np.unique(level[grp.sl]).tolist():
             at = level[grp.sl] == lev

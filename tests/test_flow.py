@@ -136,6 +136,14 @@ def test_flux_rejects_mobility_that_is_not_per_cell():
             reconstruct_flux(ctx, P, kappa, LEFT_RIGHT_FLOW, FlowParams())
 
 
+@pytest.mark.parametrize("value", [lambda x, y: 1.0 - x, float("nan"), "1.0"])
+def test_flow_bc_takes_one_finite_float_per_side(value):
+    for dirichlet, neumann in (({"left": value, "right": 0.0}, {"bottom": 0.0, "top": 0.0}),
+                               ({"left": 1.0, "right": 0.0}, {"bottom": 0.0, "top": value})):
+        with pytest.raises(ValueError, match="finite real number"):
+            FlowBC(dirichlet=dirichlet, neumann=neumann)
+
+
 def test_conservation_detects_imbalance():
     # an analytic field with nonzero divergence must show up in the residual
     ctx = _context(4, 4)
@@ -272,12 +280,12 @@ def _sealed_box_system(ctx, params, dt):
     # center-cell injection at the scale of the radial benchmark
     mesh = ctx.mesh
     idx = mesh.index_of_id(mesh.locate(0.53, 0.47))
-    q = np.zeros((mesh.n_active, 9))
+    q = np.zeros(mesh.n_active)
     q[idx] = 100.0 * params.rho0 / mesh.cell_area[idx]
     kappa = np.ones(mesh.n_active)
     P_n = np.zeros(ctx.dofmap.n_dofs)
     A, b = assemble_pressure(ctx, params, ALL_NEUMANN, kappa, P_n=P_n,
-                             q_field=q, dt=dt, m=1)
+                             q_cells=q, dt=dt, m=1)
     return A, b, q, kappa, P_n
 
 

@@ -1,6 +1,7 @@
 """Every study script in scripts/ runs to completion at its shortest horizon."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -36,15 +37,40 @@ def test_script_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_diag_digest_against_its_own_kept_set_prints_zero(tmp_path):
-    script = os.path.join(SCRIPTS, "diag_digest.py")
-    kept = str(tmp_path / "kept")
-    for flag in ("--keep", "--against"):
-        proc = subprocess.run([sys.executable, script, "--short", flag, kept],
-                              env=_env(), capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+def _digest(*args):
+    return subprocess.run([sys.executable, os.path.join(SCRIPTS, "diag_digest.py"), "--short",
+                           *args], env=_env(), capture_output=True, text=True, timeout=300)
+
+
+@pytest.fixture(scope="module")
+def kept(tmp_path_factory):
+    """A directory of the diagnostics.csv files that a --short run keeps."""
+    path = str(tmp_path_factory.mktemp("kept"))
+    proc = _digest("--keep", path)
+    assert proc.returncode == 0, proc.stderr
+    return path
+
+
+def test_diag_digest_against_its_own_kept_set_prints_zero(kept):
+    proc = _digest("--against", kept)
+    assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == len(os.listdir(kept)) > 0
     for line in lines:
         name, sha, *changes = line.split()
         assert changes and all(c.split("=")[1] == "0" for c in changes), line
+
+
+def test_diag_digest_against_fails_on_a_changed_cell_count(kept, tmp_path):
+    changed = tmp_path / "kept"
+    shutil.copytree(kept, changed)
+    csv = changed / "block.csv"
+    header, *rows = csv.read_text().splitlines()
+    cells = header.split(",").index("cells")
+    row = rows[1].split(",")
+    row[cells] = str(int(row[cells]) + 1)
+    rows[1] = ",".join(row)
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    proc = _digest("--against", str(changed))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["block: cells or dofs differ from step 2"]

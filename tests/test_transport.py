@@ -153,11 +153,18 @@ def test_injection_source_fills_domain():
     C = np.zeros(dm.n_dofs)
     medium, params = FlowParams(), TransportParams()
     A, b = assemble_transport(ctx, medium, params, TransportBC(), flux, *_zero_coefficients(ctx),
-                              C, C_nm1=C, dt=0.5, m=1, q_field=1.0)
+                              C, C_nm1=C, dt=0.5, m=1, q_cells=1.0)
     C1, _ = solve_reduced(dm, A, b, tol=1e-13)
     # phi dc/dt = q^+ with c(0) = 0: one backward-Euler step lands on
     # c = dt q / phi exactly since the rhs does not involve c
     assert np.abs(dm.cell_means(C1) - 0.5).max() < 1e-10
+
+
+@pytest.mark.parametrize("value", [lambda x, y: 0.5, float("nan"), "0.5"])
+def test_transport_bc_takes_one_finite_float_per_side(value):
+    for c_in in (value, {"left": value}):
+        with pytest.raises(ValueError, match="finite real number"):
+            TransportBC(c_in=c_in)
 
 
 def test_mu_cells_shape_validation():
