@@ -27,9 +27,11 @@ this script (`python3 old/scripts/diag_digest.py` with `PYTHONPATH=old/src`),
 so each side spells the same runs in the keys it knows; the config names
 stay, and the diff still lines them up.
 
-The list covers every scenario with a transport, both BDF orders, both
-stabilization settings, adaptive and frozen meshes, lagged and fresh-factor
-solves, and the benchmark's two workloads (rect_fingering and block_budget).
+The list covers every scenario, so every preset's boundary data (the
+manufactured and single_vortex presets at their own settings), both BDF
+orders, both stabilization settings, adaptive and frozen meshes, lagged and
+fresh-factor solves, and the benchmark's two workloads (rect_fingering and
+block_budget).
 """
 
 import argparse
@@ -58,6 +60,8 @@ CONFIGS = [
      dict(ratio=100.0, t_end=3.0, seed=1, r_max=3, cell_max=3000)),
     ("rect_bdf1", "hele_shaw_rect", dict(ratio=100.0, t_end=0.3, bdf_order=1)),
     ("block_frozen", "perm_block", dict(t_end=0.3, r_max=0)),
+    ("manufactured", "manufactured", dict()),
+    ("vortex", "single_vortex", dict()),
 ]
 
 

@@ -8,8 +8,7 @@ adaptation.
 
 from .mesh import (AdaptBounds, AdaptReport, MeshError, QuadMesh,
                    build_uniform)
-from .egspace import (AssemblyContext, AssemblyPlan, EGDofMap, dof_count,
-                      interpolate)
+from .egspace import AssemblyContext, AssemblyPlan, EGDofMap, interpolate
 from .linalg import GmresResult, LaggedLU, SolverError
 from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
                       draw_centers, mix_viscosity, mobility,

@@ -21,7 +21,7 @@ from .egspace import AssemblyContext, EGDofMap, interpolate
 from .flow import (FlowBC, FlowParams, assemble_pressure, flux_from_velocity,
                    neutral_pressure_mode, reconstruct_flux, solve_reduced)
 from .linalg import SolverError, generation_factors
-from .mesh import AdaptBounds, build_uniform
+from .mesh import SIDES, AdaptBounds, build_uniform
 from .physics import (DispersionParams, ViscosityModel, dispersion_tensor,
                       draw_centers, mobility, random_permeability,
                       single_vortex_velocity)
@@ -35,9 +35,6 @@ __all__ = [
     "CSV_HEADER", "main",
 ]
 
-SCENARIOS = ("manufactured", "single_vortex", "perm_block", "random_perm_2d",
-             "hele_shaw_rect", "hele_shaw_radial")
-
 CSV_HEADER = ("step,time,cells,dofs,mass,cmin,cmax,xtip,tip_velocity,"
               "mixing_length,gmres_flow,gmres_transport")
 
@@ -50,69 +47,57 @@ class ConfigError(Exception):
 # configuration
 # ---------------------------------------------------------------------------
 
-# key -> (coercion, help); every key is settable from file and CLI
-_SCHEMA = {
-    "scenario": (str, "benchmark preset name"),
-    "x0": (float, "domain left edge"),
-    "y0": (float, "domain bottom edge"),
-    "x1": (float, "domain right edge"),
-    "y1": (float, "domain top edge"),
-    "nx": (int, "root cells in x"),
-    "ny": (int, "root cells in y"),
-    "dt": (float, "time step size"),
-    "t_end": (float, "final time"),
-    "phi": (float, "porosity"),
-    "rho0": (float, "reference density"),
-    "c_f": (float, "fluid compressibility"),
-    "theta": (float, "interior penalty symmetrization (-1, 0, 1)"),
-    "alpha": (float, "pressure penalty coefficient"),
-    "alpha_c": (float, "transport jump penalty coefficient"),
-    "alpha_s": (float, "stabilization jump penalty coefficient"),
-    "bdf_order": (int, "backward-difference order of both systems (1 or 2)"),
-    "entropy": (str, "entropy kind: power, log, kruzkov"),
-    "entropy_b": (int, "exponent of the power entropy"),
-    "entropy_eps": (float, "regularization of the log entropy"),
-    "entropy_r": (float, "reference value of the kruzkov entropy"),
-    "lambda_lin": (float, "first-order viscosity coefficient"),
-    "lambda_ent": (float, "entropy viscosity coefficient"),
-    "extrapolation": (str, "sensed state: extrapolated or lagged"),
-    "r_max": (int, "maximum refinement level above the root grid"),
-    "r_min": (int, "minimum refinement level (also initial level)"),
-    "cell_max": (int, "active cell budget"),
-    "refine_fraction": (float, "fraction of cells refined per step"),
-    "coarsen_fraction": (float, "fraction of cells coarsened per step"),
-    "mu_s": (float, "solvent (injected) viscosity"),
-    "mu_0": (float, "resident viscosity"),
-    "ratio": (float, "viscosity ratio M; when > 0 sets mu_0 = M*mu_s"),
-    "d_m": (float, "molecular diffusivity"),
-    "alpha_l": (float, "longitudinal dispersivity"),
-    "alpha_t": (float, "transverse dispersivity"),
-    "t_period": (float, "vortex reversal period"),
-    "n_centers": (int, "random permeability bump count"),
-    "perturb": (float, "inlet concentration noise amplitude"),
-    "source_rate": (float, "radial injection rate q/rho0"),
-    "inflow_speed": (float, "target initial inflow velocity"),
-    "flow_tol": (float, "pressure solver relative tolerance"),
-    "transport_tol": (float, "transport solver relative tolerance"),
-    "seed": (int, "RNG seed"),
-    "stride": (int, "output every k-th step"),
+# key -> (coercion, default, help); every key is settable from file and CLI.
+# A default that a parameter class declares is read off that class, so the
+# CLI and the library cannot disagree on it.
+_KEYS = {
+    "scenario": (str, None, "benchmark preset name"),
+    "x0": (float, 0.0, "domain left edge"),
+    "y0": (float, 0.0, "domain bottom edge"),
+    "x1": (float, 1.0, "domain right edge"),
+    "y1": (float, 1.0, "domain top edge"),
+    "nx": (int, 8, "root cells in x"),
+    "ny": (int, 8, "root cells in y"),
+    "dt": (float, 0.01, "time step size"),
+    "t_end": (float, 1.0, "final time"),
+    "phi": (float, FlowParams.phi, "porosity"),
+    "rho0": (float, FlowParams.rho0, "reference density"),
+    "c_f": (float, FlowParams.c_F, "fluid compressibility"),
+    "theta": (float, FlowParams.theta, "interior penalty symmetrization (-1, 0, 1)"),
+    "alpha": (float, FlowParams.alpha, "pressure penalty coefficient"),
+    "alpha_c": (float, TransportParams.alpha_c, "transport jump penalty"),
+    "alpha_s": (float, TransportParams.alpha_s, "stabilization jump penalty"),
+    "bdf_order": (int, 2, "backward-difference order of both systems (1 or 2)"),
+    "entropy": (str, EntropyConfig.kind, "entropy kind: power, log, kruzkov"),
+    "entropy_b": (int, EntropyConfig.b, "exponent of the power entropy"),
+    "entropy_eps": (float, EntropyConfig.eps, "regularization of the log entropy"),
+    "entropy_r": (float, EntropyConfig.r, "reference value of the kruzkov entropy"),
+    "lambda_lin": (float, EntropyConfig.lambda_lin, "first-order viscosity constant"),
+    "lambda_ent": (float, EntropyConfig.lambda_ent, "entropy viscosity constant"),
+    "extrapolation": (str, EntropyConfig.extrapolation,
+                      "sensed state: extrapolated or lagged"),
+    "r_max": (int, 0, "maximum refinement level above the root grid"),
+    "r_min": (int, AdaptBounds.r_min, "minimum refinement level (also initial level)"),
+    "cell_max": (int, AdaptBounds.cell_max, "active cell budget"),
+    "refine_fraction": (float, MarkingPolicy.refine_fraction,
+                        "fraction of cells refined per step"),
+    "coarsen_fraction": (float, MarkingPolicy.coarsen_fraction,
+                         "fraction of cells coarsened per step"),
+    "mu_s": (float, 1.0, "solvent (injected) viscosity"),
+    "ratio": (float, 1.0, "viscosity ratio M: the resident viscosity is M*mu_s"),
+    "d_m": (float, 0.0, "molecular diffusivity"),
+    "alpha_l": (float, 0.0, "longitudinal dispersivity"),
+    "alpha_t": (float, 0.0, "transverse dispersivity"),
+    "t_period": (float, 2.0, "vortex reversal period"),
+    "n_centers": (int, 40, "random permeability bump count"),
+    "perturb": (float, 0.0, "inlet concentration noise amplitude"),
+    "source_rate": (float, 100.0, "radial injection rate q/rho0"),
+    "inflow_speed": (float, 0.05, "target initial inflow velocity"),
+    "flow_tol": (float, 1e-10, "pressure solver relative tolerance"),
+    "transport_tol": (float, 1e-10, "transport solver relative tolerance"),
+    "seed": (int, 0, "RNG seed"),
+    "stride": (int, 10, "output every k-th step"),
 }
-
-_DEFAULTS = dict(
-    x0=0.0, y0=0.0, x1=1.0, y1=1.0, nx=8, ny=8, dt=0.01, t_end=1.0,
-    phi=1.0, rho0=1.0, c_f=0.0, theta=0.0, alpha=8.0, alpha_c=2.0,
-    alpha_s=1.0, bdf_order=2,
-    entropy="power", entropy_b=2, entropy_eps=1e-4, entropy_r=0.5,
-    lambda_lin=0.5, lambda_ent=0.5, extrapolation="extrapolated",
-    r_max=0, r_min=0, cell_max=1_000_000,
-    refine_fraction=0.2, coarsen_fraction=0.1,
-    mu_s=1.0, mu_0=1.0, ratio=0.0,
-    d_m=0.0, alpha_l=0.0, alpha_t=0.0,
-    t_period=2.0, n_centers=40, perturb=0.0,
-    source_rate=100.0, inflow_speed=0.05,
-    flow_tol=1e-10, transport_tol=1e-10,
-    seed=0, stride=10,
-)
 
 _PRESETS = {
     # steady unit-mobility channel; exact solution is the linear pressure drop
@@ -159,6 +144,8 @@ _PRESETS = {
         source_rate=100.0,
     ),
 }
+
+SCENARIOS = tuple(_PRESETS)
 
 
 @dataclass(frozen=True)
@@ -214,7 +201,7 @@ class ScenarioConfig:
         if self.bdf_order not in (1, 2):
             raise ValueError(f"bdf_order must be 1 or 2, got {self.bdf_order}")
         if self.scenario.startswith("hele_shaw") and self.viscosity.mobility_ratio < 1.0:
-            raise ValueError("displacement scenarios need mu_0 >= mu_s")
+            raise ValueError("displacement scenarios need ratio >= 1")
         if (self.scenario == "hele_shaw_radial" and self.flow.c_F == 0.0
                 and self.source_rate != 0.0):
             raise ValueError("hele_shaw_radial is a sealed box: a nonzero "
@@ -226,9 +213,9 @@ class ScenarioConfig:
 
 
 def _coerce(key: str, value):
-    if key not in _SCHEMA:
+    if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
-    conv = _SCHEMA[key][0]
+    conv = _KEYS[key][0]
     try:
         out = conv(value)
     except (TypeError, ValueError) as exc:
@@ -264,12 +251,10 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
         raise ConfigError(
             f"unknown scenario {scenario!r}; choose one of {', '.join(SCENARIOS)}"
         )
-    f = dict(_DEFAULTS)
+    f = {key: default for key, (_, default, _) in _KEYS.items()}
     f.update(_PRESETS[scenario])
     f.update({key: _coerce(key, val) for key, val in overrides.items()})
-    mu_0 = f["ratio"] * f["mu_s"] if f["ratio"] > 0.0 else f["mu_0"]
     try:
-        model = ViscosityModel(mu_s=f["mu_s"], mu_0=mu_0)
         return ScenarioConfig(
             scenario=scenario,
             domain=(f["x0"], f["y0"], f["x1"], f["y1"]),
@@ -288,7 +273,8 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
                                    cell_max=f["cell_max"]),
                 refine_fraction=f["refine_fraction"],
                 coarsen_fraction=f["coarsen_fraction"]),
-            viscosity=model,
+            viscosity=ViscosityModel(mu_s=f["mu_s"],
+                                     mu_0=f["ratio"] * f["mu_s"]),
             dispersion=DispersionParams(d_m=f["d_m"], alpha_l=f["alpha_l"],
                                         alpha_t=f["alpha_t"]),
             t_period=f["t_period"], n_centers=f["n_centers"],
@@ -319,33 +305,22 @@ class _Problem:
         self.has_source = s == "hele_shaw_radial"
         self.centers = None
 
-        x0, y0, x1, y1 = cfg.domain
-        inflow = {"left": 1.0, "right": 0.0, "top": 0.0, "bottom": 0.0}
-        if s == "manufactured":
-            self.flow_bc = FlowBC(dirichlet={"left": 1.0, "right": 0.0},
-                                  neumann={"top": 0.0, "bottom": 0.0})
-            self.transport_bc = TransportBC(c_in=0.0)
-        elif s == "single_vortex":
-            self.flow_bc = None
-            self.transport_bc = TransportBC(c_in=0.0)
-        elif s in ("perm_block", "random_perm_2d"):
-            self.flow_bc = FlowBC(dirichlet={"left": 1.0, "right": 0.0},
-                                  neumann={"top": 0.0, "bottom": 0.0})
-            self.transport_bc = TransportBC(c_in=inflow)
-            if s == "random_perm_2d":
-                self.centers = draw_centers(cfg.n_centers, cfg.domain, rng)
-        elif s == "hele_shaw_rect":
-            # Dirichlet pair sized so the undisturbed resident fluid moves at
-            # the configured speed: (K/mu_0) * (p_in - p_out) / L = speed
-            p_in = cfg.inflow_speed * cfg.viscosity.mu_0 * (x1 - x0)
+        if s == "hele_shaw_radial":
+            # a sealed box
+            self.flow_bc = FlowBC(dirichlet={}, neumann=dict.fromkeys(SIDES, 0.0))
+        else:
+            # a channel driven from the left by a unit drop; hele_shaw_rect
+            # sizes it so the undisturbed resident fluid moves at the
+            # configured speed: (K/mu_0) * (p_in - p_out) / L = speed
+            x0, _, x1, _ = cfg.domain
+            p_in = (cfg.inflow_speed * cfg.viscosity.mu_0 * (x1 - x0)
+                    if s == "hele_shaw_rect" else 1.0)
             self.flow_bc = FlowBC(dirichlet={"left": p_in, "right": 0.0},
                                   neumann={"top": 0.0, "bottom": 0.0})
-            self.transport_bc = TransportBC(c_in=inflow)
-        elif s == "hele_shaw_radial":
-            self.flow_bc = FlowBC(dirichlet={},
-                                  neumann={"left": 0.0, "right": 0.0,
-                                           "top": 0.0, "bottom": 0.0})
-            self.transport_bc = TransportBC(c_in=0.0)
+        displaces = s in ("perm_block", "random_perm_2d", "hele_shaw_rect")
+        self.transport_bc = TransportBC(c_in={"left": 1.0} if displaces else 0.0)
+        if s == "random_perm_2d":
+            self.centers = draw_centers(cfg.n_centers, cfg.domain, rng)
 
         if s == "single_vortex":
             r = 0.15
@@ -700,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="benchmark preset (may also come from the config file)")
     p.add_argument("--config", metavar="FILE", help="key=value override file")
     p.add_argument("--out", metavar="DIR", help="output directory")
-    for key, (_, hlp) in _SCHEMA.items():
+    for key, (_, _, hlp) in _KEYS.items():
         if key != "scenario":
             p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                            metavar="V", help=hlp)
@@ -717,7 +692,7 @@ def main(argv=None) -> int:
                               "config file with a scenario= line)")
         file_kv.pop("scenario", None)
         overrides = dict(file_kv)
-        for key in _SCHEMA:
+        for key in _KEYS:
             if key == "scenario":
                 continue
             val = getattr(args, key, None)

@@ -49,7 +49,6 @@ __all__ = [
     "CELL_WN",
     "EGDofMap",
     "FACE_WEIGHTS",
-    "dof_count",
     "fix_gauge",
     "interpolate",
     "q1_grads",
@@ -225,12 +224,6 @@ class EGDofMap:
         return x_full[self.free_dofs]
 
 
-def dof_count(mesh: QuadMesh) -> tuple[int, int, int]:
-    """(continuous dofs, constant dofs, total) of the enriched space."""
-    dm = EGDofMap(mesh)
-    return dm.n_cg, dm.n_const, dm.n_dofs
-
-
 # ----------------------------------------------------------------------
 # gauge and interpolation
 
@@ -289,18 +282,11 @@ _OPPOSITE = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}
 
 
 def _neighbor_ref_coords(d: int, kind: int, g: np.ndarray) -> np.ndarray:
-    if kind == CONFORMING:
-        return _face_ref_coords(_OPPOSITE[d], g)
-    s = 0.0 if kind == HANGING_LOW else 1.0
-    gc = (g + s) / 2.0
-    one, zero = np.ones_like(gc), np.zeros_like(gc)
-    if d == EAST:
-        return np.stack([zero, gc], 1)
-    if d == WEST:
-        return np.stack([one, gc], 1)
-    if d == NORTH:
-        return np.stack([gc, zero], 1)
-    return np.stack([gc, one], 1)
+    """The face points on the neighbor's opposite edge; a hanging neighbor,
+    twice the owner's size, sees the face on its low or high half."""
+    if kind != CONFORMING:
+        g = (g + (0.0 if kind == HANGING_LOW else 1.0)) / 2.0
+    return _face_ref_coords(_OPPOSITE[d], g)
 
 
 def _side(a: np.ndarray, side: int) -> np.ndarray:

@@ -4,9 +4,11 @@ The pressure system uses the interior-penalty enriched Galerkin form with a
 permeability-weighted average across faces: the gradient average on a face
 takes weight beta = kappa_nb / (kappa_own + kappa_nb) on the owner side, and
 the penalty carries the harmonic mean of the two permeabilities.
-The nonsymmetric variant (theta = 0) is the default; it makes the constant
-test functions reproduce an exact per-cell mass balance, which is what the
-flux reconstruction turns into a single-valued normal flux per face.
+The nonsymmetric variant (theta = 0) is the default.  For every theta the
+constant test functions reproduce an exact per-cell mass balance: a cell
+constant has zero gradient, so the theta consistency term drops out of its
+row.  The flux reconstruction turns that balance into a single-valued normal
+flux per face.
 
 Face normal fluxes are stored in the owner orientation at the three face
 quadrature points.  The reconstruction applies the same weighted average as
@@ -35,6 +37,7 @@ from .egspace import (
     fix_gauge,
 )
 from .linalg import GmresResult, LaggedLU, SolverError
+from .mesh import SIDES
 
 __all__ = [
     "FaceFlux",
@@ -50,9 +53,6 @@ __all__ = [
     "solve_reduced",
     "weights",
 ]
-
-_SIDES = ("left", "right", "bottom", "top")
-
 
 @dataclass(frozen=True)
 class FlowParams:
@@ -77,10 +77,17 @@ class FlowParams:
             raise ValueError(f"reference density must be positive, got {self.rho0}")
 
 
-def _check_side_value(label: str, value) -> None:
-    """Raise ValueError unless a boundary datum is a finite real number."""
-    if not (isinstance(value, numbers.Real) and np.isfinite(value)):
-        raise ValueError(f"{label} must be a finite real number, got {value!r}")
+def _check_side_data(label: str, data: dict) -> None:
+    """Raise ValueError unless every key of a per-side map is one of the
+    mesh's SIDES and every value a finite real number."""
+    unknown = [side for side in data if side not in SIDES]
+    if unknown:
+        raise ValueError(f"{label}: unknown boundary sides {unknown}, "
+                         f"the sides are {SIDES}")
+    for side, value in data.items():
+        if not (isinstance(value, numbers.Real) and np.isfinite(value)):
+            raise ValueError(f"{label} on side {side!r} must be a finite real "
+                             f"number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,28 +96,23 @@ class FlowBC:
 
     `dirichlet` maps side names to a pressure, `neumann` maps side names to
     an outward mass flux rho0 * u . n; each value is one float, constant
-    along its side.  Every side must appear in exactly one of the two maps.
+    along its side.  The names are the mesh's SIDES, and every side must
+    appear in exactly one of the two maps; a side is Dirichlet when it is a
+    key of `dirichlet`.
     """
 
     dirichlet: dict
     neumann: dict
 
     def __post_init__(self):
-        for side, value in (*self.dirichlet.items(), *self.neumann.items()):
-            _check_side_value(f"boundary value on side {side!r}", value)
-        seen = set(self.dirichlet) | set(self.neumann)
+        _check_side_data("dirichlet", self.dirichlet)
+        _check_side_data("neumann", self.neumann)
         double = set(self.dirichlet) & set(self.neumann)
         if double:
             raise ValueError(f"sides {sorted(double)} assigned two conditions")
-        missing = set(_SIDES) - seen
+        missing = set(SIDES) - set(self.dirichlet) - set(self.neumann)
         if missing:
             raise ValueError(f"boundary sides {sorted(missing)} have no condition")
-        unknown = seen - set(_SIDES)
-        if unknown:
-            raise ValueError(f"unknown boundary sides {sorted(unknown)}")
-
-    def is_dirichlet(self, side: str) -> bool:
-        return side in self.dirichlet
 
 
 @dataclass
@@ -260,7 +262,7 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
 
     for g in ctx.boundary_groups:
         out = next(blocks)
-        if bc.is_dirichlet(g.boundary):
+        if g.boundary in bc.dirichlet:
             gD = bc.dirichlet[g.boundary]
             ko = rho0 * kappa_cells[ctx.own[g.sl]]
             kr = ko * ctx.h_ratio[g.sl]
@@ -368,7 +370,7 @@ def reconstruct_flux(ctx: AssemblyContext, P: np.ndarray, kappa_cells, bc: FlowB
         + alpha_h[:ni] * kap_e * (vals[:ni, 0] - vals[:ni, 1])
     for g in ctx.boundary_groups:
         f = g.sl
-        if bc.is_dirichlet(g.boundary):
+        if g.boundary in bc.dirichlet:
             gD = bc.dirichlet[g.boundary]
             un[f] = -ko[f] * ders[f, 0] + alpha_h[f] * ko[f] * (vals[f, 0] - gD)
         else:
@@ -399,8 +401,9 @@ def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_cells,
     """Per-cell mass balance of the reconstructed flux.
 
     r_T = int_T rho0 phi c_F dP/dt + rho0 sum_faces sign int_e U.n - int_T q,
-    which the flux construction drives to solver tolerance for theta = 0;
-    q_cells is the pressure solve's source.
+    which the flux construction drives to solver tolerance for every theta
+    (the theta term vanishes on a cell constant); q_cells is the pressure
+    solve's source.
     """
     mesh = ctx.mesh
     res = np.zeros(mesh.n_active)

@@ -34,6 +34,7 @@ __all__ = [
     "MeshError",
     "NORTH",
     "QuadMesh",
+    "SIDES",
     "SOUTH",
     "WEST",
     "build_uniform",
@@ -48,6 +49,7 @@ DIR_NORMAL = {
     SOUTH: np.array([0.0, -1.0]),
 }
 BOUNDARY_NAME = {EAST: "right", NORTH: "top", WEST: "left", SOUTH: "bottom"}
+SIDES = tuple(BOUNDARY_NAME.values())      # the names boundary data are keyed by
 _DIRS = (EAST, NORTH, WEST, SOUTH)  # == range(4): face slot order per cell
 _STEP = np.array([DIR_STEP[d] for d in _DIRS], dtype=np.int64)
 
@@ -67,7 +69,7 @@ class AdaptBounds:
 
     r_max: int
     r_min: int = 0
-    cell_max: int = 10**9
+    cell_max: int = 1_000_000
 
     def __post_init__(self):
         if self.r_min < 0:

@@ -25,7 +25,6 @@ __all__ = [
     "EntropyConfig",
     "IndicatorField",
     "ViscosityField",
-    "cell_residual",
     "entropy_eval",
     "extrapolate_star",
     "face_residual",
@@ -116,9 +115,9 @@ def extrapolate_star(config: EntropyConfig, C_n, C_nm1=None):
     return 2.0 * np.asarray(C_n, dtype=float) - np.asarray(C_nm1, dtype=float)
 
 
-def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
-                  C_nm1, U_qp, q_cells, dt: float, m: int) -> np.ndarray:
-    """Per-cell max over quadrature points of the entropy residual.
+def _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_cells, dt, m):
+    """Per-cell max over quadrature points of the entropy residual, and
+    E(C*) at the volume quadrature points.
 
     R = d/dt E(C*) + U . E'(C*) grad C* - E'(C*) (q^+ + C* q^-), with the
     time derivative taken through the same backward difference as the
@@ -126,11 +125,6 @@ def cell_residual(config: EntropyConfig, ctx: AssemblyContext, C_star, C_n,
     source q_cells, a scalar or one value per cell, is the transport's:
     injection at C = 1, production at the sensed state.
     """
-    return _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_cells, dt, m)[0]
-
-
-def _residual(config, ctx, C_star, C_n, C_nm1, U_qp, q_cells, dt, m):
-    """cell_residual, and E(C*) at the volume quadrature points."""
     a0, a1, a2 = bdf_coefficients(m, dt)
     cs = ctx.cell_values(C_star)
     E, Ep = entropy_eval(config, cs)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .egspace import CELL_TABLE, CELL_WN, AssemblyContext
-from .flow import FaceFlux, FlowParams, _check_side_value, bdf_coefficients
+from .flow import FaceFlux, FlowParams, _check_side_data, bdf_coefficients
+from .mesh import SIDES
 
 __all__ = [
     "TransportBC",
@@ -53,17 +54,17 @@ class TransportParams:
 class TransportBC:
     """Inflow concentration; faces classify as inflow/outflow by flux sign.
 
-    c_in is one float for every side, or a dict of floats per side name
-    (a side left out takes 0); each is constant along its side.  A boundary
-    face is inflow when its mean normal flux is negative.
+    c_in is one float for every side, or a dict of floats keyed by the
+    mesh's SIDES (a side left out takes 0); each is constant along its side,
+    and an unknown side name is an error.  A boundary face is inflow when
+    its mean normal flux is negative.
     """
 
     c_in: object = 0.0
 
     def __post_init__(self):
-        sides = self.c_in if isinstance(self.c_in, dict) else {"every side": self.c_in}
-        for side, value in sides.items():
-            _check_side_value(f"c_in on {side}", value)
+        _check_side_data("c_in", self.c_in if isinstance(self.c_in, dict)
+                         else dict.fromkeys(SIDES, self.c_in))
 
     def side_value(self, side: str) -> float:
         if isinstance(self.c_in, dict):

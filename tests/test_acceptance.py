@@ -10,7 +10,7 @@ import pytest
 
 import conftest
 from egflow.amr import MarkingPolicy, Marks, adapt_and_transfer, mark
-from egflow.egspace import CELL_WEIGHTS, AssemblyContext, EGDofMap, dof_count, interpolate
+from egflow.egspace import CELL_WEIGHTS, AssemblyContext, EGDofMap, interpolate
 from egflow.flow import (
     FlowBC,
     FlowParams,
@@ -44,7 +44,7 @@ def _l2(ctx, coeffs):
 
 def test_criterion_01_dof_counts():
     expected = {4: 41, 8: 145, 16: 545, 32: 2113, 64: 8321}
-    got = {n: dof_count(build_uniform(UNIT, n, n))[2] for n in expected}
+    got = {n: EGDofMap(build_uniform(UNIT, n, n)).n_dofs for n in expected}
     ok = got == expected
     _report(1, "uniform dof totals", ok, f"got {got}")
     assert got == expected
@@ -52,7 +52,7 @@ def test_criterion_01_dof_counts():
 
 def test_criterion_02_dof_ratio_vs_dg():
     n = 64
-    total = dof_count(build_uniform(UNIT, n, n))[2]
+    total = EGDofMap(build_uniform(UNIT, n, n)).n_dofs
     ratio = total / (4.0 * n * n)
     ok = ratio <= 0.52
     _report(2, "enriched/dg dof ratio", ok, f"ratio {ratio:.4f} <= 0.52")

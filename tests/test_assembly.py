@@ -174,7 +174,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
             pen = (alpha / g.h_e) * rho0 * kap_e
             contrib += pen[:, None, None] * np.einsum("q,qa,qb->ab", g.wq, jump, jump)[None]
             _push(rows, cols, vals, g.dofs, contrib)
-        elif bc.is_dirichlet(g.boundary):
+        elif g.boundary in bc.dirichlet:
             gD = _side_values(g, bc.dirichlet[g.boundary])
             ko = kappa_cells[g.own]
             go = np.einsum("qbd,d->qb", g.dN_o, nrm)
@@ -565,7 +565,7 @@ def _oracle_flux(ctx, P, kappa_cells, bc, params):
             un = -(beta[:, None] * ko[:, None] * go
                    + (1.0 - beta[:, None]) * kn[:, None] * gn) \
                 + (alpha / g.h_e) * kap_e[:, None] * (Po - Pn)
-        elif bc.is_dirichlet(g.boundary):
+        elif g.boundary in bc.dirichlet:
             gD = _side_values(g, bc.dirichlet[g.boundary])
             ko = kappa_cells[g.own][:, None]
             un = -ko * go + (alpha / g.h_e) * ko * (Po - gD)

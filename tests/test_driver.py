@@ -25,9 +25,12 @@ from egflow.driver import (
     write_csv,
     write_vtk,
 )
-from egflow.amr import mark
+from egflow.amr import MarkingPolicy, mark
 from egflow.egspace import AssemblyContext, EGDofMap, interpolate
+from egflow.flow import FlowParams
 from egflow.mesh import AdaptBounds, build_uniform
+from egflow.stabilization import EntropyConfig
+from egflow.transport import TransportParams
 
 UNIT = (0.0, 0.0, 1.0, 1.0)
 
@@ -223,6 +226,100 @@ def test_preset_block_scenario_values():
     # adaptive (r_max above r_min) and stabilized (both lambdas above 0)
     assert cfg.marking.bounds.r_min == 0
     assert cfg.entropy.lambda_ent == pytest.approx(0.5)
+
+
+def _flat(obj, prefix=""):
+    """A config dataclass as {dotted field name: value}, nested ones opened."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_flat(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+# every resolved field of the manufactured preset, and per scenario the
+# fields that differ from it; a changed default or preset value shows here
+_MANUFACTURED = {
+    "scenario": "manufactured", "domain": (0.0, 0.0, 1.0, 1.0), "nx": 4, "ny": 4,
+    "dt": 0.1, "t_end": 0.1, "bdf_order": 2,
+    "flow.phi": 1.0, "flow.rho0": 1.0, "flow.c_F": 0.0, "flow.theta": 0.0,
+    "flow.alpha": 8.0, "transport.alpha_c": 2.0, "transport.alpha_s": 1.0,
+    "entropy.kind": "power", "entropy.b": 2, "entropy.eps": 1e-4, "entropy.r": 0.5,
+    "entropy.lambda_lin": 0.0, "entropy.lambda_ent": 0.0,
+    "entropy.extrapolation": "extrapolated",
+    "marking.bounds.r_max": 0, "marking.bounds.r_min": 0,
+    "marking.bounds.cell_max": 1_000_000,
+    "marking.refine_fraction": 0.2, "marking.coarsen_fraction": 0.1,
+    "viscosity.mu_s": 1.0, "viscosity.mu_0": 1.0,
+    "dispersion.d_m": 0.0, "dispersion.alpha_l": 0.0, "dispersion.alpha_t": 0.0,
+    "t_period": 2.0, "n_centers": 40, "perturb": 0.0, "source_rate": 100.0,
+    "inflow_speed": 0.05, "flow_tol": 1e-10, "transport_tol": 1e-10,
+    "seed": 0, "stride": 1,
+}
+_PRESET_CHANGES = {
+    "manufactured": {},
+    "single_vortex": {
+        "nx": 8, "ny": 8, "dt": 0.05, "t_end": 2.0,
+        "entropy.lambda_lin": 0.5, "entropy.lambda_ent": 0.5, "stride": 10},
+    "perm_block": {
+        "nx": 10, "ny": 10, "dt": 0.01, "t_end": 1.0, "flow.c_F": 1e-8,
+        "entropy.kind": "log", "entropy.lambda_lin": 0.5, "entropy.lambda_ent": 0.5,
+        "marking.bounds.r_max": 2, "marking.bounds.cell_max": 20_000, "stride": 10},
+    "random_perm_2d": {
+        "nx": 10, "ny": 10, "dt": 0.01, "t_end": 1.0, "flow.c_F": 1e-8,
+        "entropy.kind": "log", "entropy.lambda_lin": 0.5, "entropy.lambda_ent": 0.5,
+        "marking.bounds.r_max": 2, "marking.bounds.r_min": 1,
+        "marking.bounds.cell_max": 50_000, "dispersion.d_m": 1.8e-7,
+        "dispersion.alpha_l": 1.8e-5, "dispersion.alpha_t": 1.8e-6, "stride": 10},
+    "hele_shaw_rect": {
+        "domain": (0.0, 0.0, 1.0, 0.25), "nx": 16, "dt": 0.01, "t_end": 10.0,
+        "flow.rho0": 1000.0, "entropy.kind": "log", "entropy.lambda_lin": 1e-3,
+        "entropy.lambda_ent": 1e-3, "marking.bounds.r_max": 2,
+        "marking.bounds.r_min": 1, "marking.bounds.cell_max": 50_000,
+        "viscosity.mu_s": 1e-3, "viscosity.mu_0": 0.1, "dispersion.d_m": 1.8e-8,
+        "dispersion.alpha_l": 1.8e-8, "dispersion.alpha_t": 1.8e-9,
+        "perturb": 1e-3, "stride": 10},
+    "hele_shaw_radial": {
+        "nx": 8, "ny": 8, "dt": 1e-4, "t_end": 0.01, "flow.rho0": 1000.0,
+        "flow.c_F": 1e-8, "entropy.kind": "log", "entropy.lambda_lin": 1e-3,
+        "entropy.lambda_ent": 1e-3, "marking.bounds.r_max": 3,
+        "marking.bounds.r_min": 1, "marking.bounds.cell_max": 100_000,
+        "viscosity.mu_s": 1e-3, "dispersion.d_m": 1.8e-8,
+        "dispersion.alpha_l": 1.8e-5, "dispersion.alpha_t": 1.8e-6, "stride": 10},
+}
+
+
+@pytest.mark.parametrize("scenario", driver.SCENARIOS)
+def test_presets_resolve_to_their_recorded_values(scenario):
+    expect = dict(_MANUFACTURED, scenario=scenario, **_PRESET_CHANGES[scenario])
+    got = _flat(make_config(scenario))
+    assert got.keys() == expect.keys()
+    assert {k: v for k, v in got.items() if v != expect[k]} == {}
+
+
+def test_settings_defaults_are_the_parameter_class_defaults():
+    # the library and the CLI share each default, cell_max included
+    cfg = make_config("manufactured")
+    assert cfg.flow == FlowParams()
+    assert cfg.transport == TransportParams()
+    assert cfg.entropy == EntropyConfig(lambda_lin=0.0, lambda_ent=0.0)  # pinned
+    assert cfg.marking == MarkingPolicy(AdaptBounds(r_max=0))
+
+
+def test_ratio_is_the_one_viscosity_contrast_key(capsys):
+    assert make_config("perm_block", mu_s=0.5).viscosity.mu_0 == 0.5
+    assert make_config("perm_block", mu_s=0.5, ratio=4.0).viscosity.mu_0 == 2.0
+    with pytest.raises(ConfigError, match="mu_0"):
+        make_config("perm_block", mu_0=2.0)
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "perm_block", "--mu-0", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["--scenario", "perm_block", "--ratio", "0"]) == 2
+    assert "viscosities must be positive" in capsys.readouterr().err
 
 
 def test_manufactured_single_step():

@@ -13,7 +13,6 @@ from egflow.egspace import (
     CELL_WEIGHTS,
     FACE_WEIGHTS,
     EGDofMap,
-    dof_count,
     fix_gauge,
     interpolate,
     q1_grads,
@@ -38,8 +37,8 @@ UNIT = (0.0, 0.0, 1.0, 1.0)
 
 def test_uniform_dof_count():
     # (n+1)^2 vertex dofs plus n^2 cell constants
-    mesh = build_uniform(UNIT, 4, 4)
-    assert dof_count(mesh) == (25, 16, 41)
+    dm = EGDofMap(build_uniform(UNIT, 4, 4))
+    assert (dm.n_cg, dm.n_const, dm.n_dofs) == (25, 16, 41)
 
 
 def test_hanging_mesh_dof_count():

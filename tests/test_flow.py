@@ -117,13 +117,19 @@ def test_symmetric_variant_yields_symmetric_matrix():
     assert abs(A - A.T).max() < 1e-12 * abs(A).max()
 
 
-def test_reconstructed_flux_locally_conservative():
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
+def test_reconstructed_flux_locally_conservative(theta):
+    # a cell constant has zero gradient, so the theta consistency term drops
+    # out of its row: the balance holds for every theta, also on hanging
+    # faces, under a log-normal mobility and mixed boundary data
     ctx = _context(4, 4, refine=(3, 12))
-    kappa = np.ones(ctx.mesh.n_active)
-    params = FlowParams()
-    A, b = assemble_pressure(ctx, params, LEFT_RIGHT_FLOW, kappa, m=2)
+    kappa = np.exp(np.random.default_rng(5).normal(0.0, 1.0, ctx.mesh.n_active))
+    bc = FlowBC(dirichlet={"left": 1.0, "bottom": 0.3},
+                neumann={"right": 0.2, "top": -0.1})
+    params = FlowParams(theta=theta)
+    A, b = assemble_pressure(ctx, params, bc, kappa, m=2)
     P, _ = solve_reduced(ctx.dofmap, A, b, tol=1e-13)
-    flux = reconstruct_flux(ctx, P, kappa, LEFT_RIGHT_FLOW, params)
+    flux = reconstruct_flux(ctx, P, kappa, bc, params)
     r = local_conservation_residual(ctx, flux, 0.0, params, dt=1.0, m=2)
     assert np.abs(r).max() < 1e-10
 
@@ -142,6 +148,16 @@ def test_flow_bc_takes_one_finite_float_per_side(value):
                                ({"left": 1.0, "right": 0.0}, {"bottom": 0.0, "top": value})):
         with pytest.raises(ValueError, match="finite real number"):
             FlowBC(dirichlet=dirichlet, neumann=neumann)
+
+
+def test_flow_bc_names_every_side_once():
+    with pytest.raises(ValueError, match=r"dirichlet: unknown boundary sides \['lef'\]"):
+        FlowBC(dirichlet={"lef": 1.0, "right": 0.0}, neumann={"bottom": 0.0, "top": 0.0})
+    with pytest.raises(ValueError, match="no condition"):
+        FlowBC(dirichlet={"right": 0.0}, neumann={"bottom": 0.0, "top": 0.0})
+    with pytest.raises(ValueError, match="two conditions"):
+        FlowBC(dirichlet={"left": 1.0, "right": 0.0},
+               neumann={"left": 0.0, "bottom": 0.0, "top": 0.0})
 
 
 def test_conservation_detects_imbalance():

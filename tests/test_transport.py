@@ -167,6 +167,13 @@ def test_transport_bc_takes_one_finite_float_per_side(value):
             TransportBC(c_in=c_in)
 
 
+def test_transport_bc_rejects_an_unknown_side():
+    # a misspelled inflow side used to inject nothing, silently
+    with pytest.raises(ValueError, match=r"c_in: unknown boundary sides \['lef'\]"):
+        TransportBC(c_in={"lef": 1.0})
+    assert TransportBC(c_in={"left": 1.0}).side_value("right") == 0.0
+
+
 def test_mu_cells_shape_validation():
     ctx = _context(2, 2)
     flux = _uniform_flux(ctx)
