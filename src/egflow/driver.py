@@ -683,7 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:       # argparse printed help (0) or usage (2)
+        return exc.code
     try:
         file_kv = load_config_file(args.config) if args.config else {}
         scenario = args.scenario or file_kv.pop("scenario", None)

@@ -61,6 +61,11 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _frozen_index(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 # Gauss rules, read-only: 3 points on [0,1] and their 3x3 tensor product on
 # [0,1]^2, exact through degree 5 per axis; the weights sum to 1
 _G3 = 0.5 + 0.5 * np.array([-np.sqrt(3.0 / 5.0), 0.0, np.sqrt(3.0 / 5.0)])
@@ -360,6 +365,47 @@ def _boundary_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(table), _frozen(_trace_table((N,), (dN,), normal)[:5])
 
 
+_CORNERS = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])     # SW, SE, NW, NE
+
+
+def _twins(d: int, kind: int) -> np.ndarray:
+    """The owner's local dof that each of the neighbor's 5 local dofs is on
+    an interior face of direction d and kind `kind`, -1 where none: the
+    neighbor's corners, placed in the owner's reference cell through the
+    face points that both sides see, where they meet the owner's."""
+    s = 1.0 if kind == CONFORMING else 2.0
+    corners = np.rint(_FACE_PTS[d][0] - s * _NB_PTS[d, kind][0]) + s * _CORNERS
+    hit = (corners[:, None] == _CORNERS).all(axis=2)
+    return np.append(np.where(hit.any(axis=1), hit.argmax(axis=1), -1), -1)
+
+
+def _fold(table: np.ndarray, eval_table: np.ndarray, twin: np.ndarray | None) -> dict:
+    """The FaceGroup fields of a face class: its table folded onto the
+    distinct entries of its local block (`table`, `fold`, `source`; see
+    FaceGroup) and its `eval_table`.  Neighbor dof j is owner dof twin[j]
+    where that is not -1; a boundary face has no neighbor (twin None).  The
+    fold matrix F sums the columns of each source and drops a source whose
+    columns are zero in every row."""
+    k = 5 if twin is None else 10
+    own, nb = np.arange(k), np.full(k, -1)
+    if twin is not None:
+        own[5:] = twin
+        nb[5:] = np.arange(5)
+        nb[twin[twin >= 0]] = np.flatnonzero(twin >= 0)
+    r, c = np.divmod(np.arange(k * k), k)
+    canon = np.where((own[r] >= 0) & (own[c] >= 0), 5 * own[r] + own[c],
+                     np.where((nb[r] >= 0) & (nb[c] >= 0), 25 + 5 * nb[r] + nb[c],
+                              50 + 10 * r + c))
+    live = np.zeros(150, dtype=bool)
+    live[canon[table.any(axis=0)]] = True
+    source = np.flatnonzero(live)
+    fold = np.where(live[canon], np.cumsum(live)[canon] - 1, -1)
+    F = np.zeros((k * k, source.size))
+    F[np.flatnonzero(fold >= 0), fold[fold >= 0]] = 1.0
+    return dict(table=_frozen(table @ F), fold=_frozen_index(fold),
+                source=_frozen_index(source), eval_table=eval_table)
+
+
 # Tables on the unit cell hx = hy = 1, built once.  Every row is homogeneous
 # in the cell size, so a cell or face of any level scales it by one product
 # of its sizes, which the assemblers fold into their per-entity coefficient
@@ -380,8 +426,10 @@ CELL_TABLE = _frozen(np.vstack([
     np.einsum("q,qad,qb->qdab", CELL_WEIGHTS, _CELL_DN, _CELL_N).reshape(18, 25)]))
 CELL_WN = _frozen(CELL_TABLE[0].reshape(5, 5)[:, 4])
 _CELL_EVAL = _frozen(np.hstack([_CELL_N.T, _CELL_DN[:, :, 0].T, _CELL_DN[:, :, 1].T]))
-_FACE_TABLES = {(d, k): _interior_tables(d, k) for d in _DIRS for k in _INTERIOR_KINDS}
-_FACE_TABLES.update({(d, BOUNDARY): _boundary_tables(d) for d in _DIRS})
+# the mesh lists a conforming face from its west or south cell only
+_FACE_TABLES = {(d, k): _fold(*_interior_tables(d, k), _twins(d, k))
+                for d in _DIRS for k in _INTERIOR_KINDS if k != CONFORMING or d in (EAST, NORTH)}
+_FACE_TABLES.update({(d, BOUNDARY): _fold(*_boundary_tables(d), None) for d in _DIRS})
 
 
 # ----------------------------------------------------------------------
@@ -431,8 +479,8 @@ class Scatter:
     hanging vertex or the pinned dof; pair p then adds bin `src[p]` times
     `w[p]` into reduced entry `dst[p]`, over the entry's masters (deal.II's
     distribute_local_to_global).  A bin that no pair reads is dropped,
-    which is how the pinned dof's row and column and the entries that are
-    zero by construction leave the reduced, pinned system.
+    which is how the pinned dof's row and column leave the reduced, pinned
+    system.
     """
 
     size: int
@@ -449,11 +497,6 @@ class Scatter:
         return out
 
 
-def _frozen_index(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @dataclass(frozen=True)
 class AssemblyPlan:
     """Where local values land in the reduced, pinned system of a mesh.
@@ -462,7 +505,9 @@ class AssemblyPlan:
     and then the last reduced dof, the cell constant that the gauge pin
     holds at 0.  `indptr`/`indices` are the CSR pattern of the reduced,
     pinned matrix, shared read-only by every matrix assembled on the plan;
-    `matrix` and `rhs` sum local block entries and rhs pieces into it.
+    `matrix` sums the cell blocks and each face's folded entries (48
+    conforming, 65 hanging, 21 boundary; see FaceGroup) into it, and `rhs`
+    the rhs pieces.
     """
 
     shape: tuple[int, int]
@@ -472,42 +517,15 @@ class AssemblyPlan:
     rhs: Scatter
 
 
-def _face_sources(dofs: np.ndarray, live: np.ndarray):
-    """How the 100 entries of an interior face block find their bins, for a
-    face group whose first face has the local dofs `dofs` (the owner's, then
-    the neighbor's) and whose table columns are nonzero where `live` holds.
-
-    An entry whose two dofs lie in one cell repeats that cell block's entry,
-    the owner's if both cells hold them.  Every other entry couples the two
-    cells' unshared dofs: it is keyed on its own if its table column is
-    nonzero, and dropped if not, being zero by construction.  The faces of a
-    group share their geometry, so the first face shows which dofs coincide.
-
-    Returns each entry's column in the face's source row [owner cell block
-    (25) | neighbor cell block (25) | keyed entries | dropped], and the
-    local row and column (0-9) of each keyed entry.
-    """
-    d = dofs.tolist()
-    col = np.full(100, -1)
-    for side in (1, 0):
-        cell = d[5 * side:5 * side + 5]
-        k = np.array([cell.index(x) if x in cell else -1 for x in d])
-        both = ((k[:, None] >= 0) & (k >= 0)).ravel()
-        col[both] = (25 * side + 5 * k[:, None] + k).ravel()[both]
-    keyed = np.flatnonzero((col < 0) & live.ravel())
-    col[keyed] = 50 + np.arange(keyed.size)
-    col[col < 0] = 50 + keyed.size
-    return col, keyed // 10, keyed % 10
-
-
 def _assembly_pattern(ctx: AssemblyContext) -> AssemblyPlan:
     """Reduced, pinned plan over every local block in assembly order.
 
-    Blocks: 5x5 per cell in mesh order, 10x10 per interior face and 5x5 per
-    boundary face, in face order (group by group).
-    Only the cell blocks and the face-block entries between dofs of no
-    common cell are keyed (see _face_sources); every other entry repeats a
-    bin of a cell block.  Keys are reduced before the one sort: an entry
+    Blocks: 5x5 per cell in mesh order, then per face its group's folded
+    entries (48 conforming, 65 hanging, 21 boundary), in face order.  Only
+    the cell blocks and a face's entries between dofs of no common cell are
+    keyed; every other face entry repeats a bin of its owner's or its
+    neighbor's cell block, as the group's import-time `source` says (see
+    FaceGroup).  Keys are reduced before the one sort: an entry
     between free dofs keys its reduced entry row * n + col.  Any other keys
     its full-layout entry above those, so that one bin collects it from
     every block, and lists the pairs of its row's and its column's reduced
@@ -530,13 +548,10 @@ def _assembly_pattern(ctx: AssemblyContext) -> AssemblyPlan:
     cd = dm.cell_dofs
     nc = len(cd)
     fd = ctx.face_dofs
-    # the faces of a group, at every level, share where their entries go: a
-    # face table's zero pattern, like its dof layout, follows from direction
-    # and kind, and the level only scales the nonzeros
-    runs = [(fd[g.sl],) + _face_sources(fd[g.sl.start], g.table.any(axis=0))
-            + (ctx.own[g.sl], ctx.nb[g.sl]) for g in ctx.interior_groups]
     every = np.arange(25)
-    parts = [(cd, every // 5, every % 5)] + [(dofs, i, j) for dofs, _, i, j, _, _ in runs]
+    parts = [(cd, every // 5, every % 5)]
+    for g in ctx.interior_groups:
+        parts.append((fd[g.sl],) + np.divmod(g.source[g.source >= 50] - 50, 10))
     key = np.empty(sum(d.shape[0] * i.size for d, i, _ in parts), dtype=ktype)
     spec, r, c, start = [], [], [], 0
     for dofs, i, j in parts:
@@ -567,13 +582,12 @@ def _assembly_pattern(ctx: AssemblyContext) -> AssemblyPlan:
     pair_key = master[a, r[entry]] * n + master[b, c[entry]]
 
     uniq, first, inverse = _unique_inverse(np.concatenate([key, pair_key]), bound)
-    size = int(np.searchsorted(uniq, nn))
-    dropped = uniq.size
-    bins = inverse[:key.size]
+    size, bins = int(np.searchsorted(uniq, nn)), uniq.size
+    keyed = inverse[:key.size]
     # the Scatter reads the pairs of each bin's first entry, in bin order
-    entry_bin = bins[spec]
+    entry_bin = keyed[spec]
     lead = np.flatnonzero(first[entry_bin] == spec)
-    by_bin = np.full(dropped - size, -1)
+    by_bin = np.full(bins - size, -1)
     by_bin[entry_bin[lead] - size] = lead
     lead = by_bin[by_bin >= 0]
     m = n_pairs[lead]
@@ -587,25 +601,24 @@ def _assembly_pattern(ctx: AssemblyContext) -> AssemblyPlan:
     indices = (uniq[:size] - row * n).astype(itype)
     del key, pair_key, uniq, first, inverse, row    # before the largest array
 
-    ni = ctx.n_interior
-    slot = np.empty(25 * nc + 100 * ni + 25 * (len(fd) - ni), dtype=np.intp)
-    cell = slot[:25 * nc].reshape(nc, 25)
-    cell[...] = bins[:25 * nc].reshape(nc, 25)
+    groups = ctx.face_groups
+    slot = np.empty(25 * nc + sum((g.sl.stop - g.sl.start) * g.source.size for g in groups),
+                    dtype=np.intp)
+    cell = slot[:25 * nc]
+    cell[...] = keyed[:25 * nc]
+    sb = ctx.own[ctx.n_interior:]
+    sides = np.stack([ctx.own, np.concatenate([ctx.nb, sb])], axis=1)
     at, start = 25 * nc, 25 * nc
-    for dofs, col, i, _, own, nb in runs:
-        m, k = dofs.shape[0], i.size
-        source = np.empty((m, 51 + k), dtype=np.intp)
-        source[:, :25] = cell[own]
-        source[:, 25:50] = cell[nb]
-        source[:, 50:-1] = bins[start:start + m * k].reshape(m, k)
-        source[:, -1] = dropped
-        # col is in range: "wrap" only spares numpy's buffered bounds check
-        np.take(source, col, axis=1, out=slot[at:at + 100 * m].reshape(m, 100), mode="wrap")
-        at += 100 * m
+    for g in groups:
+        m, width = g.sl.stop - g.sl.start, g.source.size
+        held = g.source[g.source < 50]       # entries of a cell block
+        k = width - held.size
+        face = slot[at:at + m * width].reshape(m, width)
+        face[:, :held.size] = cell[sides[g.sl][:, held // 25] * 25 + held % 25]
+        face[:, held.size:] = keyed[start:start + m * k].reshape(m, k)
+        at += m * width
         start += m * k
-    sb = ctx.own[ni:]
-    slot[at:].reshape(-1, 25)[...] = cell[sb]
-    matrix = Scatter(size=size, bins=dropped + 1, slot=slot, src=src, dst=dst, w=w)
+    matrix = Scatter(size=size, bins=bins, slot=slot, src=src, dst=dst, w=w)
 
     # rhs rows: free dofs map 1:1, hanging ones onto their two masters
     hung = dm.constrained
@@ -630,17 +643,30 @@ class FaceGroup:
     """The faces of one direction and kind, at every level: the slice `sl`
     of the mesh's face table, whose faces are listed by class.
 
-    Interior table rows, each a flattened 10x10 local matrix over [owner
-    dofs | neighbor dofs] on a unit owner: 0 jump x jump, 1/2 jump x (grad N
-    . n) of the owner/neighbor side, 3/4 their transposes, 5:8 / 8:11 upwind
+    Interior table rows, each a 10x10 local matrix over [owner dofs |
+    neighbor dofs] on a unit owner: 0 jump x jump, 1/2 jump x (grad N . n)
+    of the owner/neighbor side, 3/4 their transposes, 5:8 / 8:11 upwind
     jump x N_own / jump x N_nb per quadrature point, 11:13 / 13:15 jump x
     grad N per gradient component of the owner/neighbor side.  Boundary
-    table rows, each a flattened 5x5: 0 N x N, 1 N x (grad N . n), 2 its
-    transpose, 3:6 N x N per quadrature point.  Shape 4 is the constant 1,
-    so column 4 of a boundary row holds the right-hand-side weights of data
-    that is constant on the face: of row 0 the integral of each shape, of
-    row 2 that of its grad N . n, of rows 3:6 each shape's weight per
-    quadrature point.  With its owner's sizes a face scales a row without a
+    table rows, each a 5x5 over the owner's dofs: 0 N x N, 1 N x (grad N .
+    n), 2 its transpose, 3:6 N x N per quadrature point.
+
+    Each local matrix is folded onto its distinct entries once, at import
+    (_fold): the owner and the neighbor share the face's vertices, so the
+    entries at one pair of dofs sum into one column of `table`, and the
+    entries that are zero in every row are dropped.  `fold` maps each
+    flattened local entry (row * 10 + col, or row * 5 + col) to its column,
+    -1 where dropped.  `source` names, per column in ascending order, the
+    bin it shares: entry 0:25 of the owner's cell block, 25:50 of the
+    neighbor's, or 50 + row * 10 + col for an entry between an owner-only
+    and a neighbor-only dof, keyed on its own.  A conforming face keeps 48
+    of 100 entries, a hanging one 65 and a boundary one 21 of 25.
+
+    Shape 4 is the constant 1, so local column 4 of a boundary row
+    (`rhs_weights`) holds the right-hand-side weights of data that is
+    constant on the face: of row 0 the integral of each shape, of row 2
+    that of its grad N . n, of rows 3:6 each shape's weight per quadrature
+    point.  With its owner's sizes a face scales a row without a
     gradient by h_e; a row with grad N . n by h_e / h_n; and rows 11:15 by
     h_e / (hx, hy) per gradient component (AssemblyContext.h_e, h_ratio,
     h_lift).  eval_table maps the local dofs to the values at the 3
@@ -654,8 +680,15 @@ class FaceGroup:
     kind: int
     sl: slice
     boundary: str | None
-    table: np.ndarray    # (15, 100) interior, (6, 25) boundary
+    table: np.ndarray    # (15, 48) conforming, (15, 65) hanging, (6, 21) boundary
+    fold: np.ndarray     # (100,) interior, (25,) boundary
+    source: np.ndarray   # (table.shape[1],), ascending
     eval_table: np.ndarray  # (10, 12) interior, (5, 12) boundary
+
+    @property
+    def rhs_weights(self) -> np.ndarray:
+        """(6, 5) local column 4 of every row of a boundary group's table."""
+        return self.table[:, self.fold[4::5]]
 
 
 class AssemblyContext:
@@ -663,7 +696,8 @@ class AssemblyContext:
     by all assemblers.
 
     Tables: every cell uses the module's CELL_TABLE, and a FaceGroup holds
-    the tables of the faces of one class: interior faces per (direction,
+    the tables of the faces of one class, folded at import onto the
+    distinct entries of its local block: interior faces per (direction,
     kind), at most 10, then boundary faces per side, at most 4.  A source is
     one value per cell and boundary data one value per side, so every
     right-hand-side weight is the constant column of a table row (CELL_WN,
@@ -684,8 +718,9 @@ class AssemblyContext:
     owner's) and the quadrature points `face_qx`, `face_qy`.  `cell_qx`,
     `cell_qy` are the cells' quadrature points.
 
-    Plan: `plan` maps every local-block entry, in assembly order (the cell
-    blocks, then `interior_groups`, then `boundary_groups`), into the
+    Plan: `plan` maps every entry of the cell blocks and of the folded face
+    blocks, in assembly order (the cell blocks, then `interior_groups`,
+    then `boundary_groups`, each face its group's table width), into the
     reduced, pinned system that the solver factors (see AssemblyPlan), and
     does the same for the right-hand side pieces of cells and boundary
     faces.  Faces that contribute nothing (Neumann, inflow) still pass
@@ -735,11 +770,10 @@ class AssemblyContext:
         groups = []
         for s, e in zip(starts.tolist(), ends.tolist()):
             fd, fk = int(d[s]), int(kind[s])
-            table, eval_table = _FACE_TABLES[fd, fk]
             groups.append(FaceGroup(
                 dir=fd, kind=fk, sl=slice(s, e),
                 boundary=BOUNDARY_NAME[fd] if fk == BOUNDARY else None,
-                table=table, eval_table=eval_table))
+                **_FACE_TABLES[fd, fk]))
         self.interior_groups = [g for g in groups if g.kind != BOUNDARY]
         self.boundary_groups = [g for g in groups if g.kind == BOUNDARY]
         self.face_groups = groups
@@ -759,8 +793,9 @@ class AssemblyContext:
     def block_buffer(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """An uninitialized array for every local-block entry in assembly
         order, and its (n_cells, 25) view of the cell blocks, then its
-        (m, 100) or (m, 25) view per interior and boundary group, for an
-        assembler to write its blocks into."""
+        (m, 48), (m, 65) or (m, 21) view per conforming, hanging or
+        boundary face group (its folded table's width, see FaceGroup), for
+        an assembler to write its blocks into."""
         vals = np.empty(self.plan.matrix.slot.size)
         nc = self.mesh.n_active
         views, start = [vals[:25 * nc].reshape(nc, 25)], 25 * nc

@@ -219,7 +219,7 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     tables (layouts and factors at egspace.CELL_TABLE and in FaceGroup); theta
     enters as the coefficient of the transposed consistency rows.  The
     source and the side data are constants, weighed by the tables' constant
-    columns: CELL_WN, and column 4 of boundary rows 0 and 2.
+    columns: CELL_WN, and rows 0 and 2 of FaceGroup.rhs_weights.
     """
     mesh = ctx.mesh
     a0, a1, a2 = bdf_coefficients(m, dt)
@@ -267,13 +267,13 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
             ko = rho0 * kappa_cells[ctx.own[g.sl]]
             kr = ko * ctx.h_ratio[g.sl]
             np.matmul(np.column_stack([alpha * ko, -kr, theta * kr]), g.table[:3], out=out)
-            r = (alpha * ko)[:, None] * (gD * g.table[0, 4::5])
+            r = (alpha * ko)[:, None] * (gD * g.rhs_weights[0])
             if theta != 0.0:
-                r += theta * kr[:, None] * (gD * g.table[2, 4::5])
+                r += theta * kr[:, None] * (gD * g.rhs_weights[2])
         else:
             # Neumann faces add no matrix entries; zeros keep the pattern fixed
             out[...] = 0.0
-            r = -(bc.neumann[g.boundary] * g.table[0, 4::5]) * ctx.h_e[g.sl, None]
+            r = -(bc.neumann[g.boundary] * g.rhs_weights[0]) * ctx.h_e[g.sl, None]
         rhs.append(r)
 
     return ctx.assemble(vals, rhs)

@@ -99,7 +99,7 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
     pressure solve's mass source, a scalar or (n_cells,): q^+ injects the
     injected fluid, C = 1, weighed by CELL_WN, and q^- removes fluid at the
     resident concentration, a sink in the mass coefficient.  The side's
-    inflow float weighs the per-point flux by column 4 of boundary rows 3:6.
+    inflow float weighs the per-point flux by rows 3:6 of FaceGroup.rhs_weights.
     m is the BDF order.  Returns (A, b).
     """
     mesh = ctx.mesh
@@ -178,6 +178,6 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
             rhs.append(np.zeros((un.shape[0], 5)))
         else:
             cin = bc.side_value(g.boundary)
-            rhs.append(-((rho0 * np.where(out, 0.0, un * cin)) @ g.table[3:, 4::5]) * h_e)
+            rhs.append(-((rho0 * np.where(out, 0.0, un * cin)) @ g.rhs_weights[3:]) * h_e)
 
     return ctx.assemble(vals, rhs)

@@ -5,6 +5,7 @@ evaluated through the context's tables, against the einsum evaluators."""
 
 import gc
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,9 +62,17 @@ def _cells(ctx):
                             qx=ctx.cell_qx, qy=ctx.cell_qy, table=egspace.CELL_TABLE)]
 
 
+def _unfolded(d, kind):
+    """The (15, 100) or (6, 25) table of a face class before the fold: one
+    column per local (row, col) entry."""
+    if kind == BOUNDARY:
+        return egspace._boundary_tables(d)[0]
+    return egspace._interior_tables(d, kind)[0]
+
+
 def _faces(ctx, groups=None):
     """Each face group of a context (or `groups`) as an oracle group, with
-    its slice of the context's per-face arrays."""
+    its slice of the context's per-face arrays and its unfolded table."""
     out = []
     for g in ctx.face_groups if groups is None else groups:
         f = g.sl
@@ -73,7 +82,7 @@ def _faces(ctx, groups=None):
             nb=ctx.nb[f] if inner else None,
             dofs=ctx.face_dofs[f] if inner else ctx.face_dofs[f, :5],
             qx=ctx.face_qx[f], qy=ctx.face_qy[f], dir=g.dir, kind=g.kind,
-            normal=DIR_NORMAL[g.dir], boundary=g.boundary, table=g.table))
+            normal=DIR_NORMAL[g.dir], boundary=g.boundary, table=_unfolded(g.dir, g.kind)))
     return out
 
 
@@ -386,6 +395,25 @@ def _oracle_plan(dm, cells, interior, boundary):
                         indices=_frozen_index(indices), matrix=matrix, rhs=rhs)
 
 
+def _folded(ctx, ref):
+    """The oracle plan `ref`, whose face blocks list every local entry, on
+    the context's folded face layout: the entries that a group's fold sends
+    to one column must share one bin, which is then that column's slot."""
+    nc = ctx.mesh.n_active
+    slot = ref.matrix.slot
+    parts, at = [slot[:25 * nc]], 25 * nc
+    for g in ctx.face_groups:
+        m, k = g.sl.stop - g.sl.start, g.fold.size
+        full = slot[at:at + m * k].reshape(m, k)
+        at += m * k
+        kept = np.flatnonzero(g.fold >= 0)
+        first = np.array([np.flatnonzero(g.fold == t)[0] for t in range(g.table.shape[1])])
+        assert np.array_equal(full[:, kept], full[:, first[g.fold[kept]]])
+        parts.append(full[:, first].ravel())
+    assert at == slot.size
+    return replace(ref, matrix=replace(ref.matrix, slot=np.concatenate(parts)))
+
+
 # ---------------------------------------------------------------------------
 # random hanging meshes and data
 
@@ -667,18 +695,27 @@ def _adapted_context(seed):
     return AssemblyContext(mesh, EGDofMap(mesh)), rng
 
 
+def _oracle_folded_plan(ctx):
+    return _folded(ctx, _oracle_plan(ctx.dofmap, _cells(ctx), _faces(ctx, ctx.interior_groups),
+                                     _faces(ctx, ctx.boundary_groups)))
+
+
 def _assert_plan_matches_oracle(ctx, rng):
     plan = ctx.plan
-    ref = _oracle_plan(ctx.dofmap, _cells(ctx), _faces(ctx, ctx.interior_groups),
-                       _faces(ctx, ctx.boundary_groups))
+    ref = _oracle_folded_plan(ctx)
     assert plan.shape == ref.shape
     for mine, theirs in ((plan.indptr, ref.indptr), (plan.indices, ref.indices)):
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
     for field in ("size", "bins", "slot", "src", "dst", "w"):
         assert np.array_equal(getattr(plan.rhs, field), getattr(ref.rhs, field))
-    # the hanging bins are numbered apart (the plan also bins the pinned
-    # dof's entries), but every sum adds the same terms in the same order
-    assert plan.matrix.slot.size == ref.matrix.slot.size
+    # the reduced entries' bins are one numbering; the hanging bins are
+    # numbered apart (the plan also bins the pinned dof's entries), but
+    # every sum adds the same terms in the same order
+    mine, theirs = plan.matrix.slot, ref.matrix.slot
+    assert mine.size == theirs.size
+    reduced = theirs < ref.matrix.size
+    assert np.array_equal(mine[reduced], theirs[reduced])
+    assert (mine[~reduced] >= plan.matrix.size).all()
     vals = rng.standard_normal(plan.matrix.slot.size)
     assert np.array_equal(plan.matrix(vals), ref.matrix(vals))
 
@@ -721,8 +758,7 @@ def test_assembled_systems_match_the_oracle_plan(seed):
                                    TransportBC(c_in=0.7), flux, D, mu, **t_args)]
 
     mine = systems()
-    ctx.plan = _oracle_plan(ctx.dofmap, _cells(ctx), _faces(ctx, ctx.interior_groups),
-                            _faces(ctx, ctx.boundary_groups))
+    ctx.plan = _oracle_folded_plan(ctx)
     for (A, b), (A_ref, b_ref) in zip(mine, systems()):
         assert np.array_equal(A.indptr, A_ref.indptr)
         assert np.array_equal(A.indices, A_ref.indices)
@@ -754,6 +790,37 @@ def test_pressure_and_transport_share_the_pattern():
     ref.sort_indices()
     assert np.array_equal(A_p.indptr, ref.indptr)
     assert np.array_equal(A_p.indices, ref.indices)
+
+
+@pytest.mark.parametrize("d,kind", sorted(egspace._FACE_TABLES))
+def test_face_table_folds_onto_its_distinct_entries(d, kind):
+    cls = egspace._FACE_TABLES[d, kind]
+    table, fold = cls["table"], cls["fold"]
+    full = _unfolded(d, kind)
+    width = {CONFORMING: 48, HANGING_LOW: 65, HANGING_HIGH: 65, BOUNDARY: 21}[kind]
+    assert table.shape == (full.shape[0], width)
+    assert np.array_equal(np.unique(fold[fold >= 0]), np.arange(width))
+    # expanding the folded table back through the fold gives, at every local
+    # entry, the sum of the unfolded columns folded with it; a dropped
+    # entry's column is zero in every row
+    kept = fold >= 0
+    together = (fold[:, None] == fold) & kept[:, None]
+    expanded = np.where(kept, table[:, fold], 0.0)
+    # at most 4 columns fold together, summed in either order
+    assert np.abs(expanded - full @ together).max() <= 4 * np.finfo(float).eps * np.abs(full).max()
+    assert not full[:, ~kept].any()
+    # on a context, the group's block view has the folded width, and the
+    # views tile the plan's values exactly
+    ctx, _ = _random_context(0)
+    vals, views = ctx.block_buffer()
+    assert vals.size == ctx.plan.matrix.slot.size
+    at = 0
+    for v in views:
+        assert v.__array_interface__["data"][0] == vals[at:].__array_interface__["data"][0]
+        at += v.size
+    assert at == vals.size
+    (i, g), = [(i, g) for i, g in enumerate(ctx.face_groups) if (g.dir, g.kind) == (d, kind)]
+    assert views[1 + i].shape == (g.sl.stop - g.sl.start, width)
 
 
 def test_assembled_pattern_is_read_only():

@@ -314,10 +314,8 @@ def test_ratio_is_the_one_viscosity_contrast_key(capsys):
     assert make_config("perm_block", mu_s=0.5, ratio=4.0).viscosity.mu_0 == 2.0
     with pytest.raises(ConfigError, match="mu_0"):
         make_config("perm_block", mu_0=2.0)
-    with pytest.raises(SystemExit) as exc:
-        main(["--scenario", "perm_block", "--mu-0", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert main(["--scenario", "perm_block", "--mu-0", "2"]) == 2
+    assert "unrecognized arguments: --mu-0" in capsys.readouterr().err
     assert main(["--scenario", "perm_block", "--ratio", "0"]) == 2
     assert "viscosities must be positive" in capsys.readouterr().err
 
@@ -387,6 +385,15 @@ def test_cli_happy_path(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
     assert os.path.exists(os.path.join(out, "step_000001.vtk"))
     assert "completed" in capsys.readouterr().out
+
+
+def test_cli_option_errors_return_2_and_help_0(capsys):
+    # argparse's own exits come back as main's return value, not SystemExit
+    assert main(["--scenario", "nope"]) == 2
+    assert main(["--scenario", "perm_block", "--dt"]) == 2
+    assert "usage: simulate" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "--scenario" in capsys.readouterr().out
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
