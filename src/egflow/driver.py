@@ -63,7 +63,6 @@ _KEYS = {
     "phi": (float, FlowParams.phi, "porosity"),
     "rho0": (float, FlowParams.rho0, "reference density"),
     "c_f": (float, FlowParams.c_F, "fluid compressibility"),
-    "theta": (float, FlowParams.theta, "interior penalty symmetrization (-1, 0, 1)"),
     "alpha": (float, FlowParams.alpha, "pressure penalty coefficient"),
     "alpha_c": (float, TransportParams.alpha_c, "transport jump penalty"),
     "alpha_s": (float, TransportParams.alpha_s, "stabilization jump penalty"),
@@ -261,7 +260,7 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
             nx=f["nx"], ny=f["ny"], dt=f["dt"], t_end=f["t_end"],
             bdf_order=f["bdf_order"],
             flow=FlowParams(phi=f["phi"], rho0=f["rho0"], c_F=f["c_f"],
-                            theta=f["theta"], alpha=f["alpha"]),
+                            alpha=f["alpha"]),
             transport=TransportParams(alpha_c=f["alpha_c"], alpha_s=f["alpha_s"]),
             entropy=EntropyConfig(kind=f["entropy"], b=f["entropy_b"],
                                   eps=f["entropy_eps"], r=f["entropy_r"],

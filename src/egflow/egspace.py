@@ -302,10 +302,6 @@ def _side(a: np.ndarray, side: int) -> np.ndarray:
     return out
 
 
-def _transpose(t: np.ndarray, k: int) -> np.ndarray:
-    return t.reshape(k, k).T.ravel()
-
-
 _DIRS = (EAST, NORTH, WEST, SOUTH)
 _INTERIOR_KINDS = (CONFORMING, HANGING_LOW, HANGING_HIGH)
 
@@ -348,9 +344,7 @@ def _interior_tables(d: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
           for s in (0, 1)]
     f_o, f_n = (np.einsum("q,qa,qbe->eab", FACE_WEIGHTS, jump, _side(dN[s], s)).reshape(2, 100)
                 for s in (0, 1))
-    g_o, g_n = normal @ f_o, normal @ f_n
-    table = np.vstack([jj, g_o, g_n, _transpose(g_o, 10), _transpose(g_n, 10),
-                       *up, f_o, f_n])
+    table = np.vstack([jj, normal @ f_o, normal @ f_n, *up, f_o, f_n])
     return _frozen(table), _frozen(_trace_table(N, dN, normal))
 
 
@@ -361,7 +355,7 @@ def _boundary_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
     N, dN, normal = _FACE_N[d], _FACE_DN[d], DIR_NORMAL[d]
     nn = np.einsum("q,qa,qb->qab", FACE_WEIGHTS, N, N).reshape(3, 25)
     ndn = np.einsum("q,qa,qb->ab", FACE_WEIGHTS, N, dN @ normal).ravel()
-    table = np.vstack([nn.sum(axis=0), ndn, _transpose(ndn, 5), nn])
+    table = np.vstack([nn.sum(axis=0), ndn, nn])
     return _frozen(table), _frozen(_trace_table((N,), (dN,), normal)[:5])
 
 
@@ -382,10 +376,10 @@ def _twins(d: int, kind: int) -> np.ndarray:
 def _fold(table: np.ndarray, eval_table: np.ndarray, twin: np.ndarray | None) -> dict:
     """The FaceGroup fields of a face class: its table folded onto the
     distinct entries of its local block (`table`, `fold`, `source`; see
-    FaceGroup) and its `eval_table`.  Neighbor dof j is owner dof twin[j]
-    where that is not -1; a boundary face has no neighbor (twin None).  The
-    fold matrix F sums the columns of each source and drops a source whose
-    columns are zero in every row."""
+    FaceGroup), its `eval_table` and, of a boundary class, `rhs_weights`.
+    Neighbor dof j is owner dof twin[j] where that is not -1; a boundary
+    face has no neighbor (twin None).  The fold matrix F sums the columns of
+    each source, and a source whose sum is zero in every row is dropped."""
     k = 5 if twin is None else 10
     own, nb = np.arange(k), np.full(k, -1)
     if twin is not None:
@@ -396,14 +390,14 @@ def _fold(table: np.ndarray, eval_table: np.ndarray, twin: np.ndarray | None) ->
     canon = np.where((own[r] >= 0) & (own[c] >= 0), 5 * own[r] + own[c],
                      np.where((nb[r] >= 0) & (nb[c] >= 0), 25 + 5 * nb[r] + nb[c],
                               50 + 10 * r + c))
-    live = np.zeros(150, dtype=bool)
-    live[canon[table.any(axis=0)]] = True
-    source = np.flatnonzero(live)
+    F = np.zeros((k * k, 150))
+    F[np.arange(k * k), canon] = 1.0
+    summed = table @ F
+    live = summed.any(axis=0)
     fold = np.where(live[canon], np.cumsum(live)[canon] - 1, -1)
-    F = np.zeros((k * k, source.size))
-    F[np.flatnonzero(fold >= 0), fold[fold >= 0]] = 1.0
-    return dict(table=_frozen(table @ F), fold=_frozen_index(fold),
-                source=_frozen_index(source), eval_table=eval_table)
+    return dict(table=_frozen(summed[:, live]), fold=_frozen_index(fold),
+                source=_frozen_index(np.flatnonzero(live)), eval_table=eval_table,
+                rhs_weights=_frozen(table[:, 4::5]) if twin is None else None)
 
 
 # Tables on the unit cell hx = hy = 1, built once.  Every row is homogeneous
@@ -505,8 +499,8 @@ class AssemblyPlan:
     and then the last reduced dof, the cell constant that the gauge pin
     holds at 0.  `indptr`/`indices` are the CSR pattern of the reduced,
     pinned matrix, shared read-only by every matrix assembled on the plan;
-    `matrix` sums the cell blocks and each face's folded entries (48
-    conforming, 65 hanging, 21 boundary; see FaceGroup) into it, and `rhs`
+    `matrix` sums the cell blocks and each face's folded entries (16
+    conforming, 45 hanging, 15 boundary; see FaceGroup) into it, and `rhs`
     the rhs pieces.
     """
 
@@ -521,7 +515,7 @@ def _assembly_pattern(ctx: AssemblyContext) -> AssemblyPlan:
     """Reduced, pinned plan over every local block in assembly order.
 
     Blocks: 5x5 per cell in mesh order, then per face its group's folded
-    entries (48 conforming, 65 hanging, 21 boundary), in face order.  Only
+    entries (16 conforming, 45 hanging, 15 boundary), in face order.  Only
     the cell blocks and a face's entries between dofs of no common cell are
     keyed; every other face entry repeats a bin of its owner's or its
     neighbor's cell block, as the group's import-time `source` says (see
@@ -645,50 +639,47 @@ class FaceGroup:
 
     Interior table rows, each a 10x10 local matrix over [owner dofs |
     neighbor dofs] on a unit owner: 0 jump x jump, 1/2 jump x (grad N . n)
-    of the owner/neighbor side, 3/4 their transposes, 5:8 / 8:11 upwind
-    jump x N_own / jump x N_nb per quadrature point, 11:13 / 13:15 jump x
-    grad N per gradient component of the owner/neighbor side.  Boundary
-    table rows, each a 5x5 over the owner's dofs: 0 N x N, 1 N x (grad N .
-    n), 2 its transpose, 3:6 N x N per quadrature point.
+    of the owner/neighbor side, 3:6 / 6:9 upwind jump x N_own / jump x N_nb
+    per quadrature point, 9:11 / 11:13 jump x grad N per gradient component
+    of the owner/neighbor side.  Boundary table rows, each a 5x5 over the
+    owner's dofs: 0 N x N, 1 N x (grad N . n), 2:5 N x N per quadrature
+    point.
 
     Each local matrix is folded onto its distinct entries once, at import
     (_fold): the owner and the neighbor share the face's vertices, so the
-    entries at one pair of dofs sum into one column of `table`, and the
-    entries that are zero in every row are dropped.  `fold` maps each
-    flattened local entry (row * 10 + col, or row * 5 + col) to its column,
-    -1 where dropped.  `source` names, per column in ascending order, the
-    bin it shares: entry 0:25 of the owner's cell block, 25:50 of the
-    neighbor's, or 50 + row * 10 + col for an entry between an owner-only
-    and a neighbor-only dof, keyed on its own.  A conforming face keeps 48
-    of 100 entries, a hanging one 65 and a boundary one 21 of 25.
+    entries at one pair of dofs sum into one column of `table`, and a
+    column whose sum is zero in every row is dropped (the jumps of a shared
+    vertex cancel on a conforming face).  `fold` maps each flattened local
+    entry (row * 10 + col, or row * 5 + col) to its column, -1 where
+    dropped.  `source` names, per column in ascending order, the bin it
+    shares: entry 0:25 of the owner's cell block, 25:50 of the neighbor's,
+    or 50 + row * 10 + col for an entry between an owner-only and a
+    neighbor-only dof, keyed on its own.  A conforming face keeps 16 of 100
+    entries, a hanging one 45 and a boundary one 15 of 25.
 
-    Shape 4 is the constant 1, so local column 4 of a boundary row
-    (`rhs_weights`) holds the right-hand-side weights of data that is
-    constant on the face: of row 0 the integral of each shape, of row 2
-    that of its grad N . n, of rows 3:6 each shape's weight per quadrature
-    point.  With its owner's sizes a face scales a row without a
-    gradient by h_e; a row with grad N . n by h_e / h_n; and rows 11:15 by
-    h_e / (hx, hy) per gradient component (AssemblyContext.h_e, h_ratio,
-    h_lift).  eval_table maps the local dofs to the values at the 3
-    quadrature points of the owner and neighbor sides (columns 0:3, 3:6),
-    then to their normal derivatives (6:9, 9:12), both along the owner
-    normal, which a face divides by its owner's h_n; a boundary face's
-    neighbor columns are 0.
+    Shape 4 is the constant 1, so local column 4 of a boundary row holds
+    the right-hand-side weights of data that is constant on the face:
+    `rhs_weights` (5, 5), taken from the unfolded table at import (None on
+    interior groups), of row 0 the integral of each shape and of rows 2:5
+    each shape's weight per quadrature point.  With its owner's sizes a
+    face scales a row without a gradient by h_e; a row with grad N . n by
+    h_e / h_n; and rows 9:13 by h_e / (hx, hy) per gradient component
+    (AssemblyContext.h_e, h_ratio, h_lift).  eval_table maps the local dofs
+    to the values at the 3 quadrature points of the owner and neighbor
+    sides (columns 0:3, 3:6), then to their normal derivatives (6:9, 9:12),
+    both along the owner normal, which a face divides by its owner's h_n; a
+    boundary face's neighbor columns are 0.
     """
 
     dir: int
     kind: int
     sl: slice
     boundary: str | None
-    table: np.ndarray    # (15, 48) conforming, (15, 65) hanging, (6, 21) boundary
+    table: np.ndarray    # (13, 16) conforming, (13, 45) hanging, (5, 15) boundary
     fold: np.ndarray     # (100,) interior, (25,) boundary
     source: np.ndarray   # (table.shape[1],), ascending
     eval_table: np.ndarray  # (10, 12) interior, (5, 12) boundary
-
-    @property
-    def rhs_weights(self) -> np.ndarray:
-        """(6, 5) local column 4 of every row of a boundary group's table."""
-        return self.table[:, self.fold[4::5]]
+    rhs_weights: np.ndarray | None  # (5, 5) boundary, None interior
 
 
 class AssemblyContext:
@@ -793,7 +784,7 @@ class AssemblyContext:
     def block_buffer(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """An uninitialized array for every local-block entry in assembly
         order, and its (n_cells, 25) view of the cell blocks, then its
-        (m, 48), (m, 65) or (m, 21) view per conforming, hanging or
+        (m, 16), (m, 45) or (m, 15) view per conforming, hanging or
         boundary face group (its folded table's width, see FaceGroup), for
         an assembler to write its blocks into."""
         vals = np.empty(self.plan.matrix.slot.size)

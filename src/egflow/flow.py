@@ -4,11 +4,11 @@ The pressure system uses the interior-penalty enriched Galerkin form with a
 permeability-weighted average across faces: the gradient average on a face
 takes weight beta = kappa_nb / (kappa_own + kappa_nb) on the owner side, and
 the penalty carries the harmonic mean of the two permeabilities.
-The nonsymmetric variant (theta = 0) is the default.  For every theta the
-constant test functions reproduce an exact per-cell mass balance: a cell
-constant has zero gradient, so the theta consistency term drops out of its
-row.  The flux reconstruction turns that balance into a single-valued normal
-flux per face.
+The form is fixed at the nonsymmetric variant, symmetrization theta = 0: it
+has no consistency term transposed onto the test function's average
+gradient.  The constant test functions reproduce an exact per-cell mass
+balance, and the flux reconstruction turns that balance into a
+single-valued normal flux per face.
 
 Face normal fluxes are stored in the owner orientation at the three face
 quadrature points.  The reconstruction applies the same weighted average as
@@ -56,12 +56,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Fluid/rock constants and discretization knobs for the pressure solve."""
+    """Fluid/rock constants and the face penalty of the pressure solve; the
+    interior-penalty form is the nonsymmetric one (theta = 0), fixed."""
 
     phi: float = 1.0          # porosity
     rho0: float = 1.0         # reference density
     c_F: float = 0.0          # fluid compressibility
-    theta: float = 0.0        # 0 nonsymmetric, -1 symmetric, +1 antisymmetric
     alpha: float = 8.0        # face penalty
 
     def __post_init__(self):
@@ -71,8 +71,6 @@ class FlowParams:
             raise ValueError(f"compressibility must be nonnegative, got {self.c_F}")
         if self.alpha <= 0.0:
             raise ValueError(f"penalty must be positive, got {self.alpha}")
-        if self.theta not in (-1.0, 0.0, 1.0):
-            raise ValueError(f"theta must be -1, 0, or 1, got {self.theta}")
         if self.rho0 <= 0.0:
             raise ValueError(f"reference density must be positive, got {self.rho0}")
 
@@ -216,14 +214,13 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
     Cell constants are never constrained, so their test rows keep their
     exact per-cell balance.  Each local block is per-cell or per-face
     coefficients, the entity's sizes folded in, times the context's unit
-    tables (layouts and factors at egspace.CELL_TABLE and in FaceGroup); theta
-    enters as the coefficient of the transposed consistency rows.  The
-    source and the side data are constants, weighed by the tables' constant
-    columns: CELL_WN, and rows 0 and 2 of FaceGroup.rhs_weights.
+    tables (layouts and factors at egspace.CELL_TABLE and in FaceGroup).
+    The source and the side data are constants, weighed by the tables'
+    constant columns: CELL_WN, and row 0 of FaceGroup.rhs_weights.
     """
     mesh = ctx.mesh
     a0, a1, a2 = bdf_coefficients(m, dt)
-    rho0, alpha, theta = params.rho0, params.alpha, params.theta
+    rho0, alpha = params.rho0, params.alpha
     kappa_cells = _per_cell(mesh, kappa_cells)
     ni = ctx.n_interior
 
@@ -250,15 +247,15 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
         r = r + mass_coef * (hist @ CELL_TABLE[0].reshape(5, 5))
     rhs = [r * ctx.cell_area[:, None]]
 
-    # -(jump, avg grad) + theta (avg grad, jump) + penalty (jump, jump): the
-    # penalty's 1 / h_e cancels the jump row's h_e
+    # -(jump, avg grad) + penalty (jump, jump): the penalty's 1 / h_e
+    # cancels the jump row's h_e
     ko, kn = kappa_cells[ctx.own[:ni]], kappa_cells[ctx.nb]
     beta, kap_e = weights(ko, kn)
     ratio = ctx.h_ratio[:ni]
     c_o, c_n = rho0 * beta * ko * ratio, rho0 * (1.0 - beta) * kn * ratio
-    coef = np.column_stack([(alpha * rho0) * kap_e, -c_o, -c_n, theta * c_o, theta * c_n])
+    coef = np.column_stack([(alpha * rho0) * kap_e, -c_o, -c_n])
     for g in ctx.interior_groups:
-        np.matmul(coef[g.sl], g.table[:5], out=next(blocks))
+        np.matmul(coef[g.sl], g.table[:3], out=next(blocks))
 
     for g in ctx.boundary_groups:
         out = next(blocks)
@@ -266,10 +263,8 @@ def assemble_pressure(ctx: AssemblyContext, params: FlowParams, bc: FlowBC,
             gD = bc.dirichlet[g.boundary]
             ko = rho0 * kappa_cells[ctx.own[g.sl]]
             kr = ko * ctx.h_ratio[g.sl]
-            np.matmul(np.column_stack([alpha * ko, -kr, theta * kr]), g.table[:3], out=out)
+            np.matmul(np.column_stack([alpha * ko, -kr]), g.table[:2], out=out)
             r = (alpha * ko)[:, None] * (gD * g.rhs_weights[0])
-            if theta != 0.0:
-                r += theta * kr[:, None] * (gD * g.rhs_weights[2])
         else:
             # Neumann faces add no matrix entries; zeros keep the pattern fixed
             out[...] = 0.0
@@ -401,9 +396,8 @@ def local_conservation_residual(ctx: AssemblyContext, flux: FaceFlux, q_cells,
     """Per-cell mass balance of the reconstructed flux.
 
     r_T = int_T rho0 phi c_F dP/dt + rho0 sum_faces sign int_e U.n - int_T q,
-    which the flux construction drives to solver tolerance for every theta
-    (the theta term vanishes on a cell constant); q_cells is the pressure
-    solve's source.
+    which the flux construction drives to solver tolerance; q_cells is the
+    pressure solve's source.
     """
     mesh = ctx.mesh
     res = np.zeros(mesh.n_active)

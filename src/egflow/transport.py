@@ -99,7 +99,7 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
     pressure solve's mass source, a scalar or (n_cells,): q^+ injects the
     injected fluid, C = 1, weighed by CELL_WN, and q^- removes fluid at the
     resident concentration, a sink in the mass coefficient.  The side's
-    inflow float weighs the per-point flux by rows 3:6 of FaceGroup.rhs_weights.
+    inflow float weighs the per-point flux by rows 2:5 of FaceGroup.rhs_weights.
     m is the BDF order.  Returns (A, b).
     """
     mesh = ctx.mesh
@@ -154,16 +154,16 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
     n = ctx.normal[:ni]
     nD_o = n[:, :1] * D_cells[own, 0] + n[:, 1:] * D_cells[own, 1]
     nD_n = n[:, :1] * D_cells[nb, 0] + n[:, 1:] * D_cells[nb, 1]
-    coef = np.zeros((ni, 15))
+    coef = np.empty((ni, 13))
     # the penalties' 1 / h_e cancels the jump row's h_e
     coef[:, 0] = params.alpha_c * rho0 + params.alpha_s * 0.5 * (mo + mn)
     coef[:, 1] = -0.5 * mo * ctx.h_ratio[:ni]
     coef[:, 2] = -0.5 * mn * ctx.h_ratio[:ni]
     # upwind: U.n splits onto the owner (U.n >= 0) or neighbor trace rows
-    coef[:, 5:8] = rho0 * upwind_value(0.0, un, un) * h_e
-    coef[:, 8:11] = rho0 * upwind_value(un, 0.0, un) * h_e
-    coef[:, 11:13] = (-0.5 * mass_coef) * nD_o * ctx.h_lift[:ni]
-    coef[:, 13:15] = (-0.5 * mass_coef) * nD_n * ctx.h_lift[:ni]
+    coef[:, 3:6] = rho0 * upwind_value(0.0, un, un) * h_e
+    coef[:, 6:9] = rho0 * upwind_value(un, 0.0, un) * h_e
+    coef[:, 9:11] = (-0.5 * mass_coef) * nD_o * ctx.h_lift[:ni]
+    coef[:, 11:13] = (-0.5 * mass_coef) * nD_n * ctx.h_lift[:ni]
     for g in ctx.interior_groups:
         np.matmul(coef[g.sl], g.table, out=next(blocks))
 
@@ -173,11 +173,11 @@ def assemble_transport(ctx: AssemblyContext, medium: FlowParams,
         h_e = ctx.h_e[g.sl, None]
         out = (mean_un[g.sl] >= 0.0)[:, None]
         # outflow faces take the resident trace; inflow faces add zeros here
-        np.matmul(rho0 * np.where(out, un, 0.0) * h_e, g.table[3:], out=next(blocks))
+        np.matmul(rho0 * np.where(out, un, 0.0) * h_e, g.table[2:], out=next(blocks))
         if out.all():
             rhs.append(np.zeros((un.shape[0], 5)))
         else:
             cin = bc.side_value(g.boundary)
-            rhs.append(-((rho0 * np.where(out, 0.0, un * cin)) @ g.rhs_weights[3:]) * h_e)
+            rhs.append(-((rho0 * np.where(out, 0.0, un * cin)) @ g.rhs_weights[2:]) * h_e)
 
     return ctx.assemble(vals, rhs)

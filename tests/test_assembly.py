@@ -63,7 +63,7 @@ def _cells(ctx):
 
 
 def _unfolded(d, kind):
-    """The (15, 100) or (6, 25) table of a face class before the fold: one
+    """The (13, 100) or (5, 25) table of a face class before the fold: one
     column per local (row, col) entry."""
     if kind == BOUNDARY:
         return egspace._boundary_tables(d)[0]
@@ -149,7 +149,7 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
                      q_cells=0.0, dt=1.0, *, m):
     dm = ctx.dofmap
     a0, a1, a2 = bdf_coefficients(m, dt)
-    rho0, alpha, theta = params.rho0, params.alpha, params.theta
+    rho0, alpha = params.rho0, params.alpha
     n = dm.n_dofs
     rows, cols, vals = [], [], []
     b = np.zeros(n)
@@ -179,7 +179,6 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
             grad_avg = (beta * ko)[:, None, None] * np.pad(go, ((0, 0), (0, 5)))[None] \
                 + ((1.0 - beta) * kn)[:, None, None] * np.pad(gn, ((0, 0), (5, 0)))[None]
             contrib = -rho0 * np.einsum("q,qa,mqb->mab", g.wq, jump, grad_avg)
-            contrib += theta * rho0 * np.einsum("q,mqa,qb->mab", g.wq, grad_avg, jump)
             pen = (alpha / g.h_e) * rho0 * kap_e
             contrib += pen[:, None, None] * np.einsum("q,qa,qb->ab", g.wq, jump, jump)[None]
             _push(rows, cols, vals, g.dofs, contrib)
@@ -189,11 +188,9 @@ def _oracle_pressure(ctx, params, bc, kappa_cells, P_n=None, P_nm1=None,
             go = np.einsum("qbd,d->qb", g.dN_o, nrm)
             kgo = ko[:, None, None] * go[None]
             contrib = -rho0 * np.einsum("q,qa,mqb->mab", g.wq, g.N_o, kgo)
-            contrib += theta * rho0 * np.einsum("q,mqa,qb->mab", g.wq, kgo, g.N_o)
             pen = (alpha / g.h_e) * rho0 * ko
             contrib += pen[:, None, None] * np.einsum("q,qa,qb->ab", g.wq, g.N_o, g.N_o)[None]
             rhs = pen[:, None] * np.einsum("q,qa,mq->ma", g.wq, g.N_o, gD)
-            rhs += theta * rho0 * np.einsum("q,mqa,mq->ma", g.wq, kgo, gD)
             np.add.at(b, g.dofs.ravel(), rhs.ravel())
             _push(rows, cols, vals, g.dofs, contrib)
         else:
@@ -469,16 +466,15 @@ SIDE_DATA = {"left": 1.3, "right": 0.2, "bottom": -0.7, "top": -0.4}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("theta", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("c_F,m", [(0.0, None), (0.05, 1), (0.05, 2)])
-def test_pressure_matches_oracle(seed, theta, c_F, m):
+def test_pressure_matches_oracle(seed, c_F, m):
     # without compressibility no time derivative enters (m None): both orders
     ctx, rng = _random_context(seed)
     nc, n = ctx.mesh.n_active, ctx.dofmap.n_dofs
     kappa = np.exp(rng.standard_normal(nc))
     bc = FlowBC(dirichlet={s: SIDE_DATA[s] for s in ("left", "bottom")},
                 neumann={s: SIDE_DATA[s] for s in ("right", "top")})
-    params = FlowParams(theta=theta, c_F=c_F, phi=0.3, rho0=2.0)
+    params = FlowParams(c_F=c_F, phi=0.3, rho0=2.0)
     args = dict(P_n=rng.standard_normal(n), P_nm1=rng.standard_normal(n),
                 q_cells=rng.standard_normal(nc), dt=0.1)
     for order in (1, 2) if m is None else (m,):
@@ -797,21 +793,33 @@ def test_face_table_folds_onto_its_distinct_entries(d, kind):
     cls = egspace._FACE_TABLES[d, kind]
     table, fold = cls["table"], cls["fold"]
     full = _unfolded(d, kind)
-    width = {CONFORMING: 48, HANGING_LOW: 65, HANGING_HIGH: 65, BOUNDARY: 21}[kind]
+    width = {CONFORMING: 16, HANGING_LOW: 45, HANGING_HIGH: 45, BOUNDARY: 15}[kind]
     assert table.shape == (full.shape[0], width)
+    assert table.any(axis=0).all()
     assert np.array_equal(np.unique(fold[fold >= 0]), np.arange(width))
-    # expanding the folded table back through the fold gives, at every local
-    # entry, the sum of the unfolded columns folded with it; a dropped
-    # entry's column is zero in every row
-    kept = fold >= 0
-    together = (fold[:, None] == fold) & kept[:, None]
-    expanded = np.where(kept, table[:, fold], 0.0)
-    # at most 4 columns fold together, summed in either order
-    assert np.abs(expanded - full @ together).max() <= 4 * np.finfo(float).eps * np.abs(full).max()
-    assert not full[:, ~kept].any()
-    # on a context, the group's block view has the folded width, and the
-    # views tile the plan's values exactly
+    assert (cls["rhs_weights"] is None) == (kind != BOUNDARY)
+    # two local entries sit at one pair of dofs when a face of the class on
+    # a context has the same row dof and the same column dof at both; the
+    # fold sends each such set, and no other kept entry, to one column
     ctx, _ = _random_context(0)
+    (i, g), = [(i, g) for i, g in enumerate(ctx.face_groups) if (g.dir, g.kind) == (d, kind)]
+    dofs = ctx.face_dofs[g.sl.start, :5 if kind == BOUNDARY else 10]
+    r, c = np.divmod(np.arange(fold.size), dofs.size)
+    together = (dofs[r][:, None] == dofs[r]) & (dofs[c][:, None] == dofs[c])
+    kept = fold >= 0
+    assert np.array_equal((fold[:, None] == fold) & kept[:, None], together & kept[:, None])
+    assert (fold[:, None] == fold)[together].all()
+    # expanding the folded table back through the fold gives, at every kept
+    # local entry, the sum of the unfolded columns at its pair of dofs; at a
+    # dropped entry that sum is zero in every row, though the entry's own
+    # column need not be
+    summed = full @ together
+    # at most 4 columns fold together, summed in either order
+    assert np.abs(table[:, fold[kept]] - summed[:, kept]).max() \
+        <= 4 * np.finfo(float).eps * np.abs(full).max()
+    assert not summed[:, ~kept].any()
+    # on the context, the group's block view has the folded width, and the
+    # views tile the plan's values exactly
     vals, views = ctx.block_buffer()
     assert vals.size == ctx.plan.matrix.slot.size
     at = 0
@@ -819,8 +827,23 @@ def test_face_table_folds_onto_its_distinct_entries(d, kind):
         assert v.__array_interface__["data"][0] == vals[at:].__array_interface__["data"][0]
         at += v.size
     assert at == vals.size
-    (i, g), = [(i, g) for i, g in enumerate(ctx.face_groups) if (g.dir, g.kind) == (d, kind)]
     assert views[1 + i].shape == (g.sl.stop - g.sl.start, width)
+
+
+@pytest.mark.parametrize("d", sorted(egspace._DIRS))
+def test_boundary_rhs_weights_are_the_unfolded_constant_column(d):
+    # the fold drops local column 4 of the vertices off the face, so the
+    # weights are read off the unfolded table
+    cls = egspace._FACE_TABLES[d, BOUNDARY]
+    assert (cls["fold"][4::5] < 0).any()
+    w = cls["rhs_weights"]
+    assert np.array_equal(w, _unfolded(d, BOUNDARY)[:, 4::5])
+    # row 0: the integral of each shape on the unit face; row 1: N x (grad
+    # 1 . n), zero; rows 2:5: each shape's weight per quadrature point
+    N = q1_values(*egspace._face_ref_coords(d, egspace._G3).T)
+    assert np.abs(w[0] - FACE_WEIGHTS @ N).max() <= 1e-15
+    assert not w[1].any()
+    assert np.abs(w[2:] - FACE_WEIGHTS[:, None] * N).max() <= 1e-15
 
 
 def test_assembled_pattern_is_read_only():

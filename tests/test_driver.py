@@ -245,8 +245,8 @@ def _flat(obj, prefix=""):
 _MANUFACTURED = {
     "scenario": "manufactured", "domain": (0.0, 0.0, 1.0, 1.0), "nx": 4, "ny": 4,
     "dt": 0.1, "t_end": 0.1, "bdf_order": 2,
-    "flow.phi": 1.0, "flow.rho0": 1.0, "flow.c_F": 0.0, "flow.theta": 0.0,
-    "flow.alpha": 8.0, "transport.alpha_c": 2.0, "transport.alpha_s": 1.0,
+    "flow.phi": 1.0, "flow.rho0": 1.0, "flow.c_F": 0.0, "flow.alpha": 8.0,
+    "transport.alpha_c": 2.0, "transport.alpha_s": 1.0,
     "entropy.kind": "power", "entropy.b": 2, "entropy.eps": 1e-4, "entropy.r": 0.5,
     "entropy.lambda_lin": 0.0, "entropy.lambda_ent": 0.0,
     "entropy.extrapolation": "extrapolated",
@@ -318,6 +318,17 @@ def test_ratio_is_the_one_viscosity_contrast_key(capsys):
     assert "unrecognized arguments: --mu-0" in capsys.readouterr().err
     assert main(["--scenario", "perm_block", "--ratio", "0"]) == 2
     assert "viscosities must be positive" in capsys.readouterr().err
+
+
+def test_theta_is_not_a_key(tmp_path, capsys):
+    # the pressure form is fixed at theta = 0, so a file or an option that
+    # sets theta is a config error
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text("scenario=manufactured\ntheta = -1\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert "unknown config key 'theta'" in capsys.readouterr().err
+    assert main(["--scenario", "manufactured", "--theta", "-1"]) == 2
+    assert "unrecognized arguments: --theta" in capsys.readouterr().err
 
 
 def test_manufactured_single_step():
