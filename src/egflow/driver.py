@@ -67,14 +67,14 @@ _KEYS = {
     "alpha_c": (float, TransportParams.alpha_c, "transport jump penalty"),
     "alpha_s": (float, TransportParams.alpha_s, "stabilization jump penalty"),
     "bdf_order": (int, 2, "backward-difference order of both systems (1 or 2)"),
-    "entropy": (str, EntropyConfig.kind, "entropy kind: power, log, kruzkov"),
-    "entropy_b": (int, EntropyConfig.b, "exponent of the power entropy"),
+    "entropy": (str, EntropyConfig.kind,
+                "entropy of the sensed state 2C^n - C^(n-1): power, c^2/2 "
+                "(single_vortex), or log, -log(|c(1-c)| + entropy_eps), whose "
+                "slope near 0 and 1 is about 1/entropy_eps (the displacement "
+                "presets)"),
     "entropy_eps": (float, EntropyConfig.eps, "regularization of the log entropy"),
-    "entropy_r": (float, EntropyConfig.r, "reference value of the kruzkov entropy"),
     "lambda_lin": (float, EntropyConfig.lambda_lin, "first-order viscosity constant"),
     "lambda_ent": (float, EntropyConfig.lambda_ent, "entropy viscosity constant"),
-    "extrapolation": (str, EntropyConfig.extrapolation,
-                      "sensed state: extrapolated or lagged"),
     "r_max": (int, 0, "maximum refinement level above the root grid"),
     "r_min": (int, AdaptBounds.r_min, "minimum refinement level (also initial level)"),
     "cell_max": (int, AdaptBounds.cell_max, "active cell budget"),
@@ -107,7 +107,7 @@ _PRESETS = {
     # reversing tracer advection with a prescribed analytic velocity
     "single_vortex": dict(
         nx=8, ny=8, dt=0.05, t_end=2.0, t_period=2.0,
-        lambda_lin=0.5, lambda_ent=0.5, entropy="power", entropy_b=2,
+        lambda_lin=0.5, lambda_ent=0.5, entropy="power",
     ),
     # low-permeability obstruction, slightly compressible, unit viscosity
     "perm_block": dict(
@@ -197,6 +197,8 @@ class ScenarioConfig:
         if abs(self.t_end / self.dt - self.n_steps) > 1e-9 * self.n_steps:
             raise ValueError(f"t_end {self.t_end!r} is not a whole number of "
                              f"steps dt = {self.dt!r}")
+        if not self.t_period > 0.0:
+            raise ValueError(f"t_period must be positive, got {self.t_period}")
         if self.bdf_order not in (1, 2):
             raise ValueError(f"bdf_order must be 1 or 2, got {self.bdf_order}")
         if self.scenario.startswith("hele_shaw") and self.viscosity.mobility_ratio < 1.0:
@@ -215,12 +217,16 @@ def _coerce(key: str, value):
     if key not in _KEYS:
         raise ConfigError(f"unknown config key {key!r}")
     conv = _KEYS[key][0]
+    if conv is not str and isinstance(value, (bool, np.bool_)):
+        raise ConfigError(f"bad value for {key}: {value!r} (a bool, not a number)")
     try:
         out = conv(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from exc
     if conv is float and not math.isfinite(out):
         raise ConfigError(f"bad value for {key}: {value!r} (not finite)")
+    if conv is int and not isinstance(value, str) and out != value:
+        raise ConfigError(f"bad value for {key}: {value!r} (not a whole number)")
     return out
 
 
@@ -262,11 +268,9 @@ def make_config(scenario: str, **overrides) -> ScenarioConfig:
             flow=FlowParams(phi=f["phi"], rho0=f["rho0"], c_F=f["c_f"],
                             alpha=f["alpha"]),
             transport=TransportParams(alpha_c=f["alpha_c"], alpha_s=f["alpha_s"]),
-            entropy=EntropyConfig(kind=f["entropy"], b=f["entropy_b"],
-                                  eps=f["entropy_eps"], r=f["entropy_r"],
+            entropy=EntropyConfig(kind=f["entropy"], eps=f["entropy_eps"],
                                   lambda_lin=f["lambda_lin"],
-                                  lambda_ent=f["lambda_ent"],
-                                  extrapolation=f["extrapolation"]),
+                                  lambda_ent=f["lambda_ent"]),
             marking=MarkingPolicy(
                 bounds=AdaptBounds(r_max=f["r_max"], r_min=f["r_min"],
                                    cell_max=f["cell_max"]),
@@ -554,7 +558,7 @@ def run(config: ScenarioConfig, outdir: str | None = None,
         for step in range(1, config.n_steps + 1):
             t = step * config.dt
             m = 1 if C_nm1 is None else config.bdf_order
-            C_star = extrapolate_star(config.entropy, C_n, C_nm1)
+            C_star = extrapolate_star(C_n, C_nm1)
 
             # mobility from the sensed concentration, then pressure
             K_cells = prob.rock_permeability(ctx)

@@ -56,7 +56,7 @@ _STEP = np.array([DIR_STEP[d] for d in _DIRS], dtype=np.int64)
 # face kinds
 CONFORMING, HANGING_LOW, HANGING_HIGH, BOUNDARY = 0, 1, 2, 3
 
-_DEFAULT_LEVEL_CAP = 30
+LEVEL_CAP = 30     # the deepest refinement level a mesh allows
 
 
 class MeshError(Exception):
@@ -74,9 +74,8 @@ class AdaptBounds:
     def __post_init__(self):
         if self.r_min < 0:
             raise ValueError(f"r_min={self.r_min} is negative")
-        if self.r_max > _DEFAULT_LEVEL_CAP:
-            raise ValueError(f"r_max={self.r_max} exceeds the level cap "
-                             f"{_DEFAULT_LEVEL_CAP}")
+        if self.r_max > LEVEL_CAP:
+            raise ValueError(f"r_max={self.r_max} exceeds the level cap {LEVEL_CAP}")
         if self.r_min > self.r_max:
             raise ValueError(f"r_min={self.r_min} exceeds r_max={self.r_max}")
         if self.cell_max < 1:
@@ -156,8 +155,8 @@ class _ClosureWalk:
         if key not in active:
             return  # already refined through closure
         lev, i, j = key
-        if lev >= self.mesh.level_cap:
-            raise MeshError(f"refinement beyond level cap {self.mesh.level_cap}")
+        if lev >= LEVEL_CAP:
+            raise MeshError(f"refinement beyond level cap {LEVEL_CAP}")
         # 2:1 closure: every face neighbor must reach this cell's level first
         for d in (WEST, EAST, SOUTH, NORTH):
             di, dj = DIR_STEP[d]
@@ -184,19 +183,15 @@ class QuadMesh:
     refine/adapt return new meshes and never mutate the receiver.
     """
 
-    def __init__(self, domain, nx: int, ny: int, level_cap: int = _DEFAULT_LEVEL_CAP,
-                 _state=None):
+    def __init__(self, domain, nx: int, ny: int, _state=None):
         x0, y0, x1, y1 = map(float, domain)
         if not (x1 > x0 and y1 > y0):
             raise MeshError(f"degenerate domain {domain!r}")
         if nx < 1 or ny < 1:
             raise MeshError(f"cell counts must be positive, got nx={nx} ny={ny}")
-        if level_cap < 0 or level_cap > 30:
-            raise MeshError("level_cap must lie in [0, 30]")
         self.domain = (x0, y0, x1, y1)
         self.nx = int(nx)
         self.ny = int(ny)
-        self.level_cap = int(level_cap)
         if _state is None:
             self._active = {(0, i, j): i * ny + j for i in range(nx) for j in range(ny)}
             self._refined = {}
@@ -414,10 +409,10 @@ class QuadMesh:
         if report.unchanged:
             return self, report
         state = (active, refined, walk.next_id, self.generation + 1)
-        mesh = QuadMesh(self.domain, self.nx, self.ny, self.level_cap, _state=state)
+        mesh = QuadMesh(self.domain, self.nx, self.ny, _state=state)
         return mesh, report
 
 
-def build_uniform(domain, nx: int, ny: int, level_cap: int = _DEFAULT_LEVEL_CAP) -> QuadMesh:
+def build_uniform(domain, nx: int, ny: int) -> QuadMesh:
     """Uniform nx-by-ny mesh of rectangle `domain` = (x0, y0, x1, y1)."""
-    return QuadMesh(domain, nx, ny, level_cap=level_cap)
+    return QuadMesh(domain, nx, ny)

@@ -7,6 +7,13 @@ mu_stab = min(mu_lin, mu_ent), where the first-order part scales like h|U|
 and the entropy part like h^2 times the normalized residual, so smooth
 regions keep the high-order scheme and fronts receive first-order damping.
 
+Two entropies are available: the power entropy E = c^2/2, which the
+single_vortex preset uses, and the log entropy E = -log(|c(1-c)| + eps),
+which the displacement presets use; eps stays a setting because it sets
+the log entropy's slope, about 1/eps, near c = 0 and c = 1.  The sensed
+state is extrapolated in time, C* = 2 C^n - C^{n-1} (C^n on the first
+step).
+
 The same per-cell indicator (residual combined with the face jump term)
 drives mesh adaptation.
 """
@@ -32,40 +39,33 @@ __all__ = [
     "viscosity",
 ]
 
-_KINDS = ("power", "log", "kruzkov")
-_MODES = ("extrapolated", "lagged")
+_KINDS = ("power", "log")
 
 
 @dataclass(frozen=True)
 class EntropyConfig:
     """Entropy choice plus the two viscosity constants.
 
-    kind "power" uses E = |c|^b / b (b positive even); "log" uses
-    E = -log(|c(1-c)| + eps), suited to fields valued in [0, 1];
-    "kruzkov" uses E = |c - r|.
+    kind "power" uses E = c^2/2 (the single_vortex preset); "log" uses
+    E = -log(|c(1-c)| + eps), suited to fields valued in [0, 1] (the
+    displacement presets).  eps stays a setting: the log entropy's slope
+    near c = 0 and c = 1 is about 1/eps, so eps sets the indicator on a
+    plateau, and studies of the bounds sweep it.  The sensed state is
+    always the extrapolated one, extrapolate_star.
     """
 
     kind: str = "power"
-    b: int = 2
     eps: float = 1e-4
-    r: float = 0.5
     lambda_lin: float = 0.5
     lambda_ent: float = 0.5
-    extrapolation: str = "extrapolated"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown entropy kind {self.kind!r}, pick from {_KINDS}")
-        if self.kind == "power" and (self.b <= 0 or self.b % 2 != 0):
-            raise ValueError(f"power entropy needs a positive even exponent, got {self.b}")
         if self.kind == "log" and self.eps <= 0:
             raise ValueError(f"log entropy guard must be positive, got {self.eps}")
         if self.lambda_lin < 0 or self.lambda_ent < 0:
             raise ValueError("viscosity constants must be nonnegative")
-        if self.extrapolation not in _MODES:
-            raise ValueError(
-                f"unknown extrapolation mode {self.extrapolation!r}, pick from {_MODES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -95,22 +95,15 @@ def entropy_eval(config: EntropyConfig, c):
     """(E(c), E'(c)) for the configured entropy, elementwise."""
     c = np.asarray(c, dtype=float)
     if config.kind == "power":
-        E = np.abs(c) ** config.b / config.b
-        Ep = np.sign(c) * np.abs(c) ** (config.b - 1)
-        return E, Ep
-    if config.kind == "log":
-        g = c * (1.0 - c)
-        den = np.abs(g) + config.eps
-        E = -np.log(den)
-        Ep = -np.sign(g) * (1.0 - 2.0 * c) / den
-        return E, Ep
-    E = np.abs(c - config.r)
-    return E, np.sign(c - config.r)
+        return c * c / 2, c
+    g = c * (1.0 - c)
+    den = np.abs(g) + config.eps
+    return -np.log(den), -np.sign(g) * (1.0 - 2.0 * c) / den
 
 
-def extrapolate_star(config: EntropyConfig, C_n, C_nm1=None):
-    """The sensed state: 2 C^n - C^{n-1}, or C^n when lagged / no history."""
-    if config.extrapolation == "lagged" or C_nm1 is None:
+def extrapolate_star(C_n, C_nm1=None):
+    """The sensed state: 2 C^n - C^{n-1}, or C^n when there is no history."""
+    if C_nm1 is None:
         return np.asarray(C_n, dtype=float)
     return 2.0 * np.asarray(C_n, dtype=float) - np.asarray(C_nm1, dtype=float)
 

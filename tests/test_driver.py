@@ -182,11 +182,11 @@ def test_config_file_parsing(tmp_path):
         "nx=8   # trailing comment\n"
         "\n"
         "dt = 0.02\n"
-        "extrapolation = lagged\n"
+        "entropy = log\n"
     )
     kv = load_config_file(str(p))
     assert kv == {"scenario": "perm_block", "nx": 8, "dt": 0.02,
-                  "extrapolation": "lagged"}
+                  "entropy": "log"}
 
 
 def test_config_file_errors(tmp_path):
@@ -247,9 +247,8 @@ _MANUFACTURED = {
     "dt": 0.1, "t_end": 0.1, "bdf_order": 2,
     "flow.phi": 1.0, "flow.rho0": 1.0, "flow.c_F": 0.0, "flow.alpha": 8.0,
     "transport.alpha_c": 2.0, "transport.alpha_s": 1.0,
-    "entropy.kind": "power", "entropy.b": 2, "entropy.eps": 1e-4, "entropy.r": 0.5,
+    "entropy.kind": "power", "entropy.eps": 1e-4,
     "entropy.lambda_lin": 0.0, "entropy.lambda_ent": 0.0,
-    "entropy.extrapolation": "extrapolated",
     "marking.bounds.r_max": 0, "marking.bounds.r_min": 0,
     "marking.bounds.cell_max": 1_000_000,
     "marking.refine_fraction": 0.2, "marking.coarsen_fraction": 0.1,
@@ -329,6 +328,50 @@ def test_theta_is_not_a_key(tmp_path, capsys):
     assert "unknown config key 'theta'" in capsys.readouterr().err
     assert main(["--scenario", "manufactured", "--theta", "-1"]) == 2
     assert "unrecognized arguments: --theta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("entropy_r", "0.5"),
+                                        ("extrapolation", "lagged"),
+                                        ("entropy_b", "4")])
+def test_removed_entropy_settings_are_not_keys(tmp_path, capsys, key, value):
+    # the power entropy is c^2/2 and the sensed state is always extrapolated
+    cfg = tmp_path / "entropy.cfg"
+    cfg.write_text(f"scenario=single_vortex\n{key} = {value}\n")
+    assert main(["--config", str(cfg)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    assert main(["--scenario", "single_vortex", flag, value]) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_kruzkov_entropy_is_a_config_error(capsys):
+    assert main(["--scenario", "perm_block", "--entropy", "kruzkov"]) == 2
+    err = capsys.readouterr().err
+    assert "kruzkov" in err and "'power', 'log'" in err
+
+
+# per key a valid value that random_perm_2d does not resolve to
+_NON_PRESET = {
+    "x0": -1.0, "y0": -1.0, "x1": 2.0, "y1": 2.0, "nx": 3, "ny": 5,
+    "dt": 0.05, "t_end": 0.2, "phi": 0.3, "rho0": 2.0, "c_f": 1e-6,
+    "alpha": 12.0, "alpha_c": 3.0, "alpha_s": 2.0, "bdf_order": 1,
+    "entropy": "power", "entropy_eps": 1e-3, "lambda_lin": 0.25,
+    "lambda_ent": 0.75, "r_max": 4, "r_min": 2, "cell_max": 1234,
+    "refine_fraction": 0.3, "coarsen_fraction": 0.05, "mu_s": 2.0,
+    "ratio": 3.0, "d_m": 1e-6, "alpha_l": 1e-5, "alpha_t": 1e-7,
+    "t_period": 3.0, "n_centers": 7, "perturb": 1e-2, "source_rate": 5.0,
+    "inflow_speed": 0.1, "flow_tol": 1e-8, "transport_tol": 1e-9, "seed": 5,
+    "stride": 3,
+}
+
+
+def test_every_key_reaches_the_resolved_config():
+    # a key whose field is gone would set nothing and fail here
+    assert set(_NON_PRESET) == set(driver._KEYS) - {"scenario"}
+    base = make_config("random_perm_2d")
+    dead = [key for key, value in _NON_PRESET.items()
+            if make_config("random_perm_2d", **{key: value}) == base]
+    assert dead == []
 
 
 def test_manufactured_single_step():
@@ -491,6 +534,23 @@ def test_config_validation_rules():
         make_config("manufactured", seed=-1)
     with pytest.raises(ConfigError, match="positive"):
         make_config("manufactured", transport_tol=0.0)
+    # no silent truncation: a bool is not a number, and an int key takes
+    # only whole numbers
+    for key, value in (("nx", 2.7), ("nx", np.float64(4.5)), ("r_max", True),
+                       ("dt", True), ("seed", np.True_), ("nx", float("inf"))):
+        with pytest.raises(ConfigError, match=key):
+            make_config("perm_block", **{key: value})
+    assert make_config("perm_block", nx=8.0).nx == 8
+    assert make_config("perm_block", nx=np.int64(6), ny=np.float64(6.0)).ny == 6
+    assert make_config("perm_block", dt=np.float64(0.02)).dt == 0.02
+
+
+def test_t_period_must_be_positive(capsys):
+    argv = ["--scenario", "single_vortex", "--t-end", "0.1"]
+    assert main(argv + ["--t-period", "0"]) == 2
+    assert "t_period" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="t_period"):
+        make_config("perm_block", t_period=-1.0)
 
 
 def test_refinement_levels_outside_the_quadtree_are_config_errors(capsys):

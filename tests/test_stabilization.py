@@ -34,17 +34,13 @@ def _flux(ctx, ux=1.0, uy=0.0):
 
 
 def test_power_entropy_values():
-    cfg = EntropyConfig(kind="power", b=2)
+    cfg = EntropyConfig(kind="power")
     E, Ep = entropy_eval(cfg, 3.0)
     assert E == pytest.approx(4.5)
     assert Ep == pytest.approx(3.0)
     E, Ep = entropy_eval(cfg, -2.0)
     assert E == pytest.approx(2.0)
     assert Ep == pytest.approx(-2.0)
-    cfg4 = EntropyConfig(kind="power", b=4)
-    E, Ep = entropy_eval(cfg4, 2.0)
-    assert E == pytest.approx(4.0)
-    assert Ep == pytest.approx(8.0)
 
 
 def test_log_entropy_values():
@@ -60,46 +56,29 @@ def test_log_entropy_values():
     assert Ep_low < 0.0
 
 
-def test_kruzkov_entropy_values():
-    cfg = EntropyConfig(kind="kruzkov", r=0.5)
-    E, Ep = entropy_eval(cfg, 0.9)
-    assert E == pytest.approx(0.4)
-    assert Ep == pytest.approx(1.0)
-    E, Ep = entropy_eval(cfg, 0.1)
-    assert E == pytest.approx(0.4)
-    assert Ep == pytest.approx(-1.0)
-
-
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EntropyConfig(kind="power", b=3)
     with pytest.raises(ValueError):
         EntropyConfig(kind="log", eps=0.0)
     with pytest.raises(ValueError):
         EntropyConfig(kind="cubic")
     with pytest.raises(ValueError):
         EntropyConfig(lambda_lin=-0.1)
-    with pytest.raises(ValueError):
-        EntropyConfig(extrapolation="forward")
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-5, 5), st.floats(-5, 5))
 def test_power_entropy_is_convex(a, b):
-    cfg = EntropyConfig(kind="power", b=2)
+    cfg = EntropyConfig(kind="power")
     Ea, _ = entropy_eval(cfg, a)
     Eb, _ = entropy_eval(cfg, b)
     Em, _ = entropy_eval(cfg, 0.5 * (a + b))
     assert Em <= 0.5 * (Ea + Eb) + 1e-12
 
 
-def test_extrapolation_modes():
+def test_sensed_state_is_extrapolated():
     cn, cnm1 = np.array([2.0]), np.array([1.5])
-    cfg = EntropyConfig()
-    assert extrapolate_star(cfg, cn, cnm1)[0] == pytest.approx(2.5)
-    assert extrapolate_star(cfg, cn, None)[0] == pytest.approx(2.0)
-    lag = EntropyConfig(extrapolation="lagged")
-    assert extrapolate_star(lag, cn, cnm1)[0] == pytest.approx(2.0)
+    assert extrapolate_star(cn, cnm1)[0] == pytest.approx(2.5)
+    assert extrapolate_star(cn)[0] == pytest.approx(2.0)
 
 
 def test_linear_viscosity_homogeneous_in_velocity():
@@ -131,7 +110,7 @@ def test_steady_linear_profile_zero_residual():
     # C* = C^n = C^{n-1} = x with U = (0, 1): advection orthogonal to the
     # gradient, no time change, no source: the cell residual must vanish
     ctx = _context()
-    cfg = EntropyConfig(kind="power", b=2)
+    cfg = EntropyConfig(kind="power")
     C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx, 0.0, 1.0)
     r = _residual(cfg, ctx, C, C, C, flux.cell_velocity, 0.0, dt=0.1, m=2)[0]
@@ -142,7 +121,7 @@ def test_cell_residual_advection_term():
     # steady state C = x, U = (u, 0): R = E'(C) u dC/dx = u * x at the qp;
     # the per-cell max is u * (x0 + hx * max xi)
     ctx = _context(2, 2)
-    cfg = EntropyConfig(kind="power", b=2)
+    cfg = EntropyConfig(kind="power")
     C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx, 2.0, 0.0)
     r = _residual(cfg, ctx, C, C, C, flux.cell_velocity, 0.0, dt=0.1, m=2)[0]
@@ -157,7 +136,7 @@ def test_indicator_source_injects_one_and_produces_the_sensed_state():
     # positive in some cells and negative in others subtracts
     # E'(C*) (q^+ + C* q^-); C* is continuous, so no face term enters
     ctx = _context(4, 4)
-    cfg = EntropyConfig(kind="power", b=2)
+    cfg = EntropyConfig(kind="power")
     C = interpolate(lambda x, y: x, ctx)
     flux = _flux(ctx, 2.0, 0.0)
     q = np.random.default_rng(3).standard_normal(ctx.mesh.n_active)
@@ -173,7 +152,7 @@ def test_indicator_source_injects_one_and_produces_the_sensed_state():
 
 def test_face_residual_detects_enrichment_jump():
     ctx = _context(2, 1)
-    cfg = EntropyConfig(kind="power", b=2)
+    cfg = EntropyConfig(kind="power")
     dm = ctx.dofmap
     C = np.zeros(dm.n_dofs)
     C[dm.n_cg] = 1.0              # constant enrichment on the left cell only
@@ -188,7 +167,7 @@ def test_face_residual_detects_enrichment_jump():
 
 def test_indicator_max_combines_face_jump():
     ctx = _context(2, 1)
-    cfg = EntropyConfig(kind="power", b=2)
+    cfg = EntropyConfig(kind="power")
     dm = ctx.dofmap
     C = np.zeros(dm.n_dofs)
     C[dm.n_cg] = 1.0
@@ -207,7 +186,7 @@ def test_indicator_max_combines_face_jump():
 def test_entropy_viscosity_formula():
     # isolate the entropy branch with a huge lambda_lin so the min picks mu_ent
     ctx = _context(4, 4)
-    cfg = EntropyConfig(kind="power", b=2, lambda_lin=1e9, lambda_ent=0.7)
+    cfg = EntropyConfig(kind="power", lambda_lin=1e9, lambda_ent=0.7)
     C = interpolate(lambda x, y: x * x, ctx)
     flux = _flux(ctx, 1.0, 0.0)
     ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=2)
@@ -224,7 +203,7 @@ def test_entropy_viscosity_formula():
 
 def test_min_switches_to_linear_branch():
     ctx = _context(4, 4)
-    cfg = EntropyConfig(kind="power", b=2, lambda_lin=1e-12, lambda_ent=0.5)
+    cfg = EntropyConfig(kind="power", lambda_lin=1e-12, lambda_ent=0.5)
     C = interpolate(lambda x, y: x * x, ctx)
     flux = _flux(ctx, 1.0, 0.0)
     ind = indicator(cfg, ctx, C, C, C, flux, 0.0, dt=0.1, m=2)
